@@ -3,6 +3,15 @@
 Run by `run.py` in a fresh process per workload; it prints one JSON object as
 its last line.  The set-up clock starts before numpy is imported, and the
 BLAS and OpenMP thread counts are pinned to 1 before that.
+
+The host is shared, and its speed drifts by up to half over tens of seconds,
+in process CPU time as much as in wall time.  So each timed operation is
+preceded by `probe`, a fixed piece of work that calls no derivsamp code, and
+an operation's figure is its time over the probe's, times PROBE_REF_S: its
+time at the host speed at which the probe takes PROBE_REF_S.  `wall_s` is
+the mean over the run's rounds of the sum of their figures, and `op_p50_ms`
+the median of all figures; `op_tail_ms` is taken over the operations of a
+round, each represented by the median of its figures.
 """
 
 import time
@@ -25,12 +34,38 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from fractions import Fraction  # noqa: E402
+
 import derivsamp  # noqa: E402  (imports numpy)
+import numpy as np  # noqa: E402
 
 from layers import Calls, Tracer  # noqa: E402
 from workloads import WORKLOADS, CheckError  # noqa: E402
 
 MIN_OPS = 40  # op_tail_ms needs at least ten operations beyond its percentile
+MIN_ROUNDS = 3  # so that each operation's median has three repeats or more
+PROBE_REF_S = 1.5e-3  # about the probe's time on the 2-vCPU host of README.md
+_PROBE_Y = np.arange(64.0)
+
+
+def probe() -> float:
+    """Seconds taken by a fixed mix of the work the workloads do (integer and
+    dict code, exact Fraction arithmetic, small numpy calls), none of it in
+    derivsamp: the host's speed at this moment."""
+    t0 = time.perf_counter()
+    s = 0
+    for i in range(6000):
+        s += (i * i) % 7
+    d = {}
+    for i in range(1500):
+        d[i] = str(i)
+    q = Fraction(0)
+    for k in range(1, 40):
+        q += Fraction(1, k) * Fraction(k + 1, k + 2)
+    x = 0.0
+    for k in range(150):
+        x += float(np.dot(_PROBE_Y, _PROBE_Y + k))
+    return time.perf_counter() - t0
 
 
 def tail(times: list[float]) -> tuple[float, float]:
@@ -67,16 +102,21 @@ def main(argv=None) -> int:
     if tracer is not None:
         tracer.rewind(setup_mark)
 
-    correct, attempted, failed = True, 0, 0
-    op_times: list[list[float]] = []  # per position in the round, one time per round
+    correct, attempted, failed, rounds = True, 0, 0, 0
+    times: list[float] = []  # every timed operation, unscaled
+    # The same over the probe time just before it, times PROBE_REF_S; one
+    # list per position in the round, one entry per round.
+    scaled: list[list[float]] = []
+    probes: list[float] = []
     host_wait = 0.0
     start = time.perf_counter()
     while True:
         round_start = time.perf_counter()
         for j, op in enumerate(workload.round()):
-            if j == len(op_times):
-                op_times.append([])
+            if j == len(scaled):
+                scaled.append([])
             gc.collect()
+            probes.append(probe())
             attempted += 1
             t0, c0 = time.perf_counter(), time.process_time()
             try:
@@ -90,7 +130,8 @@ def main(argv=None) -> int:
                 failed += 1
                 print(f"# failed: {op.label}: {exc}", file=sys.stderr)
             t1, c1 = time.perf_counter(), time.process_time()
-            op_times[j].append(t1 - t0)
+            times.append(t1 - t0)
+            scaled[j].append(PROBE_REF_S * (t1 - t0) / probes[-1])
             host_wait += (t1 - t0) - (c1 - c0)
             if out is None:
                 continue
@@ -105,21 +146,20 @@ def main(argv=None) -> int:
         except CheckError as exc:
             correct = False
             print(f"# wrong: round: {exc}", file=sys.stderr)
+        rounds += 1
         now = time.perf_counter()
-        if now - start + (now - round_start) > args.seconds:
+        if now - start + (now - round_start) > args.seconds and rounds >= MIN_ROUNDS:
             break
 
-    # An operation's time is its fastest over the run's rounds: the host's
-    # slow phases last seconds and come and go, and the fastest repeat is the
-    # one they did not hit.
-    best = [min(ts) for ts in op_times]
-    rounds = len(op_times[0])
-    if len(best) < MIN_OPS:
-        print(f"# a round needs at least {MIN_OPS} operations, got {len(best)}", file=sys.stderr)
+    if len(scaled) < MIN_OPS:
+        print(f"# a round needs at least {MIN_OPS} operations, got {len(scaled)}", file=sys.stderr)
         return 2
-    pct, tail_s = tail(best)
+    pooled = [x for xs in scaled for x in xs]
+    wall_s = sum(pooled) / rounds
+    pct, tail_s = tail([statistics.median(xs) for xs in scaled])
     print(
-        f"# rounds={rounds} ops={len(best)} tail=p{pct:.1f} wall_s={sum(best):.4f} "
+        f"# rounds={rounds} ops={len(pooled)} tail=p{pct:.1f} of {len(scaled)} wall_s={wall_s:.4f} "
+        f"unscaled_wall_s={sum(times) / rounds:.4f} probe_ms={1e3 * statistics.median(probes):.4f} "
         f"host_wait_s={host_wait:.4f} setup_s={setup_s:.4f}"
     )
     if tracer is not None:
@@ -132,11 +172,12 @@ def main(argv=None) -> int:
         print(f"# spans written to {path.relative_to(Path.cwd())}")
         metrics = {name: (value, "s" if name.endswith("_s") else "count") for name, value in tracer.per_layer_metrics(setup_mark, rounds).items()}
         metrics["bench.host_wait_s"] = (host_wait / rounds, "s")
+        metrics["bench.probe_s"] = (statistics.median(probes), "s")
     else:
         metrics = {
             "setup_s": (setup_s, "s"),
-            "wall_s": (sum(best), "s"),
-            "op_p50_ms": (1e3 * statistics.median(best), "ms"),
+            "wall_s": (wall_s, "s"),
+            "op_p50_ms": (1e3 * statistics.median(pooled), "ms"),
             "op_tail_ms": (1e3 * tail_s, "ms"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         }
