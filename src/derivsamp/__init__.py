@@ -9,6 +9,7 @@ of smoothness.
 """
 
 from .bspline import (
+    bspline_series,
     eval_q,
     eval_q_deriv,
     fourier_q,
@@ -62,9 +63,10 @@ from .symbol import (
     table_polynomial,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
+    "bspline_series",
     "eval_q",
     "eval_q_deriv",
     "fourier_q",

@@ -1,23 +1,30 @@
 """Cardinal B-splines: evaluation, derivatives, Fourier transforms, Riesz bounds.
 
 Q_m denotes the B-spline of order m with knots 0, 1, ..., m (support [0, m]).
-`eval_q` is the production path (Cox-de Boor recurrence, stable in float);
-the truncated-power form is kept in `eval_q_power` / `eval_q_exact` and acts
-as an independent oracle in the tests.  Fourier transforms use the convention
-f^(w) = int f(t) exp(-2 pi i w t) dt, so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m.
+Every float evaluation goes through one primitive, `bspline_series`, which
+sums a finite series sum_n c_n Q_m^(d)(x - k0 - n).  On each knot interval
+[p, p+1) the function Q_m^(d) is a polynomial in the local variable
+u = x - floor(x); the m pieces are expanded exactly over Fraction from the
+truncated-power form, converted to float once per (m, d) and evaluated by
+Horner (de Boor, A Practical Guide to Splines, ch. IX).  `eval_q` and
+`eval_q_deriv` are the one-coefficient series.  `eval_q_exact` /
+`eval_q_deriv_exact` keep the truncated-power form in rational arithmetic.
+Fourier transforms use the convention f^(w) = int f(t) exp(-2 pi i w t) dt,
+so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
+    "bspline_series",
     "eval_q",
-    "eval_q_power",
     "eval_q_exact",
     "eval_q_deriv",
     "eval_q_deriv_exact",
@@ -35,42 +42,74 @@ def _check_order(m: int) -> None:
         raise ValueError(f"spline order must be a positive integer, got {m!r}")
 
 
+def _check_deriv_order(m: int, k: int) -> None:
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"derivative order must be a nonnegative integer, got {k!r}")
+    if k > 0 and k > m - 2:
+        raise ValueError(
+            f"derivative order {k} not available for Q_{m}: need k <= m-2 "
+            "(higher derivatives are not continuous)"
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _pieces(m: int, deriv: int) -> np.ndarray:
+    """pieces[p, k]: coefficient of u^k in Q_m^(deriv)(p + u), 0 <= u < 1.
+
+    From the truncated-power form Q_m^(d)(t) = sum_j (-1)^j C(m,j)
+    (t-j)_+^e / e!, e = m-1-d, expanded exactly and rounded once.  For m=1
+    the single piece is 1, so Q_1 is right-continuous at its knots.
+    """
+    e = m - 1 - deriv
+    rows = []
+    for p in range(m):
+        row = [Fraction(0)] * (e + 1)
+        for j in range(p + 1):
+            w = (-1) ** j * math.comb(m, j)
+            for k in range(e + 1):
+                row[k] += w * math.comb(e, k) * Fraction(p - j) ** (e - k)
+        rows.append([float(c / math.factorial(e)) for c in row])
+    out = np.array(rows)
+    out.flags.writeable = False
+    return out
+
+
+def bspline_series(m: int, deriv: int, coeffs, k0: int, x):
+    """sum_n coeffs[n] Q_m^(deriv)(x - k0 - n) at x (scalar or ndarray).
+
+    The point x meets the m translates with n = floor(x) - k0 - p, one per
+    piece p; each piece is one Horner pass over the array.
+    """
+    _check_order(m)
+    _check_deriv_order(m, deriv)
+    arr = np.asarray(x, dtype=float)
+    pieces = _pieces(m, deriv)
+    # zero-padded so that every out-of-range index clips onto a zero
+    padded = np.concatenate(([0.0], np.asarray(coeffs, dtype=float), [0.0]))
+    base = np.floor(arr)
+    u = arr - base
+    first = base.astype(np.int64) - (int(k0) - 1)
+    out = np.zeros(arr.shape)
+    for p, poly in enumerate(pieces):
+        val = np.full(arr.shape, poly[-1])
+        for c in poly[-2::-1]:
+            val *= u
+            val += c
+        out += padded.take(first - p, mode="clip") * val
+    return float(out) if arr.ndim == 0 else out
+
+
 def eval_q(m: int, t):
-    """Evaluate Q_m at t (scalar or ndarray) by the Cox-de Boor recurrence.
+    """Evaluate Q_m at t (scalar or ndarray).
 
     Right-continuous at knots for m=1 (indicator of [0,1)); continuous for m>=2.
     """
-    _check_order(m)
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    # levels[s] holds Q_k(t - s); start at k=1 with shifted indicators
-    levels = [((arr - s >= 0.0) & (arr - s < 1.0)).astype(float) for s in range(m)]
-    for k in range(1, m):
-        nxt = []
-        for s in range(m - k):
-            x = arr - s
-            nxt.append((x * levels[s] + (k + 1.0 - x) * levels[s + 1]) / k)
-        levels = nxt
-    out = levels[0]
-    return float(out) if scalar else out
+    return bspline_series(m, 0, (1.0,), 0, t)
 
 
-def eval_q_power(m: int, t):
-    """Truncated-power form of Q_m in float arithmetic (test oracle, not stable
-    for large m; prefer eval_q)."""
-    _check_order(m)
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    if m == 1:
-        out = ((arr >= 0.0) & (arr < 1.0)).astype(float)
-        return float(out) if scalar else out
-    acc = np.zeros_like(arr)
-    for j in range(m + 1):
-        acc += (-1.0) ** j * math.comb(m, j) * np.maximum(arr - j, 0.0) ** (m - 1)
-    out = acc / math.factorial(m - 1)
-    # clamp tiny negatives from cancellation outside the support
-    out = np.where((arr < 0.0) | (arr > m), 0.0, out)
-    return float(out) if scalar else out
+def eval_q_deriv(m: int, k: int, t):
+    """k-th derivative of Q_m at t, for k <= m-2."""
+    return bspline_series(m, k, (1.0,), 0, t)
 
 
 def eval_q_exact(m: int, t) -> Fraction:
@@ -88,31 +127,6 @@ def eval_q_exact(m: int, t) -> Fraction:
         if d > 0:
             acc += (-1) ** j * math.comb(m, j) * d ** (m - 1)
     return acc / math.factorial(m - 1)
-
-
-def _check_deriv_order(m: int, k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {k!r}")
-    if k > 0 and k > m - 2:
-        raise ValueError(
-            f"derivative order {k} not available for Q_{m}: need k <= m-2 "
-            "(higher derivatives are not continuous)"
-        )
-
-
-def eval_q_deriv(m: int, k: int, t):
-    """k-th derivative of Q_m via the difference identity
-    Q_m^(k)(t) = sum_r (-1)^r C(k,r) Q_{m-k}(t-r), valid for k <= m-2."""
-    _check_order(m)
-    _check_deriv_order(m, k)
-    if k == 0:
-        return eval_q(m, t)
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    acc = np.zeros_like(arr)
-    for r in range(k + 1):
-        acc += (-1.0) ** r * math.comb(k, r) * eval_q(m - k, arr - r)
-    return float(acc) if scalar else acc
 
 
 def eval_q_deriv_exact(m: int, k: int, t) -> Fraction:

@@ -282,7 +282,7 @@ def cmd_tau(args) -> int:
     if not deltas:
         raise _UsageError("--delta list is empty")
     f = _load_signal(args, args.deriv + 1)
-    ch = channel(f, args.deriv) if hasattr(f, "tau_exponent") else _TabChannel(f, args.deriv)
+    ch = channel(f, args.deriv)
     rows = []
     for d in deltas:
         est = tau_modulus(ch, args.r, d, args.p, search_n=args.grid_n)
@@ -291,19 +291,6 @@ def cmd_tau(args) -> int:
     footer = _fit_footer([(d, v) for d, v, _, _ in rows])
     _emit(args, "delta,tau,log10delta,log10tau", rows, footer)
     return 0
-
-
-class _TabChannel:
-    """Adapter giving a tabulated signal the channel-callable shape."""
-
-    special_points: tuple[float, ...] = ()
-
-    def __init__(self, f, i):
-        self.spec = f
-        self.i = i
-
-    def __call__(self, t):
-        return self.spec.eval(self.i, t)
 
 
 def cmd_scan(args) -> int:
@@ -373,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal-csv", dest="signal_csv")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--grid-n", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_approx)
 
@@ -385,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--delta", default="0.2,0.1,0.05,0.025", help="comma list")
     p.add_argument("--grid-n", type=int, default=64, help="sup-search density")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tau)
 

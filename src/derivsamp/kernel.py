@@ -7,6 +7,11 @@ geometrically; the kernels are the finite-bandwidth combinations
 
 Coefficients are extracted from a uniform grid of matrix inverses by FFT,
 with the grid refined until aliasing sits below the requested tolerance.
+The symbol has rational coefficients, so Psi^{-1}(conj z) = conj Psi^{-1}(z)
+and every c^{ji}(v) is real: the table stores the real part, after checking
+once that the imaginary part dropped is below 1e-10 + tail_bound.  Each
+Theta_i is then one B-spline series with coefficient c^{ji}(v) at knot
+rho v + j.
 The kernels reproduce polynomials up to the configuration's order; both the
 time-domain and Fourier-domain forms of that moment condition are provided.
 """
@@ -19,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bspline import eval_q_deriv, fourier_q_deriv
+from .bspline import bspline_series, fourier_q_deriv
 from .symbol import Kappa, build_symbol, check_cis
 
 __all__ = [
@@ -43,13 +48,13 @@ class KernelTable:
 
     kappa: Kappa
     radius: int
-    coeffs: np.ndarray  # complex, shape (rho, rho, 2*radius + 1)
+    coeffs: np.ndarray  # float64, shape (rho, rho, 2*radius + 1)
     tail_bound: float
 
-    def coeff(self, j: int, i: int, v: int) -> complex:
+    def coeff(self, j: int, i: int, v: int) -> float:
         if abs(v) > self.radius:
-            return 0j
-        return complex(self.coeffs[j, i, self.radius + v])
+            return 0.0
+        return float(self.coeffs[j, i, self.radius + v])
 
     def to_csv(self, path=None) -> str:
         k = self.kappa
@@ -61,8 +66,7 @@ class KernelTable:
         for j in range(k.rho):
             for i in range(k.rho):
                 for v in range(-self.radius, self.radius + 1):
-                    c = self.coeff(j, i, v)
-                    lines.append(f"{j},{i},{v},{c.real!r},{c.imag!r}")
+                    lines.append(f"{j},{i},{v},{self.coeff(j, i, v)!r},0.0")
         text = "\n".join(lines) + "\n"
         if path is not None:
             with open(path, "w", newline="") as fh:
@@ -95,11 +99,14 @@ class KernelTable:
                 raise ValueError(f"unexpected column header {cols!r}")
             kappa = Kappa(int(meta["m"]), Fraction(meta["a"]), int(meta["rho"]))
             radius = int(meta["radius"])
-            coeffs = np.zeros((kappa.rho, kappa.rho, 2 * radius + 1), dtype=complex)
+            tail_bound = float(meta["tail_bound"])
+            coeffs = np.zeros((kappa.rho, kappa.rho, 2 * radius + 1))
             for line in fh:
                 j, i, v, re, im = line.strip().split(",")
-                coeffs[int(j), int(i), radius + int(v)] = float(re) + 1j * float(im)
-        return KernelTable(kappa, radius, coeffs, float(meta["tail_bound"]))
+                if abs(float(im)) > 1e-10 + tail_bound:
+                    raise ValueError(f"{path}: coefficient ({j},{i},{v}) is not real: im={im}")
+                coeffs[int(j), int(i), radius + int(v)] = float(re)
+        return KernelTable(kappa, radius, coeffs, tail_bound)
 
 
 def inv_symbol_coeffs(
@@ -111,7 +118,8 @@ def inv_symbol_coeffs(
     """Fourier coefficients of the inverse symbol, |coeff| resolved to tol.
 
     Raises if kappa is not certified CIS (the inverse symbol would be
-    unbounded) or if grid refinement fails to converge.
+    unbounded), if grid refinement fails to converge, or if the imaginary
+    part dropped from the real table exceeds 1e-10 + tail_bound.
     """
     report = check_cis(kappa, tol=cis_tol)
     if not report.is_cis:
@@ -166,7 +174,12 @@ def inv_symbol_coeffs(
     tail_bound = tail_estimate(radius)
 
     stacked = np.stack([spec[v % n] for v in range(-radius, radius + 1)])  # (2V+1, j, i)
-    coeffs = np.transpose(stacked, (1, 2, 0)).copy()
+    residue = float(np.max(np.abs(stacked.imag)))
+    if residue > 1e-10 + tail_bound:
+        raise ArithmeticError(
+            f"inverse-symbol coefficients of {kappa} not real: imaginary residue {residue:.3e}"
+        )
+    coeffs = np.transpose(stacked.real, (1, 2, 0)).copy()
     return KernelTable(kappa, radius, coeffs, tail_bound)
 
 
@@ -177,27 +190,17 @@ def theta_support(table: KernelTable) -> tuple[float, float]:
 
 
 def theta_eval(table: KernelTable, i: int, t, deriv: int = 0):
-    """Evaluate Theta_i (or a derivative) at t; the imaginary residue from the
-    complex coefficients is checked to be below 1e-10 + tail and dropped."""
+    """Evaluate Theta_i (or a derivative) at t."""
     kappa = table.kappa
     if not 0 <= i < kappa.rho:
         raise ValueError(f"channel {i} out of range for rho={kappa.rho}")
-    x = np.asarray(t, dtype=float)
-    scalar = x.ndim == 0
-    acc = np.zeros(x.shape, dtype=complex)
-    for vi, v in enumerate(range(-table.radius, table.radius + 1)):
-        for j in range(kappa.rho):
-            c = table.coeffs[j, i, vi]
-            if c == 0:
-                continue
-            acc += c * eval_q_deriv(kappa.m, deriv, x - kappa.rho * v - j)
-    worst = float(np.max(np.abs(acc.imag))) if acc.size else 0.0
-    if worst > 1e-10 + table.tail_bound:
-        raise ArithmeticError(
-            f"kernel evaluation produced imaginary residue {worst:.3e} for {kappa}"
-        )
-    out = acc.real
-    return float(out) if scalar else out
+    return bspline_series(kappa.m, deriv, *_theta_series(table, i), t)
+
+
+def _theta_series(table: KernelTable, i: int) -> tuple[np.ndarray, int]:
+    """(c, k0) with Theta_i(t) = sum_n c[n] Q_m(t - k0 - n): the coefficients
+    c^{ji}(v) interleaved, so that c[n] sits at knot rho v + j = k0 + n."""
+    return table.coeffs[:, i, :].T.ravel(), -table.kappa.rho * table.radius
 
 
 @dataclass(frozen=True)
@@ -265,22 +268,12 @@ def _kernel_l_range_at(table: KernelTable, t: float) -> range:
 
 def _theta_hat_deriv(table: KernelTable, i: int, d: int, xi: float) -> complex:
     """d-th derivative of Theta_i^ at xi via the coefficient expansion
-    Theta_i^(xi) = sum_{j,v} c^{ji}(v) Q_m^(xi) e^{-2 pi i (rho v + j) xi}."""
-    kappa = table.kappa
-    q = [fourier_q_deriv(kappa.m, s, xi) for s in range(d + 1)]
-    acc = 0j
-    for vi, v in enumerate(range(-table.radius, table.radius + 1)):
-        for j in range(kappa.rho):
-            c = table.coeffs[j, i, vi]
-            if c == 0:
-                continue
-            w = kappa.rho * v + j
-            phase = np.exp(-_TWO_PI_I * w * xi)
-            inner = sum(
-                math.comb(d, s) * q[s] * (-_TWO_PI_I * w) ** (d - s) for s in range(d + 1)
-            )
-            acc += c * inner * phase
-    return complex(acc)
+    Theta_i^(xi) = Q_m^(xi) sum_n c[n] e^{-2 pi i w_n xi}, w_n = k0 + n."""
+    c, k0 = _theta_series(table, i)
+    w = k0 + np.arange(len(c))
+    q = [fourier_q_deriv(table.kappa.m, s, xi) for s in range(d + 1)]
+    inner = sum(math.comb(d, s) * q[s] * (-_TWO_PI_I * w) ** (d - s) for s in range(d + 1))
+    return complex(np.sum(c * inner * np.exp(-_TWO_PI_I * w * xi)))
 
 
 def moment_check_fourier(table: KernelTable, n: int, l: int) -> complex:

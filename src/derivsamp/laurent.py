@@ -24,7 +24,6 @@ __all__ = [
     "divexact",
     "CircleCertificate",
     "roots_unit_circle",
-    "dominant_coeff_test",
 ]
 
 _GRID_N = 4096
@@ -118,10 +117,6 @@ class LaurentPoly:
         if self.is_zero:
             return ZERO
         return LaurentPoly(self.low + k, self.coeffs)
-
-    def to_ordinary(self) -> list[Fraction]:
-        """Coefficients ascending in z after stripping the monomial z^low."""
-        return list(self.coeffs)
 
     def eval_complex(self, z: complex) -> complex:
         if self.is_zero:
@@ -321,16 +316,3 @@ def roots_unit_circle(p: LaurentPoly, tol: float = 1e-9) -> CircleCertificate:
         verdict = "inconclusive"
     return CircleCertificate(min_modulus, argmin_t, root_margin, verdict)
 
-
-def dominant_coeff_test(p: LaurentPoly) -> bool:
-    """Sufficient test for nonvanishing on |z| = 1: after stripping the
-    monomial, an odd number of coefficients whose central one dominates the
-    sum of the others in absolute value."""
-    if p.is_zero:
-        return False
-    c = p.to_ordinary()
-    if len(c) % 2 == 0:
-        return False
-    mid = len(c) // 2
-    rest = sum(abs(x) for i, x in enumerate(c) if i != mid)
-    return rest < abs(c[mid])

@@ -6,9 +6,10 @@ by combining them with the reconstruction kernels:
     (S_W f)(t) = sum_l sum_i W^{-i} f^{(i)}((a + rho l)/W) Theta_i(W t - rho l).
 
 Internally the double sum collapses to a spline in the W-dilated space: the
-samples are convolved once with the kernel coefficients, giving coefficients
-over the refined lattice (rho k + j), then evaluated as a single B-spline
-series.  For f already in the spline space and W=1 this returns f exactly.
+samples are convolved once with the (real) kernel coefficients, giving
+coefficients over the refined lattice (rho k + j), then evaluated as a single
+B-spline series by `bspline_series`.  For f already in the spline space and
+W=1 this returns f exactly.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import eval_q_deriv, krein_favard
-from .kernel import KernelTable, theta_support
+from .bspline import bspline_series, riesz_lower_bound
+from .kernel import KernelTable
 from .symbol import Kappa, build_symbol
 
 __all__ = [
@@ -56,18 +57,7 @@ class SplineElement:
         return (self.k0, self.k0 + len(self.coeffs) - 1 + self.m)
 
     def eval(self, t, deriv: int = 0):
-        x = np.asarray(t, dtype=float)
-        scalar = x.ndim == 0
-        base = np.floor(x).astype(int)
-        out = np.zeros(x.shape)
-        n = len(self.coeffs)
-        for r in range(self.m):
-            k = base - r
-            idx = k - self.k0
-            valid = (idx >= 0) & (idx < n)
-            c = np.where(valid, self.coeffs[np.clip(idx, 0, n - 1)], 0.0)
-            out += c * eval_q_deriv(self.m, deriv, x - k)
-        return float(out) if scalar else out
+        return bspline_series(self.m, deriv, self.coeffs, self.k0, t)
 
     def l2_norm(self) -> float:
         """Exact L2 norm: per-knot-interval Gauss-Legendre with m nodes
@@ -162,25 +152,17 @@ def sw_spline_coeffs(
     if samples.shape != (n_samples, rho):
         raise ValueError(f"samples must have shape (L, {rho})")
     k_len = n_samples + 2 * v
-    e = np.zeros(rho * k_len, dtype=complex)
+    e = np.zeros(rho * k_len)
     for j in range(rho):
-        acc = np.zeros(k_len, dtype=complex)
         for i in range(rho):
-            acc += grid.W ** (-i) * np.convolve(samples[:, i], table.coeffs[j, i, :])
-        e[j::rho] = acc
-    worst = float(np.max(np.abs(e.imag))) if e.size else 0.0
-    scale = float(np.max(np.abs(e.real))) if e.size else 0.0
-    if worst > 1e-9 * max(1.0, scale):
-        raise ArithmeticError(f"spline coefficients not real: imag residue {worst:.3e}")
-    n_lo = rho * (grid.l_lo - v)
-    return n_lo, e.real
+            e[j::rho] += grid.W ** (-i) * np.convolve(samples[:, i], table.coeffs[j, i, :])
+    return rho * (grid.l_lo - v), e
 
 
 def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
     """Evaluate S_W at t; raises if the sample range cannot reach some t."""
     kappa = grid.kappa
     x = np.asarray(t, dtype=float)
-    scalar = x.ndim == 0
     need_lo, need_hi = required_l_range(
         kappa, grid.W, float(np.min(x)), float(np.max(x)), table.radius
     )
@@ -190,17 +172,7 @@ def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
             f"requested window: need l in [{need_lo}, {need_hi}]"
         )
     n_lo, e = sw_spline_coeffs(samples, grid, table)
-    xx = grid.W * x
-    base = np.floor(xx).astype(int)
-    out = np.zeros(x.shape)
-    n = len(e)
-    for r in range(kappa.m):
-        k = base - r
-        idx = k - n_lo
-        valid = (idx >= 0) & (idx < n)
-        c = np.where(valid, e[np.clip(idx, 0, n - 1)], 0.0)
-        out += c * eval_q_deriv(kappa.m, 0, xx - k)
-    return float(out) if scalar else out
+    return bspline_series(kappa.m, 0, e, n_lo, grid.W * x)
 
 
 def discrete_norm(samples: np.ndarray, grid: SampleGrid, p: float) -> float:
@@ -231,9 +203,7 @@ def frame_bounds(kappa: Kappa, grid_n: int = 1024) -> BoundsReport:
     lam = np.linalg.eigvalsh(gram)
     lower = float(lam[:, 0].min())
     upper = float(lam[:, -1].max())
-    m = kappa.m
-    riesz = 2.0 ** (2 * m - 1) * krein_favard(2 * m - 1) / math.pi ** (2 * m - 1)
-    return BoundsReport(kappa, lower, upper, upper / riesz)
+    return BoundsReport(kappa, lower, upper, upper / riesz_lower_bound(kappa.m))
 
 
 @dataclass(frozen=True)

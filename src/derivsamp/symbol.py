@@ -21,7 +21,6 @@ import numpy as np
 
 from .bspline import eval_q_deriv_exact, eval_q_exact
 from .laurent import (
-    ZERO,
     CircleCertificate,
     LaurentPoly,
     laurent_det,

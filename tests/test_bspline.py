@@ -10,6 +10,7 @@ import pytest
 from derivsamp.bspline import (
     eval_q,
     eval_q_deriv,
+    eval_q_deriv_exact,
     eval_q_exact,
     fourier_q,
     fourier_q_deriv,
@@ -32,13 +33,17 @@ def _oracle_q(m: int, t: Fraction) -> Fraction:
 
 
 def test_eval_matches_truncated_power_oracle():
+    # every derivative order k <= m-2 (k = 0 for m <= 2), at random eighths
+    # and at every integer knot of the support and just beyond it
     rng = np.random.default_rng(11)
-    for m in range(1, 7):
-        for _ in range(34):
-            t = Fraction(int(rng.integers(-2 * 8, (m + 2) * 8)), 8)
-            got = eval_q(m, float(t))
-            want = float(_oracle_q(m, t))
-            assert abs(got - want) <= 1e-14
+    for m in range(1, 13):
+        ts = [Fraction(int(rng.integers(-2 * 8, (m + 2) * 8)), 8) for _ in range(34)]
+        ts += [Fraction(k) for k in range(-1, m + 2)]
+        for k in range(max(1, m - 1)):
+            got = eval_q_deriv(m, k, np.array([float(t) for t in ts]))
+            for t, g in zip(ts, got):
+                want = float(_oracle_q(m, t) if k == 0 else eval_q_deriv_exact(m, k, t))
+                assert abs(g - want) <= 1e-14 * max(1.0, abs(want)), (m, k, t)
 
 
 def test_eval_exact_is_exact():

@@ -1,11 +1,14 @@
-"""Command-line interface: exit codes, output format, W-list parsing, and
-tabulated-signal input."""
+"""Command-line interface: exit codes, output format, W-list parsing,
+tabulated-signal input, and the package version."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import derivsamp
 from derivsamp.cli import (
     TabulatedSignal,
     _UsageError,
@@ -167,3 +170,9 @@ def test_deterministic_output(tmp_path):
         assert main(["check", "--m", "4", "--a", "1/2", "--rho", "2",
                      "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"', text, re.M).group(1)
+    assert derivsamp.__version__ == declared

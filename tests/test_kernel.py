@@ -29,6 +29,8 @@ def test_rejects_unstable_configuration():
 
 def test_q3_coefficients_golden(table_q3):
     t = table_q3
+    # the symbol has rational coefficients, so the table is real
+    assert t.coeffs.dtype == np.float64
     # the inverse symbol is a Laurent polynomial here: one nonzero column
     assert t.coeff(0, 0, -1) == pytest.approx(1.0, abs=1e-12)
     assert t.coeff(1, 0, -1) == pytest.approx(1.0, abs=1e-12)
@@ -154,9 +156,16 @@ def test_csv_roundtrip(tmp_path, table_q4h):
     assert np.array_equal(back.coeffs, table_q4h.coeffs)
 
 
-def test_csv_rejects_foreign_file(tmp_path):
+def test_csv_rejects_foreign_file(tmp_path, table_q3):
     p = tmp_path / "bad.csv"
     p.write_text("j,i,v,re,im\n0,0,0,1.0,0.0\n")
+    with pytest.raises(ValueError):
+        KernelTable.from_csv(p)
+    # a coefficient with an imaginary part past 1e-10 + tail_bound
+    lines = table_q3.to_csv().splitlines()
+    assert lines[2].endswith(",0.0")
+    lines[2] = lines[2][: -len("0.0")] + "0.001"
+    p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         KernelTable.from_csv(p)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from derivsamp.sampler import SampleGrid, discrete_norm, take_samples
-from derivsamp.signals import channel, constant_signal, get_signal
+from derivsamp.signals import channel, constant_signal, get_signal, monomial_signal
 from derivsamp.smoothness import (
     finite_diff,
     fit_order,
@@ -81,6 +81,16 @@ def test_tau_modulus_zero_for_constant():
     est = tau_modulus(ch, 2, 0.1, 2.0)
     assert est.value == 0.0
     assert est.r == 2 and est.p == 2.0 and est.delta == 0.1
+
+
+def test_tau_modulus_lp_norm_closed_form():
+    # Delta_h^2 t^2 = 2 h^2, so omega_2(t^2; x; delta) = 2 delta^2 at every x
+    # and tau_2(t^2; delta)_p = 2 delta^2 L^(1/p) on a domain of length L = 2
+    ch = channel(monomial_signal(2), 0)
+    for p in (1.0, 2.0):
+        for delta in (0.2, 0.1, 0.05, 0.025):
+            got = tau_modulus(ch, 2, delta, p, domain=(-1.0, 1.0)).value
+            assert got == pytest.approx(2.0 * delta**2 * 2.0 ** (1.0 / p), rel=1e-9)
 
 
 def test_tau_modulus_validation():
