@@ -214,80 +214,34 @@ def fourier_q_deriv(m: int, r: int, xi: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Krein-Favard constants K_m = (4/pi) sum_{v>=0} (-1)^{v(m+1)} / (2v+1)^{m+1}
-# and the Riesz lower bound 2^{2m-1} K_{2m-1} / pi^{2m-1} for the Q_m basis.
-#
-# The defining series converges far too slowly for tol ~ 1e-14 when m <= 1
-# (the plain integral/first-term tail bounds would need ~1e14 terms), so the
-# tail is *evaluated* by Euler-Maclaurin with a certified remainder bound
-# instead of merely bounded.  Both branches keep the remainder below tol/2.
+# Krein-Favard constants K_r = (4/pi) sum_{v>=0} (-1)^{v(r+1)} / (2v+1)^{r+1}
+# in closed form K_r = A_r pi^r / (2^r r!), A_r the zigzag (up/down) numbers,
+# and the Riesz lower bound 2^{2m-1} K_{2m-1} / pi^{2m-1} = A_{2m-1}/(2m-1)!
+# of the Q_m basis.
 # ---------------------------------------------------------------------------
 
 
-def _rising(s: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= s + i
-    return out
+def _zigzag(r: int) -> int:
+    """A_r by the Seidel-Entringer boustrophedon: row n holds E(n, 0..n) with
+    E(n, k) = E(n, k-1) + E(n-1, n-k), and A_n = E(n, n)."""
+    row = [1]
+    for _ in range(r):
+        new = [0]
+        for v in reversed(row):
+            new.append(new[-1] + v)
+        row = new
+    return row[-1]
 
 
-def krein_favard(m: int, tol: float = 1e-14) -> float:
-    """Krein-Favard constant K_m, accurate to within tol."""
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"index must be a nonnegative integer, got {m!r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    s = m + 1
-    if m % 2 == 1:
-        # positive series sum (2v+1)^{-s}, s even >= 2
-        n = 32
-        while True:
-            u = 2.0 * n + 1.0
-            rem = 4.0 * 128.0 * _rising(s, 7) * u ** (-(s + 7)) / 1209600.0
-            if rem < tol * math.pi / 8.0:
-                break
-            n *= 2
-        partial = math.fsum((2.0 * v + 1.0) ** (-s) for v in range(n))
-        u = 2.0 * n + 1.0
-        tail = (
-            u ** (1 - s) / (2.0 * (s - 1))
-            + 0.5 * u ** (-s)
-            + 2.0 * s * u ** (-s - 1) / 12.0
-            - 8.0 * _rising(s, 3) * u ** (-s - 3) / 720.0
-            + 32.0 * _rising(s, 5) * u ** (-s - 5) / 30240.0
-        )
-        total = partial + tail
-    else:
-        # alternating series; pair terms: h(j) = (4j+1)^{-s} - (4j+3)^{-s}
-        n = 32
-        while True:
-            a1 = 4.0 * n + 1.0
-            rem = 4.0 * 4.0 ** 7 * _rising(s, 7) * a1 ** (-(s + 7)) / 1209600.0
-            if rem < tol * math.pi / 8.0:
-                break
-            n *= 2
-        partial = math.fsum(
-            (4.0 * j + 1.0) ** (-s) - (4.0 * j + 3.0) ** (-s) for j in range(n)
-        )
-        a1 = 4.0 * n + 1.0
-        a3 = 4.0 * n + 3.0
-        if s > 1:
-            integral = (a1 ** (1 - s) - a3 ** (1 - s)) / (4.0 * (s - 1))
-        else:
-            integral = 0.25 * math.log(a3 / a1)
-        tail = (
-            integral
-            + 0.5 * (a1 ** (-s) - a3 ** (-s))
-            + 4.0 * s * (a1 ** (-s - 1) - a3 ** (-s - 1)) / 12.0
-            - 64.0 * _rising(s, 3) * (a1 ** (-s - 3) - a3 ** (-s - 3)) / 720.0
-            + 1024.0 * _rising(s, 5) * (a1 ** (-s - 5) - a3 ** (-s - 5)) / 30240.0
-        )
-        total = partial + tail
-    return 4.0 / math.pi * total
+def krein_favard(r: int) -> float:
+    """Krein-Favard constant K_r."""
+    if not isinstance(r, (int, np.integer)) or r < 0:
+        raise ValueError(f"index must be a nonnegative integer, got {r!r}")
+    return float(Fraction(_zigzag(r), 2 ** r * math.factorial(r))) * math.pi ** r
 
 
 def riesz_lower_bound(m: int) -> float:
-    """Lower Riesz bound 2^{2m-1} K_{2m-1} / pi^{2m-1} of the shifted Q_m basis
-    (upper bound is 1 by partition of unity)."""
+    """Lower Riesz bound A_{2m-1} / (2m-1)! of the shifted Q_m basis, rounded
+    once from the exact rational (upper bound is 1 by partition of unity)."""
     _check_order(m)
-    return 2.0 ** (2 * m - 1) * krein_favard(2 * m - 1) / math.pi ** (2 * m - 1)
+    return float(Fraction(_zigzag(2 * m - 1), math.factorial(2 * m - 1)))

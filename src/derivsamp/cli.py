@@ -7,8 +7,8 @@ produce byte-identical files: floats are serialized with repr (shortest
 round-trip form) and all row orders are fixed.
 
 Exit codes: 0 success (and CIS where relevant), 1 mathematical negative
-(not CIS), 2 usage error, 3 numerical failure (inconclusive certificate or
-tolerance not met).
+(not CIS; the certificate is exact), 2 usage error, 3 numerical failure
+of a kernel build or of a determinant table.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def cmd_tables(args) -> int:
 
 def cmd_check(args) -> int:
     kappa = _parse_kappa(args)
-    report = check_cis(kappa, tol=args.tol)
+    report = check_cis(kappa)
     cert = report.certificate
     rows = [
         ("m", kappa.m),
@@ -232,15 +232,12 @@ def cmd_check(args) -> int:
         ("root_margin", cert.root_margin),
         ("verdict", cert.verdict),
         ("is_cis", report.is_cis),
-        ("inconclusive", report.inconclusive),
     ]
     if report.is_cis:
         b = frame_bounds(kappa, args.grid_n)
         rows += [("A", b.lower), ("B", b.upper), ("upper_frame", b.upper_frame)]
     _emit(args, "key,value", rows)
-    if report.is_cis:
-        return 0
-    return 3 if report.inconclusive else 1
+    return 0 if report.is_cis else 1
 
 
 def cmd_kernel_dump(args) -> int:
@@ -295,10 +292,10 @@ def cmd_tau(args) -> int:
 
 def cmd_scan(args) -> int:
     rows = [
-        (r.m, r.rho, r.a, r.is_cis, r.predicted, r.agree, r.inconclusive)
-        for r in scan_assumption1(args.m_max, args.rho_max, tol=args.tol)
+        (r.m, r.rho, r.a, r.is_cis, r.predicted, r.agree)
+        for r in scan_assumption1(args.m_max, args.rho_max)
     ]
-    _emit(args, "m,rho,a,is_cis,predicted_cis,agrees,inconclusive", rows)
+    _emit(args, "m,rho,a,is_cis,predicted_cis,agrees", rows)
     return 0
 
 
@@ -307,7 +304,7 @@ def cmd_bounds(args) -> int:
     report = check_cis(kappa)
     if not report.is_cis:
         print(f"error: kappa is not completely interpolating", file=sys.stderr)
-        return 3 if report.inconclusive else 1
+        return 1
     b = frame_bounds(kappa, args.grid_n)
     rows = [
         ("m", kappa.m),
@@ -341,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="certify a configuration (det, circle certificate, bounds)")
     _add_kappa_flags(p)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--grid-n", type=int, default=1024)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
@@ -377,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="shift-placement conjecture audit over (m, rho, a)")
     p.add_argument("--m-max", type=int, default=9)
     p.add_argument("--rho-max", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bspline import bspline_series, fourier_q_deriv
-from .symbol import Kappa, build_symbol, check_cis
+from .symbol import Kappa, check_cis
 
 __all__ = [
     "KernelTable",
@@ -113,7 +113,6 @@ def inv_symbol_coeffs(
     kappa: Kappa,
     tol: float = 1e-12,
     min_radius: int | None = None,
-    cis_tol: float = 1e-9,
 ) -> KernelTable:
     """Fourier coefficients of the inverse symbol, |coeff| resolved to tol.
 
@@ -121,11 +120,10 @@ def inv_symbol_coeffs(
     unbounded), if grid refinement fails to converge, or if the imaginary
     part dropped from the real table exceeds 1e-10 + tail_bound.
     """
-    report = check_cis(kappa, tol=cis_tol)
+    report = check_cis(kappa)
     if not report.is_cis:
-        detail = "inconclusive certificate" if report.inconclusive else "det vanishes on |z|=1"
-        raise ValueError(f"{kappa} is not a stable sampling configuration: {detail}")
-    sym = build_symbol(kappa)
+        raise ValueError(f"{kappa} is not a stable sampling configuration: det vanishes on |z|=1")
+    sym = report.symbol
     rho = kappa.rho
 
     n = 128

@@ -1,8 +1,10 @@
 """Laurent polynomials with exact rational coefficients.
 
 Used for symbol matrices of the sampling problem: ring arithmetic, exact
-determinants (cofactor / fraction-free Bareiss), and numeric certificates
-that a polynomial does or does not vanish on the unit circle.
+determinants (cofactor / fraction-free Bareiss), and an exact certificate
+that a polynomial does or does not vanish on the unit circle (a gcd with the
+reversed polynomial, the substitution x = z + 1/z and a Sturm count), with
+float diagnostics of how close its zeros come to the circle.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ __all__ = [
 ]
 
 _GRID_N = 4096
+
+
+def _eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
+    """Horner value of the coefficient list p (constant term first) at x."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -133,12 +143,7 @@ class LaurentPoly:
     def eval_exact(self, z) -> Fraction:
         """Exact value at a rational z (z != 0 when low < 0)."""
         z = Fraction(z)
-        if self.is_zero:
-            return Fraction(0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc * z ** self.low
+        return _eval(self.coeffs, z) * z ** self.low
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -241,19 +246,89 @@ def _det_bareiss(m: list[list[LaurentPoly]]) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Unit-circle certificates
+# Unit-circle certificate
+#
+# The verdict is decided over Fraction.  q has real coefficients, so a zero z
+# of q on |z| = 1 is also a zero of its reverse z^n q(1/z) = z^n conj(q(z)),
+# hence of g = gcd(q, reverse(q)).  g divides its own reverse up to a sign;
+# when g(1) != 0 and g(-1) != 0 it is self-reciprocal of even degree 2k and
+# g(z) = z^k h(z + 1/z).  A zero z = e^{i theta} != +-1 of g gives the real
+# root x = 2 cos(theta) of h in (-2, 2); a zero off the circle gives either a
+# non-real x or a real x with |x| > 2.  A Sturm sequence counts the roots of h
+# in (-2, 2).  Polynomials below are coefficient lists, constant term first.
 # ---------------------------------------------------------------------------
+
+
+def _rem(a: list, b: list) -> list:
+    """Remainder of a modulo b (b[-1] != 0), trailing zeros stripped."""
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        if f:
+            off = len(a) - len(b)
+            for j, c in enumerate(b):
+                a[off + j] -= f * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gcd(a: list, b: list) -> list:
+    """Monic gcd of two nonzero polynomials."""
+    while b:
+        a, b = b, _rem(a, b)
+        if b:
+            b = [c / b[-1] for c in b]
+    return [c / a[-1] for c in a]
+
+
+def _sign_changes(seq: list, x: Fraction) -> int:
+    signs = [v > 0 for v in (_eval(p, x) for p in seq) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _sturm_roots(h: list, lo: int, hi: int) -> int:
+    """Number of distinct roots of h in (lo, hi); h(lo) and h(hi) nonzero."""
+    seq = [h, [k * c for k, c in enumerate(h)][1:]]
+    while len(seq[-1]) > 1:
+        r = _rem(seq[-2], seq[-1])
+        if not r:
+            break
+        # dividing by |leading coefficient| keeps every sign
+        seq.append([-c / abs(r[-1]) for c in r])
+    return _sign_changes(seq, Fraction(lo)) - _sign_changes(seq, Fraction(hi))
+
+
+def _vanishes_on_circle(q: list) -> bool:
+    """Exact test whether the polynomial q (q[0] != 0) has a zero on |z| = 1."""
+    g = _gcd(q, q[::-1])
+    if len(g) == 1:
+        return False
+    if _eval(g, Fraction(1)) == 0 or _eval(g, Fraction(-1)) == 0:
+        return True
+    k = (len(g) - 1) // 2
+    # h = g_k + sum_j g_{k+j} D_j(x) with D_j(z + 1/z) = z^j + z^-j
+    h = [g[k]] + [Fraction(0)] * k
+    d_prev, d = [2], [0, 1]
+    for j in range(1, k + 1):
+        for i, c in enumerate(d):
+            h[i] += g[k + j] * c
+        d_prev, d = d, [x - y for x, y in zip([0] + d, d_prev + [0, 0])]
+    return _sturm_roots(h, -2, 2) > 0
 
 
 @dataclass(frozen=True)
 class CircleCertificate:
-    """Numeric evidence about zeros of a Laurent polynomial on |z| = 1.
+    """Whether a Laurent polynomial has a zero on |z| = 1, with float
+    diagnostics.
 
-    verdict is one of "nonvanishing", "vanishing", "inconclusive":
-    nonvanishing iff every root stays more than tol away from the circle in
-    modulus; a root within tol of the circle gives "vanishing" when decisive
-    (exact root at z = +-1, machine-level margin, or the grid minimum
-    witnesses the zero), otherwise "inconclusive".
+    verdict is "vanishing" or "nonvanishing", decided exactly over the
+    rational coefficients.  min_modulus and argmin_t are the smallest
+    modulus on a uniform grid of the circle and its position t (z =
+    exp(2 pi i t)); root_margin is the smallest distance | |r| - 1 | over
+    the roots r computed by np.roots (inf for a monomial).  The diagnostics
+    do not enter the verdict.
     """
 
     min_modulus: float
@@ -262,8 +337,8 @@ class CircleCertificate:
     verdict: str
 
 
-def roots_unit_circle(p: LaurentPoly, tol: float = 1e-9) -> CircleCertificate:
-    """Locate roots of p relative to |z| = 1 and certify (non)vanishing."""
+def roots_unit_circle(p: LaurentPoly) -> CircleCertificate:
+    """Certify whether p vanishes somewhere on |z| = 1."""
     if p.is_zero:
         raise ValueError("zero polynomial vanishes identically")
     c = [float(x) for x in p.coeffs]
@@ -271,48 +346,8 @@ def roots_unit_circle(p: LaurentPoly, tol: float = 1e-9) -> CircleCertificate:
     z = np.exp(2j * math.pi * ts)
     vals = np.abs(np.polynomial.polynomial.polyval(z, np.asarray(c)))
     imin = int(np.argmin(vals))
-    min_modulus = float(vals[imin])
-    argmin_t = float(ts[imin])
-    scale = max(abs(x) for x in c)
-
-    # exact check at z = +-1 first: catches the (1 -+ z) factors that carry
-    # huge companion matrices past float accuracy
-    exact_root_at = None
-    for zr, tr in ((1, 0.0), (-1, 0.5)):
-        if p.eval_exact(zr) == 0:
-            exact_root_at = tr
-            break
-    if exact_root_at is not None:
-        return CircleCertificate(min_modulus, argmin_t, 0.0, "vanishing")
-
-    deg = len(c) - 1
-    if deg == 0:
-        return CircleCertificate(min_modulus, argmin_t, math.inf, "nonvanishing")
-    roots = np.roots(np.asarray(c[::-1]))
-    # polish roots near the circle: companion eigenvalues lose digits when the
-    # coefficient range is large
-    cs = np.asarray(c)
-    dcs = cs[1:] * np.arange(1, deg + 1)
-    for idx, r in enumerate(roots):
-        if abs(abs(r) - 1.0) < 1e-3:
-            for _ in range(4):
-                fv = np.polynomial.polynomial.polyval(r, cs)
-                dv = np.polynomial.polynomial.polyval(r, dcs)
-                if dv == 0:
-                    break
-                r = r - fv / dv
-            roots[idx] = r
-    root_margin = float(np.min(np.abs(np.abs(roots) - 1.0)))
-
-    if root_margin > tol:
-        verdict = "nonvanishing"
-    elif root_margin <= max(1e-12, 1e-12 * scale) or min_modulus >= tol:
-        # margin at machine level, or all grid values clear tol: the root
-        # location itself is the decisive witness
-        verdict = "vanishing"
-    else:
-        # root within tol of the circle and the grid dips below tol, but
-        # neither witness is decisive
-        verdict = "inconclusive"
-    return CircleCertificate(min_modulus, argmin_t, root_margin, verdict)
-
+    root_margin = math.inf
+    if len(c) > 1:
+        root_margin = float(np.min(np.abs(np.abs(np.roots(c[::-1])) - 1.0)))
+    verdict = "vanishing" if _vanishes_on_circle(list(p.coeffs)) else "nonvanishing"
+    return CircleCertificate(float(vals[imin]), float(ts[imin]), root_margin, verdict)

@@ -7,8 +7,8 @@ Laurent polynomials
 
 built here with exact rational coefficients.  Invertibility of Psi on the
 unit circle is equivalent to stable reconstruction from samples of
-f, f', ..., f^{(rho-1)} on (a + rho Z); `check_cis` certifies it via the
-determinant's roots.
+f, f', ..., f^{(rho-1)} on (a + rho Z); `check_cis` decides it exactly from
+the determinant's rational coefficients.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from .bspline import eval_q_deriv_exact, eval_q_exact
 from .laurent import (
+    ONE,
     CircleCertificate,
     LaurentPoly,
     laurent_det,
@@ -122,28 +123,22 @@ def det_symbol(kappa: Kappa) -> LaurentPoly:
 @dataclass(frozen=True)
 class CisReport:
     kappa: Kappa
+    symbol: SymbolMatrix
     det: LaurentPoly
     certificate: CircleCertificate
     is_cis: bool
-    inconclusive: bool
 
 
-def check_cis(kappa: Kappa, tol: float = 1e-9) -> CisReport:
+def check_cis(kappa: Kappa) -> CisReport:
     """Certify whether kappa admits stable reconstruction (det Psi nonzero on
-    the circle).  An inconclusive certificate is reported as not-CIS with the
-    flag set."""
-    det = det_symbol(kappa)
+    the circle); the report keeps the symbol it certified."""
+    sym = build_symbol(kappa)
+    det = laurent_det(sym.entries)
     if det.is_zero:
         cert = CircleCertificate(0.0, 0.0, 0.0, "vanishing")
-        return CisReport(kappa, det, cert, False, False)
-    cert = roots_unit_circle(det, tol=tol)
-    return CisReport(
-        kappa,
-        det,
-        cert,
-        cert.verdict == "nonvanishing",
-        cert.verdict == "inconclusive",
-    )
+    else:
+        cert = roots_unit_circle(det)
+    return CisReport(kappa, sym, det, cert, cert.verdict == "nonvanishing")
 
 
 # --- factored determinant tables for rho = 2, a in {0, 1/2} ----------------
@@ -210,29 +205,18 @@ class ScanRow:
     is_cis: bool
     predicted: bool
     agree: bool
-    inconclusive: bool
 
 
-def scan_assumption1(m_max: int, rho_max: int, tol: float = 1e-9) -> list[ScanRow]:
+def scan_assumption1(m_max: int, rho_max: int) -> list[ScanRow]:
     """Exhaustive CIS scan over 2 <= rho <= rho_max, rho < m <= m_max,
     a in {0, 1/2}, compared against the predicted shift placement."""
     rows = []
     for rho in range(2, rho_max + 1):
         for m in range(rho + 1, m_max + 1):
             for a in (Fraction(0), Fraction(1, 2)):
-                report = check_cis(Kappa(m, a, rho), tol=tol)
+                is_cis = check_cis(Kappa(m, a, rho)).is_cis
                 predicted = a == predicted_cis_shift(m, rho)
-                rows.append(
-                    ScanRow(
-                        m,
-                        a,
-                        rho,
-                        report.is_cis,
-                        predicted,
-                        report.is_cis == predicted,
-                        report.inconclusive,
-                    )
-                )
+                rows.append(ScanRow(m, a, rho, is_cis, predicted, is_cis == predicted))
     return rows
 
 
@@ -255,28 +239,7 @@ def pascal_det_check(m: int) -> bool:
         ]
         for i in range(n)
     ]
-    return _fraction_det(mat) == 1
-
-
-def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f != 0:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return det
+    return laurent_det([[LaurentPoly.make(0, [x]) for x in row] for row in mat]) == ONE
 
 
 def ruiz_sum(n: int, l: int, t) -> Fraction:

@@ -186,13 +186,15 @@ def test_krein_favard_closed_forms():
 
 
 def test_krein_favard_against_series_oracle():
-    for m in range(1, 8):
+    for m in range(1, 21):
         assert krein_favard(m) == pytest.approx(_kf_oracle(m), abs=1e-8)
 
 
 def test_riesz_lower_bound_values():
     assert riesz_lower_bound(1) == pytest.approx(1.0, abs=1e-14)
     assert riesz_lower_bound(3) == pytest.approx(2.0 / 15.0, abs=1e-14)
+    for m, (p, q) in enumerate(((1, 1), (1, 3), (2, 15), (17, 315)), start=1):
+        assert riesz_lower_bound(m) == float(Fraction(p, q))
     vals = [riesz_lower_bound(m) for m in range(1, 9)]
     assert all(0 < b <= 1 + 1e-12 for b in vals)
     assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))

@@ -170,6 +170,9 @@ def test_circle_certificate_detects_on_circle_roots():
         p = LaurentPoly.make(0, [Fraction(1), -2 * c, Fraction(1)])
         cert = roots_unit_circle(p)
         assert cert.verdict == "vanishing"
+    # double conjugate pair on the circle, (z^2 - 6/5 z + 1)^2
+    pair = (Fraction(1), Fraction(3, 5))
+    assert roots_unit_circle(_poly_from_roots([pair, pair])).verdict == "vanishing"
 
 
 def test_circle_certificate_clears_off_circle_roots():
@@ -184,6 +187,11 @@ def test_circle_certificate_clears_off_circle_roots():
         assert cert.verdict == "nonvanishing"
         assert cert.min_modulus > 0
         assert cert.root_margin > 1e-3
+    # roots 1e-10 and 1e-13 off the circle, closer than float roots resolve
+    for eps in (Fraction(1, 10**10), Fraction(1, 10**13)):
+        r = 1 + eps
+        for roots in ([r, 1 / r], [(r, Fraction(3, 5))]):
+            assert roots_unit_circle(_poly_from_roots(roots)).verdict == "nonvanishing"
 
 
 def test_circle_certificate_monomial():

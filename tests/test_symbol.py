@@ -156,10 +156,18 @@ def test_cis_verdicts():
     assert check_cis(KAPPA_Q3).is_cis
     assert check_cis(KAPPA_Q4H).is_cis
     assert check_cis(KAPPA_Q4).is_cis
-    r = check_cis(Kappa(4, Fraction(0), 2))
-    assert not r.is_cis and not r.inconclusive
-    r = check_cis(Kappa(5, Fraction(1, 2), 2))
-    assert not r.is_cis and not r.inconclusive
+    assert not check_cis(Kappa(4, Fraction(0), 2)).is_cis
+    assert not check_cis(Kappa(5, Fraction(1, 2), 2)).is_cis
+
+
+def test_cis_exactly_when_shift_rule_allows():
+    # det Psi vanishes on |z| = 1 exactly when 2a + m - rho is an even integer
+    for rho in (2, 3):
+        shifts = {Fraction(p, q) for q in range(1, 7) for p in range(rho * q)}
+        for m in range(rho + 1, 10):
+            for a in sorted(shifts):
+                vanishing = (2 * a + m - rho) % 2 == 0
+                assert check_cis(Kappa(m, a, rho)).is_cis != vanishing, (m, a, rho)
 
 
 def test_non_cis_determinant_vanishes_at_unit_root():
@@ -183,7 +191,6 @@ def test_scan_rho2_matches_prediction():
     rows = [r for r in scan_assumption1(9, 2) if r.rho == 2]
     assert len(rows) == 14  # m = 3..9, two shifts each
     for r in rows:
-        assert not r.inconclusive, f"inconclusive at {r}"
         assert r.agree, f"mismatch at {r}"
         assert r.is_cis == (r.a == predicted_cis_shift(r.m, r.rho))
 
