@@ -7,8 +7,9 @@ sums a finite series sum_n c_n Q_m^(d)(x - k0 - n).  On each knot interval
 u = x - floor(x); the m pieces are expanded exactly over Fraction from the
 truncated-power form, converted to float once per (m, d) and evaluated by
 Horner (de Boor, A Practical Guide to Splines, ch. IX).  `eval_q` and
-`eval_q_deriv` are the one-coefficient series.  `eval_q_exact` /
-`eval_q_deriv_exact` keep the truncated-power form in rational arithmetic.
+`eval_q_deriv` are the one-coefficient series.  Exact rational values on a
+shifted integer lattice, Q_m^(i)(u + p), come from one Cox-de Boor triangle
+over Fraction (`exact_lattice_values`).
 Fourier transforms use the convention f^(w) = int f(t) exp(-2 pi i w t) dt,
 so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m.
 """
@@ -25,9 +26,8 @@ import numpy as np
 __all__ = [
     "bspline_series",
     "eval_q",
-    "eval_q_exact",
     "eval_q_deriv",
-    "eval_q_deriv_exact",
+    "exact_lattice_values",
     "fourier_q",
     "fourier_q_deriv",
     "krein_favard",
@@ -112,34 +112,35 @@ def eval_q_deriv(m: int, k: int, t):
     return bspline_series(m, k, (1.0,), 0, t)
 
 
-def eval_q_exact(m: int, t) -> Fraction:
-    """Exact rational value of Q_m at a rational point."""
-    _check_order(m)
-    t = Fraction(t)
-    if m == 1:
-        return Fraction(1) if 0 <= t < 1 else Fraction(0)
-    if t <= 0 or t >= m:
-        # formula vanishes outside (0, m); endpoints are zero for m >= 2
-        return Fraction(0)
-    acc = Fraction(0)
-    for j in range(m + 1):
-        d = t - j
-        if d > 0:
-            acc += (-1) ** j * math.comb(m, j) * d ** (m - 1)
-    return acc / math.factorial(m - 1)
+def exact_lattice_values(m: int, u, d_max: int) -> list[list[Fraction]]:
+    """vals[i][p] = Q_m^(i)(u + p) exactly, for 0 <= p < m and i <= d_max.
 
-
-def eval_q_deriv_exact(m: int, k: int, t) -> Fraction:
-    """Exact rational k-th derivative of Q_m at a rational point (k <= m-2)."""
+    u is a rational in [0, 1).  One Cox-de Boor triangle Q_n(u + p), n <= m,
+    from Q_n(x) = (x Q_{n-1}(x) + (n-x) Q_{n-1}(x-1)) / (n-1), starting at
+    the right-continuous Q_1; then Q_m^(i) = Delta^i Q_{m-i}, the i-th
+    backward difference in p.
+    """
     _check_order(m)
-    _check_deriv_order(m, k)
-    t = Fraction(t)
-    if k == 0:
-        return eval_q_exact(m, t)
-    acc = Fraction(0)
-    for r in range(k + 1):
-        acc += (-1) ** r * math.comb(k, r) * eval_q_exact(m - k, t - r)
-    return acc
+    _check_deriv_order(m, d_max)
+    u = Fraction(u)
+    if not 0 <= u < 1:
+        raise ValueError(f"lattice offset must lie in [0, 1), got {u}")
+    xs = [u + p for p in range(m)]
+    row = [Fraction(1)] + [Fraction(0)] * (m - 1)  # Q_1(u + p)
+    rows = {1: row}
+    for n in range(2, m + 1):
+        row = [
+            (x * q + (n - x) * q_left) / (n - 1)
+            for x, q, q_left in zip(xs, row, [0] + row[:-1])
+        ]
+        rows[n] = row
+    vals = []
+    for i in range(d_max + 1):
+        diff = rows[m - i]
+        for _ in range(i):
+            diff = [q - q_left for q, q_left in zip(diff, [0] + diff[:-1])]
+        vals.append(diff)
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Laurent polynomials with exact rational coefficients.
 
 Used for symbol matrices of the sampling problem: ring arithmetic, exact
-determinants (cofactor / fraction-free Bareiss), and an exact certificate
-that a polynomial does or does not vanish on the unit circle (a gcd with the
-reversed polynomial, the substitution x = z + 1/z and a Sturm count), with
-float diagnostics of how close its zeros come to the circle.
+determinants (fraction-free Bareiss on rows scaled to integer coefficients),
+and an exact certificate that a polynomial does or does not vanish on the
+unit circle (a gcd with the reversed polynomial, the substitution
+x = z + 1/z and a Sturm count), with float diagnostics of how close its
+zeros come to the circle.
 """
 
 from __future__ import annotations
@@ -62,16 +63,6 @@ class LaurentPoly:
         if not cs:
             return LaurentPoly(0, ())
         return LaurentPoly(low + lead, tuple(cs))
-
-    @staticmethod
-    def from_terms(terms: Iterable[tuple[int, object]]) -> "LaurentPoly":
-        d: dict[int, Fraction] = {}
-        for k, c in terms:
-            d[k] = d.get(k, Fraction(0)) + Fraction(c)
-        if not d:
-            return LaurentPoly(0, ())
-        lo, hi = min(d), max(d)
-        return LaurentPoly.make(lo, [d.get(k, Fraction(0)) for k in range(lo, hi + 1)])
 
     @property
     def is_zero(self) -> bool:
@@ -175,8 +166,8 @@ def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division in the Laurent ring; raises if den does not divide num."""
     if den.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero:
-        return ZERO
+    if num.is_zero or den == ONE:
+        return num
     a = list(num.coeffs)
     b = list(den.coeffs)
     if len(a) < len(b):
@@ -196,37 +187,22 @@ def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials.
 
-    Cofactor expansion for n <= 4, fraction-free Bareiss elimination above
-    (divisions in Bareiss are exact in an integral domain).
+    Each row is multiplied by the lcm of its coefficients' denominators, so
+    fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) runs on
+    integer coefficients, its divisions exact in an integral domain; one
+    division by the product of the row scales ends it.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix is not square")
     if n == 0:
         return ONE
-    if n <= 4:
-        return _det_cofactor([list(row) for row in mat])
-    return _det_bareiss([list(row) for row in mat])
-
-
-def _det_cofactor(m: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    acc = ZERO
-    for j in range(n):
-        if m[0][j].is_zero:
-            continue
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = m[0][j] * _det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def _det_bareiss(m: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(m)
+    scale = 1
+    m = []
+    for row in mat:
+        s = math.lcm(*(c.denominator for p in row for c in p.coeffs))
+        scale *= s
+        m.append([p.scale(s) for p in row])
     sign = 1
     prev = ONE
     for k in range(n - 1):
@@ -241,8 +217,7 @@ def _det_bareiss(m: list[list[LaurentPoly]]) -> LaurentPoly:
                 m[i][j] = divexact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
             m[i][k] = ZERO
         prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return m[n - 1][n - 1].scale(Fraction(sign, scale))
 
 
 # ---------------------------------------------------------------------------

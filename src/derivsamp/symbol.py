@@ -5,10 +5,13 @@ Laurent polynomials
 
     Psi^{ij}(z) = sum_k Q_m^{(i)}(a + rho k - j) z^k,   0 <= i, j < rho,
 
-built here with exact rational coefficients.  Invertibility of Psi on the
-unit circle is equivalent to stable reconstruction from samples of
-f, f', ..., f^{(rho-1)} on (a + rho Z); `check_cis` decides it exactly from
-the determinant's rational coefficients.
+built here with exact rational coefficients.  Every node a + rho k - j
+has the fractional part u = a - floor(a), so every coefficient is one of the
+m values Q_m^{(i)}(u + p), 0 <= p < m, read off one exact Cox-de Boor
+triangle (`exact_lattice_values`).  Invertibility of Psi on the unit circle
+is equivalent to stable reconstruction from samples of f, f', ...,
+f^{(rho-1)} on (a + rho Z); `check_cis` decides it exactly from the
+determinant's rational coefficients.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bspline import eval_q_deriv_exact, eval_q_exact
+from .bspline import exact_lattice_values
 from .laurent import (
     ONE,
     CircleCertificate,
@@ -99,19 +102,17 @@ class SymbolMatrix:
 def build_symbol(kappa: Kappa) -> SymbolMatrix:
     """Exact symbol matrix of kappa."""
     m, a, rho = kappa.m, kappa.a, kappa.rho
+    shift = math.floor(a)
+    vals = exact_lattice_values(m, a - shift, rho - 1)
     rows = []
     for i in range(rho):
         row = []
         for j in range(rho):
-            # Q_m^{(i)}(a + rho k - j) != 0 needs a + rho k - j in (0, m)
-            k_lo = math.floor(float(Fraction(j, 1) - a) / rho) - 1
-            k_hi = math.ceil(float(m + j - a) / rho) + 1
-            terms = []
-            for k in range(k_lo, k_hi + 1):
-                v = eval_q_deriv_exact(m, i, a + rho * k - j)
-                if v != 0:
-                    terms.append((k, v))
-            row.append(LaurentPoly.from_terms(terms))
+            # node a + rho k - j = u + p with p = shift + rho k - j; the
+            # support needs 0 <= p < m, and k_lo is the least k with p >= 0
+            k_lo = -((shift - j) // rho)
+            p0 = shift + rho * k_lo - j
+            row.append(LaurentPoly.make(k_lo, vals[i][p0::rho]))
         rows.append(tuple(row))
     return SymbolMatrix(kappa, tuple(rows))
 
@@ -223,23 +224,22 @@ def scan_assumption1(m_max: int, rho_max: int) -> list[ScanRow]:
 # --- exact identities behind the maximal-density case ----------------------
 
 
+def _binom(mu: int, j: int) -> int:
+    """C(mu, j), taken as 0 for j > mu >= 0, mu < 0 or j < 0."""
+    if mu < 0 or j < 0 or j > mu:
+        return 0
+    return math.comb(mu, j)
+
+
 def pascal_det_check(m: int) -> bool:
     """For kappa = (Q_m, 0, m-1) the k=1 Fourier coefficient matrix
-    A[i][j] = sum_r (-1)^r C(i,r) Q_{m-i}(m-1-j-r) must have determinant 1."""
+    A[i][j] = Q_m^{(i)}(m-1-j) = sum_r (-1)^r C(i,r) Q_{m-i}(m-1-j-r) must
+    have determinant 1."""
     if m < 2:
         raise ValueError("need m >= 2")
-    n = m - 1
-    mat = [
-        [
-            sum(
-                (-1) ** r * math.comb(i, r) * eval_q_exact(m - i, m - 1 - j - r)
-                for r in range(i + 1)
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return laurent_det([[LaurentPoly.make(0, [x]) for x in row] for row in mat]) == ONE
+    vals = exact_lattice_values(m, 0, m - 2)
+    mat = [[LaurentPoly.make(0, [row[m - 1 - j]]) for j in range(m - 1)] for row in vals]
+    return laurent_det(mat) == ONE
 
 
 def ruiz_sum(n: int, l: int, t) -> Fraction:
@@ -251,32 +251,14 @@ def ruiz_sum(n: int, l: int, t) -> Fraction:
 def binom_convolution_sum(n: int, l: int, k: int) -> int:
     """sum_r (-1)^r C(n,r) C(k-r,l) with C(mu,j) = 0 for j > mu >= 0 or mu < 0;
     equals 0 for l < n and 1 for l = n, provided k >= n."""
-
-    def c(mu: int, j: int) -> int:
-        if mu < 0 or j < 0 or j > mu:
-            return 0
-        return math.comb(mu, j)
-
-    return sum((-1) ** r * math.comb(n, r) * c(k - r, l) for r in range(n + 1))
+    return sum((-1) ** r * math.comb(n, r) * _binom(k - r, l) for r in range(n + 1))
 
 
 def spline_pascal_sum(m: int, i: int, l: int) -> Fraction:
-    """sum_j C(j,l) sum_r (-1)^r C(i,r) Q_{m-i}(m-1-j-r) over j = 0..m-2;
-    equals 0 for l < i and 1 for l = i."""
-
-    def c(mu: int, j: int) -> int:
-        if mu < 0 or j < 0 or j > mu:
-            return 0
-        return math.comb(mu, j)
-
-    total = Fraction(0)
-    for j in range(m - 1):
-        inner = sum(
-            (-1) ** r * math.comb(i, r) * eval_q_exact(m - i, m - 1 - j - r)
-            for r in range(i + 1)
-        )
-        total += c(j, l) * inner
-    return total
+    """sum_j C(j,l) sum_r (-1)^r C(i,r) Q_{m-i}(m-1-j-r) over j = 0..m-2,
+    the inner sum being Q_m^{(i)}(m-1-j); equals 0 for l < i and 1 for l = i."""
+    vals = exact_lattice_values(m, 0, i)[i]
+    return sum((_binom(j, l) * vals[m - 1 - j] for j in range(m - 1)), Fraction(0))
 
 
 def check_identity_lemmas(n_max: int = 12, m_max: int = 10, seed: int = 7) -> bool:

@@ -1,6 +1,9 @@
-"""Shared fixtures: kernel tables are comparatively expensive to build, so
-the three worked configurations are session-scoped."""
+"""Shared fixtures and oracles: kernel tables are comparatively expensive to
+build, so the three worked configurations are session-scoped; exact B-spline
+values come from the truncated-power formula, independent of the library's
+Cox-de Boor triangle."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,29 @@ from derivsamp.symbol import Kappa
 KAPPA_Q3 = Kappa(3, 0, 2)
 KAPPA_Q4 = Kappa(4, 0, 3)
 KAPPA_Q4H = Kappa(4, Fraction(1, 2), 2)
+
+
+def eval_q_exact(m: int, t) -> Fraction:
+    """Q_m(t) by the truncated-power formula, exact rational arithmetic."""
+    t = Fraction(t)
+    if t < 0 or t >= m:
+        return Fraction(0)
+    acc = Fraction(0)
+    for j in range(m + 1):
+        x = t - j
+        # 0^0 = 1 here: the m = 1 box is right-continuous at its knots
+        if x > 0 or (x == 0 and m == 1):
+            acc += (-1) ** j * math.comb(m, j) * x ** (m - 1)
+    return acc / math.factorial(m - 1)
+
+
+def eval_q_deriv_exact(m: int, k: int, t) -> Fraction:
+    """Q_m^(k)(t) = sum_r (-1)^r C(k,r) Q_{m-k}(t-r), exact (k <= m-2)."""
+    t = Fraction(t)
+    return sum(
+        ((-1) ** r * math.comb(k, r) * eval_q_exact(m - k, t - r) for r in range(k + 1)),
+        Fraction(0),
+    )
 
 
 @pytest.fixture(scope="session")

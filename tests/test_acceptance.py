@@ -118,8 +118,8 @@ def test_criterion_02_symbols_and_kernels(table_q3, table_q4h):
     psi_ok = psi_ok and all(
         q4.entries[i][j] == L(1, want4[i][j]) for i in range(3) for j in range(3)
     )
-    det_ok = det_symbol(KAPPA_Q4H) == LaurentPoly.from_terms(
-        [(1, Fraction(-3, 64)), (2, Fraction(19, 32)), (3, Fraction(-3, 64))]
+    det_ok = det_symbol(KAPPA_Q4H) == LaurentPoly.make(
+        1, [Fraction(-3, 64), Fraction(19, 32), Fraction(-3, 64)]
     )
 
     kern_err = max(

@@ -10,26 +10,14 @@ import pytest
 from derivsamp.bspline import (
     eval_q,
     eval_q_deriv,
-    eval_q_deriv_exact,
-    eval_q_exact,
+    exact_lattice_values,
     fourier_q,
     fourier_q_deriv,
     krein_favard,
     riesz_lower_bound,
 )
 
-
-def _oracle_q(m: int, t: Fraction) -> Fraction:
-    """Truncated-power formula, exact rational arithmetic."""
-    if t < 0 or t >= m:
-        return Fraction(0)
-    acc = Fraction(0)
-    for j in range(m + 1):
-        x = t - j
-        # 0^0 = 1 here: the m = 1 box is right-continuous at its knots
-        if x > 0 or (x == 0 and m == 1):
-            acc += (-1) ** j * math.comb(m, j) * x ** (m - 1)
-    return acc / math.factorial(m - 1)
+from conftest import eval_q_deriv_exact
 
 
 def test_eval_matches_truncated_power_oracle():
@@ -42,16 +30,25 @@ def test_eval_matches_truncated_power_oracle():
         for k in range(max(1, m - 1)):
             got = eval_q_deriv(m, k, np.array([float(t) for t in ts]))
             for t, g in zip(ts, got):
-                want = float(_oracle_q(m, t) if k == 0 else eval_q_deriv_exact(m, k, t))
+                want = float(eval_q_deriv_exact(m, k, t))
                 assert abs(g - want) <= 1e-14 * max(1.0, abs(want)), (m, k, t)
 
 
 def test_eval_exact_is_exact():
-    rng = np.random.default_rng(12)
-    for m in range(1, 7):
-        for _ in range(10):
-            t = Fraction(int(rng.integers(-8, 8 * m)), 7)
-            assert eval_q_exact(m, t) == _oracle_q(m, t)
+    # the Cox-de Boor triangle against the truncated-power oracle at every
+    # lattice point u + p of the support, every derivative order i <= m-2
+    shifts = sorted({Fraction(p, q) for q in range(1, 7) for p in range(q)})
+    for m in range(1, 13):
+        d_max = max(0, m - 2)
+        for u in shifts:
+            vals = exact_lattice_values(m, u, d_max)
+            assert len(vals) == d_max + 1
+            for i, row in enumerate(vals):
+                assert row == [eval_q_deriv_exact(m, i, u + p) for p in range(m)], (m, i, u)
+    with pytest.raises(ValueError):
+        exact_lattice_values(4, Fraction(1), 0)
+    with pytest.raises(ValueError):
+        exact_lattice_values(4, 0, 3)
 
 
 def test_spot_values():

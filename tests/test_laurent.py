@@ -16,6 +16,7 @@ from derivsamp.laurent import (
     laurent_det,
     roots_unit_circle,
 )
+from derivsamp.symbol import Kappa, build_symbol
 
 
 def _random_poly(rng) -> LaurentPoly:
@@ -121,6 +122,22 @@ def test_determinant_against_cofactor_oracle():
         for _ in range(8):
             mat = _frac_matrix(rng, n)
             assert laurent_det(mat) == _det_cofactor_oracle(mat)
+        # rational coefficients with unlike denominators in every row
+        mat = [[_random_poly(rng) for _ in range(n)] for _ in range(n)]
+        assert laurent_det(mat) == _det_cofactor_oracle(mat)
+    # symbol matrices: rows with fractional coefficients, rho = 2..5
+    for m, a, rho in ((5, Fraction(1, 3), 2), (6, Fraction(5, 6), 3),
+                      (7, Fraction(2, 5), 4), (8, Fraction(7, 4), 5)):
+        mat = [list(row) for row in build_symbol(Kappa(m, a, rho)).entries]
+        want = _det_cofactor_oracle(mat)
+        assert not want.is_zero
+        assert laurent_det(mat) == want
+        # a zero pivot forces a row swap
+        mat[0][0] = ZERO
+        assert laurent_det(mat) == _det_cofactor_oracle(mat)
+        # an all-zero row has no denominators to scale by
+        mat[1] = [ZERO] * rho
+        assert laurent_det(mat) == ZERO == _det_cofactor_oracle(mat)
 
 
 def test_determinant_row_swap_flips_sign():

@@ -23,7 +23,7 @@ from derivsamp.symbol import (
     table_polynomial,
 )
 
-from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H
+from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, eval_q_deriv_exact
 
 
 def L(low, *cs):
@@ -62,6 +62,26 @@ def test_symbol_entries_q4():
     for i in range(3):
         for j in range(3):
             assert sym.entries[i][j] == L(1, want[i][j])
+
+
+def test_symbol_entries_match_oracle():
+    # Psi^{ij} = sum_k Q_m^{(i)}(a + rho k - j) z^k with each coefficient from
+    # the truncated-power oracle; a + rho k - j in (0, m) needs -1 < k <= m.
+    # A seeded subsample of the grid rho 2..5, rho < m <= 12, a = p/q, q <= 6.
+    rng = np.random.default_rng(31)
+    for rho in (2, 3, 4, 5):
+        shifts = sorted({Fraction(p, q) for q in range(1, 7) for p in range(rho * q)})
+        for m in range(rho + 1, 13):
+            for n in rng.choice(len(shifts), size=3, replace=False):
+                a = shifts[n]
+                sym = build_symbol(Kappa(m, a, rho))
+                for i in range(rho):
+                    for j in range(rho):
+                        want = LaurentPoly.make(
+                            -1,
+                            [eval_q_deriv_exact(m, i, a + rho * k - j) for k in range(-1, m + 1)],
+                        )
+                        assert sym.entries[i][j] == want, (m, a, rho, i, j)
 
 
 def test_symbol_eval_grid_matches_unit_eval():
