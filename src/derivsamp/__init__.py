@@ -48,7 +48,6 @@ from .smoothness import (
     fit_order,
     local_modulus,
     tau_modulus,
-    tau_scaling_check,
 )
 from .symbol import (
     CisReport,
@@ -116,5 +115,4 @@ __all__ = [
     "local_modulus",
     "tau_modulus",
     "fit_order",
-    "tau_scaling_check",
 ]

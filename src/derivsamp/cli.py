@@ -274,11 +274,16 @@ def cmd_tau(args) -> int:
         raise _UsageError(f"bad --delta list {args.delta!r}")
     if not deltas:
         raise _UsageError("--delta list is empty")
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise _UsageError("--delta values must be positive and finite")
     f = _load_signal(args, args.deriv + 1)
     ch = channel(f, args.deriv)
     rows = []
     for d in deltas:
-        est = tau_modulus(ch, args.r, d, args.p, search_n=args.grid_n)
+        try:
+            est = tau_modulus(ch, args.r, d, args.p, search_n=args.grid_n)
+        except ValueError as exc:
+            raise _UsageError(str(exc))
         rows.append((d, est.value, math.log10(d),
                      math.log10(est.value) if est.value > 0 else -math.inf))
     footer = _fit_footer([(d, v) for d, v, _, _ in rows])
@@ -362,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2, help="difference order")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--delta", default="0.2,0.1,0.05,0.025", help="comma list")
-    p.add_argument("--grid-n", type=int, default=64, help="sup-search density")
+    p.add_argument("--grid-n", type=int, default=64,
+                   help="lattice steps per delta in each window (>= 64)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tau)
 

@@ -4,11 +4,15 @@ The local modulus
 
     omega_r(f; x; delta) = sup { |Delta_h^r f(t)| : t, t + r h in [x - r delta/2, x + r delta/2] }
 
-is estimated by grid search over (t, h).  Pure grids systematically miss jump
-suprema, so known discontinuity abscissae of a signal (its special_points)
-are inserted into the candidate set; the reported value is still a lower
-estimate of the true sup.  The averaged modulus tau_r(f; delta)_p is the L^p
-norm of x -> omega_r(f; x; delta), computed by midpoint quadrature.
+is estimated on one lattice per window: step g = delta/(search_n - 1), with
+both window ends on the lattice.  f is evaluated once per lattice point; every
+difference Delta_{kg}^r f(t) with t and t + r k g on the lattice is then an
+index shift of those values, and the largest |difference| is the estimate.
+A lattice misses jump suprema, so points just either side of a signal's
+known discontinuities (its special_points) join the candidate t, paired with
+every h = k g; the reported value is still a lower estimate of the true sup.
+The averaged modulus tau_r(f; delta)_p is the L^p norm of
+x -> omega_r(f; x; delta), computed by midpoint quadrature.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ __all__ = [
     "TauEstimate",
     "tau_modulus",
     "fit_order",
-    "tau_scaling_check",
 ]
 
 _JUMP_EPS = 1e-9
@@ -41,60 +44,79 @@ def finite_diff(f, r: int, h: float, t: float) -> float:
     return float(np.dot(signs, vals))
 
 
-def _candidate_grids(f, r: int, delta: float, search_n: int):
-    """(t-offsets, h-grid, absolute jump t-candidates) shared by all x."""
-    half = r * delta / 2.0
-    offs = np.linspace(-half, half, search_n)
-    hs = np.linspace(0.0, delta, search_n)
-    special = tuple(getattr(f, "special_points", ()))
+def _jump_points(f, r: int, delta: float) -> np.ndarray:
+    """Absolute t-candidates just either side of each known discontinuity."""
+    # Geometric h-subset keeps the candidate count small; a difference
+    # straddling a jump at any admissible h already attains the jump size.
+    hsub = delta * 0.5 ** np.arange(8)
     jumps = []
-    if special and delta > 0:
-        # Geometric h-subset keeps the candidate count small; a difference
-        # straddling a jump at any admissible h already attains the jump size.
-        hsub = delta * 0.5 ** np.arange(8)
-        for xi in special:
-            jumps.extend((xi - _JUMP_EPS, xi + _JUMP_EPS))
-            for j in range(r + 1):
-                for h in hsub:
-                    jumps.extend((xi - j * h - _JUMP_EPS, xi - j * h + _JUMP_EPS))
-    return offs, hs, np.array(sorted(set(jumps)))
+    for xi in getattr(f, "special_points", ()):
+        jumps.extend((xi - _JUMP_EPS, xi + _JUMP_EPS))
+        for j in range(r + 1):
+            for h in hsub:
+                jumps.extend((xi - j * h - _JUMP_EPS, xi - j * h + _JUMP_EPS))
+    return np.array(sorted(set(jumps)))
 
 
 def _moduli_batch(f, r: int, xs: np.ndarray, delta: float, search_n: int) -> np.ndarray:
-    """omega_r(f; x; delta) for each x, vectorized with chunking."""
+    """omega_r(f; x; delta) for each x.
+
+    The window of x has r(search_n - 1) + 1 lattice points F[0..last], and
+    Delta_{kg}^r f at point i is sum_j c_j F[i + j k] for i + r k <= last.
+    Differences that touch an undefined (non-finite) value of f are skipped.
+    """
     if delta == 0.0:
         return np.zeros(len(xs))
-    offs, hs, jumps = _candidate_grids(f, r, delta, search_n)
     signs = np.array([(-1.0) ** (r - j) * math.comb(r, j) for j in range(r + 1)])
     half = r * delta / 2.0
-    out = np.empty(len(xs))
-    chunk = max(1, int(2**21 // (len(offs) + len(jumps)) // len(hs)) or 1)
-    for s in range(0, len(xs), chunk):
-        x = xs[s : s + chunk][:, None, None]
-        t = x + offs[None, :, None]
-        if len(jumps):
-            tj = np.broadcast_to(jumps[None, :, None], (x.shape[0], len(jumps), 1))
-            t = np.concatenate([t, tj], axis=1)
-        h = hs[None, None, :]
-        acc = np.zeros(np.broadcast_shapes(t.shape, h.shape))
-        for j in range(r + 1):
-            acc += signs[j] * np.asarray(f((t + j * h).ravel())).reshape(acc.shape)
-        # Invalid pairs: outside the window, or touching an undefined point.
-        bad = (t < x - half - 1e-15) | (t + r * h > x + half + 1e-15)
-        acc = np.abs(acc)
-        acc[bad | ~np.isfinite(acc)] = 0.0
-        out[s : s + chunk] = acc.max(axis=(1, 2))
+    last = r * (search_n - 1)
+    # Row i holds lattice point i of every window, so each shift is a
+    # contiguous block of rows.
+    lattice = np.linspace(-half, half, last + 1)[:, None] + xs[None, :]
+    vals = np.asarray(f(lattice.ravel()), dtype=float).reshape(lattice.shape)
+    vals[~np.isfinite(vals)] = np.nan
+    out = np.zeros(len(xs))
+    for k in range(1, search_n):  # h = 0 gives a zero difference
+        n = last - r * k + 1
+        diff = signs[0] * vals[:n]
+        for j in range(1, r + 1):
+            diff += signs[j] * vals[j * k : j * k + n]
+        np.abs(diff, out=diff)
+        # fmax skips NaN, so a difference touching an undefined value drops out.
+        out = np.fmax(out, np.fmax.reduce(diff, axis=0))
+    jumps = _jump_points(f, r, delta)
+    if len(jumps):
+        hs = np.linspace(0.0, delta, search_n)
+        # One (t, h) difference table per call; each x masks it by its window.
+        nodes = jumps[:, None] + hs[None, :] * np.arange(r + 1)[:, None, None]
+        fn = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        table = np.abs(np.einsum("j,jab->ab", signs, fn))
+        table[~np.isfinite(table)] = 0.0
+        # Only windows that hold a candidate t need the (x, t, h) mask.
+        hit = np.flatnonzero(
+            np.searchsorted(jumps, xs + half + 1e-15, side="right")
+            > np.searchsorted(jumps, xs - half - 1e-15, side="left")
+        )
+        x = xs[hit][:, None, None]
+        ok = (jumps[None, :, None] >= x - half - 1e-15) & (
+            jumps[None, :, None] + r * hs[None, None, :] <= x + half + 1e-15
+        )
+        out[hit] = np.maximum(out[hit], np.where(ok, table[None], 0.0).max(axis=(1, 2)))
     return out
 
 
-def local_modulus(f, r: int, x: float, delta: float, search_n: int = 64) -> float:
-    """Grid-search estimate of the local modulus of smoothness at x."""
+def _check_search(r: int, delta: float, search_n: int) -> None:
     if r < 1:
         raise ValueError("order must be >= 1")
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if search_n < 64:
         raise ValueError("search_n must be >= 64")
+
+
+def local_modulus(f, r: int, x: float, delta: float, search_n: int = 64) -> float:
+    """Lattice-search estimate of the local modulus of smoothness at x."""
+    _check_search(r, delta, search_n)
     return float(_moduli_batch(f, r, np.array([float(x)]), float(delta), search_n)[0])
 
 
@@ -117,6 +139,7 @@ def tau_modulus(
     search_n: int = 64,
 ) -> TauEstimate:
     """Averaged modulus: midpoint L^p quadrature of the local modulus."""
+    _check_search(r, delta, search_n)
     if p < 1:
         raise ValueError("p must be >= 1")
     if domain is None:
@@ -130,7 +153,16 @@ def tau_modulus(
     xs = lo + step * (np.arange(n) + 0.5)
     om = _moduli_batch(f, r, xs, float(delta), search_n)
     value = float((step * np.sum(om**p)) ** (1.0 / p))
-    meta = {"search_n": search_n, "quad_step": step, "domain": (lo, hi)}
+    lattice_n = r * (search_n - 1) + 1
+    n_jump = len(_jump_points(f, r, delta))
+    f_evals = n * lattice_n + n_jump * search_n * (r + 1) if delta > 0 else 0
+    meta = {
+        "search_n": search_n,
+        "quad_step": step,
+        "domain": (lo, hi),
+        "lattice_n": lattice_n,
+        "f_evals": f_evals,
+    }
     return TauEstimate(r, p, float(delta), value, meta)
 
 
@@ -150,18 +182,3 @@ def fit_order(pairs) -> tuple[float, float]:
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return float(slope), r2
 
-
-def tau_scaling_check(
-    f, r: int, delta: float, lam: float, p: float,
-    domain: tuple[float, float] | None = None,
-) -> bool:
-    """tau_r(f; lam*delta)_p <= (2(lam+1))^{r+1} tau_r(f; delta)_p, with 5%
-    slack absorbing grid-search bias on the two sides."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if domain is None:
-        lo, hi = getattr(f, "spec", f).support_hint
-        domain = (lo - r * delta * max(1.0, lam), hi + r * delta * max(1.0, lam))
-    big = tau_modulus(f, r, lam * delta, p, domain=domain).value
-    small = tau_modulus(f, r, delta, p, domain=domain).value
-    return big <= (2.0 * (lam + 1.0)) ** (r + 1) * small * 1.05 + 1e-300

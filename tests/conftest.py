@@ -1,7 +1,7 @@
-"""Shared fixtures and oracles: kernel tables are comparatively expensive to
-build, so the three worked configurations are session-scoped; exact B-spline
-values come from the truncated-power formula, independent of the library's
-Cox-de Boor triangle."""
+"""Shared fixtures, oracles and checks: kernel tables are comparatively
+expensive to build, so the three worked configurations are session-scoped;
+exact B-spline values come from the truncated-power formula, independent of
+the library's Cox-de Boor triangle."""
 
 import math
 from fractions import Fraction
@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from derivsamp.kernel import inv_symbol_coeffs
+from derivsamp.smoothness import tau_modulus
 from derivsamp.symbol import Kappa
 
 KAPPA_Q3 = Kappa(3, 0, 2)
@@ -53,3 +54,19 @@ def table_q4():
 def table_q4h():
     # Wider radius keeps the slowly decaying coefficients testable to 1e-10.
     return inv_symbol_coeffs(KAPPA_Q4H, tol=1e-13, min_radius=24)
+
+
+def tau_scaling_check(
+    f, r: int, delta: float, lam: float, p: float,
+    domain: tuple[float, float] | None = None,
+) -> bool:
+    """tau_r(f; lam*delta)_p <= (2(lam+1))^{r+1} tau_r(f; delta)_p, with 5%
+    slack absorbing the lattice search's bias on the two sides."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    if domain is None:
+        lo, hi = getattr(f, "spec", f).support_hint
+        domain = (lo - r * delta * max(1.0, lam), hi + r * delta * max(1.0, lam))
+    big = tau_modulus(f, r, lam * delta, p, domain=domain).value
+    small = tau_modulus(f, r, delta, p, domain=domain).value
+    return big <= (2.0 * (lam + 1.0)) ** (r + 1) * small * 1.05 + 1e-300

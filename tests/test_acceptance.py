@@ -31,7 +31,7 @@ from derivsamp.sampler import (
     verify_sampling_inequality,
 )
 from derivsamp.signals import channel, get_signal
-from derivsamp.smoothness import fit_order, tau_modulus, tau_scaling_check
+from derivsamp.smoothness import fit_order, tau_modulus
 from derivsamp.symbol import (
     Kappa,
     build_symbol,
@@ -44,7 +44,7 @@ from derivsamp.symbol import (
     table_polynomial,
 )
 
-from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H
+from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, tau_scaling_check
 
 
 def _report(n: int, ok: bool, details: str) -> None:

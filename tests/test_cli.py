@@ -122,6 +122,16 @@ def test_tau_ladder(tmp_path):
 def test_tau_bad_delta():
     assert main(["tau", "--delta", "nope"]) == 2
     assert main(["tau", "--delta", ""]) == 2
+    for bad in ("0", "-0.1", "nan", "0.1,inf"):
+        assert main(["tau", "--delta", bad]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [["--r", "0"], ["--p", "0.5"], ["--grid-n", "0"], ["--grid-n", "16"]]
+)
+def test_tau_argument_contract(flags, capsys):
+    assert main(["tau", "--delta", "0.1", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_tabulated_signal_eval(tmp_path):

@@ -1,5 +1,6 @@
-"""Finite differences, local and averaged moduli of smoothness, scaling
-inequalities, and log-log order fits."""
+"""Finite differences, local and averaged moduli of smoothness, the lattice
+search against a brute-force (t, h) grid search, scaling inequalities, and
+log-log order fits."""
 
 import math
 
@@ -8,14 +9,10 @@ import pytest
 
 from derivsamp.sampler import SampleGrid, discrete_norm, take_samples
 from derivsamp.signals import channel, constant_signal, get_signal, monomial_signal
-from derivsamp.smoothness import (
-    finite_diff,
-    fit_order,
-    local_modulus,
-    tau_modulus,
-    tau_scaling_check,
-)
+from derivsamp.smoothness import finite_diff, fit_order, local_modulus, tau_modulus
 from derivsamp.symbol import Kappa
+
+from conftest import tau_scaling_check
 
 
 def test_finite_diff_basics():
@@ -59,6 +56,50 @@ def test_local_modulus_trivials():
         local_modulus(lin, 1, 0.0, 0.1, search_n=16)
 
 
+def test_local_modulus_window_ends_exact():
+    # the sup of |Delta_h^r t^r| = r! h^r sits at h = delta, t at the window's
+    # left end and t + r h at its right end: both ends must be searched
+    for x in (math.sqrt(2.0), -math.pi / 3.0, math.e):
+        for delta in (0.3, 0.05):
+            for r in (1, 2, 3):
+                got = local_modulus(channel(monomial_signal(r), 0), r, x, delta)
+                assert got == pytest.approx(math.factorial(r) * delta**r, rel=1e-9)
+
+
+def _grid_oracle(f, r, x, delta, search_n=64):
+    """Brute-force (t, h) grid search: search_n t-offsets across the window
+    and search_n steps h in [0, delta], plus t just either side of each jump."""
+    half = r * delta / 2.0
+    ts = list(x + np.linspace(-half, half, search_n))
+    for xi in getattr(f, "special_points", ()):
+        for j in range(r + 1):
+            for h in delta * 0.5 ** np.arange(8):
+                ts.extend((xi - j * h - 1e-9, xi - j * h + 1e-9))
+    t = np.array(ts)[:, None]
+    h = np.linspace(0.0, delta, search_n)[None, :]
+    signs = [(-1.0) ** (r - j) * math.comb(r, j) for j in range(r + 1)]
+    acc = np.abs(sum(c * f(t + j * h) for j, c in enumerate(signs)))
+    bad = (t < x - half - 1e-15) | (t + r * h > x + half + 1e-15)
+    acc[bad | ~np.isfinite(acc)] = 0.0
+    return float(acc.max())
+
+
+def test_local_modulus_contains_grid_search():
+    # every (t, h) pair of the grid search is a lattice pair, so the lattice
+    # estimate can only be larger, up to rounding
+    rng = np.random.default_rng(2024)
+    for sid, i in (("f1", 0), ("f2", 1), ("f3", 0), ("f3", 1)):
+        ch = channel(get_signal(sid), i)
+        lo, hi = ch.spec.support_hint
+        near = [xi + s for xi in ch.special_points for s in rng.uniform(-0.3, 0.3, 3)]
+        for x in [*rng.uniform(lo - 0.5, hi + 0.5, 4), *near]:
+            for r in (1, 2, 3):
+                for delta in (0.2, 0.05):
+                    want = _grid_oracle(ch, r, x, delta)
+                    got = local_modulus(ch, r, x, delta)
+                    assert got >= want - 1e-12 * max(1.0, abs(want))
+
+
 def test_local_modulus_sees_jump():
     ch = channel(get_signal("f3"), 0)
     # first difference straddling t = 3 attains the full jump height 11.5
@@ -97,6 +138,30 @@ def test_tau_modulus_validation():
     ch = channel(get_signal("f1"), 0)
     with pytest.raises(ValueError):
         tau_modulus(ch, 2, 0.1, 0.5)
+    with pytest.raises(ValueError):
+        tau_modulus(ch, 0, 0.1, 2.0)
+    with pytest.raises(ValueError):
+        tau_modulus(ch, 2, -0.1, 2.0)
+    with pytest.raises(ValueError):
+        tau_modulus(ch, 2, 0.1, 2.0, search_n=1)
+
+
+def test_tau_modulus_counts_evaluations():
+    spec = get_signal("f3")
+    sizes = []
+
+    def f(t):
+        sizes.append(np.size(t))
+        return spec.eval(0, t)
+
+    f.special_points = spec.special_points
+    est = tau_modulus(f, 1, 0.1, 2.0, domain=(2.875, 3.125), quad_step=0.0625)
+    # 4 windows of 64 lattice points; 36 jump candidates (-1.5 and 3 +- 1e-9,
+    # and 8 steps h back from each), each paired with 64 h and 2 nodes
+    assert est.grid_meta["lattice_n"] == 64
+    assert est.grid_meta["f_evals"] == 4 * 64 + 36 * 64 * 2 == sum(sizes)
+    est = tau_modulus(f, 2, 0.1, 2.0, domain=(2.875, 3.125), quad_step=0.0625)
+    assert est.grid_meta["lattice_n"] == 127
 
 
 def test_tau_scaling_inequality():
