@@ -32,11 +32,9 @@ from .sampler import (
     SampleGrid,
     SplineElement,
     apply_sw,
-    discrete_norm,
     frame_bounds,
     grid_for_window,
     required_l_range,
-    sw_boundedness_probe,
     sw_spline_coeffs,
     take_samples,
     verify_sampling_inequality,
@@ -101,10 +99,8 @@ __all__ = [
     "take_samples",
     "sw_spline_coeffs",
     "apply_sw",
-    "discrete_norm",
     "frame_bounds",
     "verify_sampling_inequality",
-    "sw_boundedness_probe",
     "SignalSpec",
     "catalog",
     "channel",

@@ -9,7 +9,8 @@ truncated-power form, converted to float once per (m, d) and evaluated by
 Horner (de Boor, A Practical Guide to Splines, ch. IX).  `eval_q` and
 `eval_q_deriv` are the one-coefficient series.  Exact rational values on a
 shifted integer lattice, Q_m^(i)(u + p), come from one Cox-de Boor triangle
-over Fraction (`exact_lattice_values`).
+on integer numerators over the common denominator (m-1)! q^(m-1) of u = s/q,
+with one Fraction built per returned value (`exact_lattice_values`).
 Fourier transforms use the convention f^(w) = int f(t) exp(-2 pi i w t) dt,
 so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m.
 """
@@ -115,31 +116,35 @@ def eval_q_deriv(m: int, k: int, t):
 def exact_lattice_values(m: int, u, d_max: int) -> list[list[Fraction]]:
     """vals[i][p] = Q_m^(i)(u + p) exactly, for 0 <= p < m and i <= d_max.
 
-    u is a rational in [0, 1).  One Cox-de Boor triangle Q_n(u + p), n <= m,
-    from Q_n(x) = (x Q_{n-1}(x) + (n-x) Q_{n-1}(x-1)) / (n-1), starting at
-    the right-continuous Q_1; then Q_m^(i) = Delta^i Q_{m-i}, the i-th
-    backward difference in p.
+    u = s/q is a rational in [0, 1).  One Cox-de Boor triangle on the integer
+    numerators T_n(p) = (n-1)! q^(n-1) Q_n(u + p), n <= m: the recurrence
+    Q_n(x) = (x Q_{n-1}(x) + (n-x) Q_{n-1}(x-1)) / (n-1) becomes
+    T_n(p) = (s + qp) T_{n-1}(p) + (qn - s - qp) T_{n-1}(p-1), started at the
+    right-continuous Q_1.  Then Q_m^(i) = Delta^i Q_{m-i}, the i-th backward
+    difference in p, taken on the integers and divided once per value.
     """
     _check_order(m)
     _check_deriv_order(m, d_max)
     u = Fraction(u)
     if not 0 <= u < 1:
         raise ValueError(f"lattice offset must lie in [0, 1), got {u}")
-    xs = [u + p for p in range(m)]
-    row = [Fraction(1)] + [Fraction(0)] * (m - 1)  # Q_1(u + p)
+    s, q = u.numerator, u.denominator
+    qx = [s + q * p for p in range(m)]  # q (u + p)
+    row = [1] + [0] * (m - 1)  # T_1
     rows = {1: row}
     for n in range(2, m + 1):
         row = [
-            (x * q + (n - x) * q_left) / (n - 1)
-            for x, q, q_left in zip(xs, row, [0] + row[:-1])
+            x * t + (q * n - x) * t_left
+            for x, t, t_left in zip(qx, row, [0] + row[:-1])
         ]
         rows[n] = row
     vals = []
     for i in range(d_max + 1):
         diff = rows[m - i]
         for _ in range(i):
-            diff = [q - q_left for q, q_left in zip(diff, [0] + diff[:-1])]
-        vals.append(diff)
+            diff = [t - t_left for t, t_left in zip(diff, [0] + diff[:-1])]
+        den = math.factorial(m - i - 1) * q ** (m - i - 1)
+        vals.append([Fraction(t, den) for t in diff])
     return vals
 
 

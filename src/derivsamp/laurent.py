@@ -1,11 +1,14 @@
 """Laurent polynomials with exact rational coefficients.
 
 Used for symbol matrices of the sampling problem: ring arithmetic, exact
-determinants (fraction-free Bareiss on rows scaled to integer coefficients),
-and an exact certificate that a polynomial does or does not vanish on the
-unit circle (a gcd with the reversed polynomial, the substitution
-x = z + 1/z and a Sturm count), with float diagnostics of how close its
-zeros come to the circle.
+determinants, and an exact certificate that a polynomial does or does not
+vanish on the unit circle, with float diagnostics of how close its zeros come
+to the circle.  Both exact algorithms run on Python integers and build one
+Fraction per output coefficient: the determinant is fraction-free Bareiss
+elimination over integer Laurent polynomials, on rows scaled to integer
+coefficients; the certificate takes a gcd with the reversed polynomial,
+substitutes x = z + 1/z and counts roots with a Sturm sequence, all by
+sign-correct primitive pseudo-remainders.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "ONE",
     "Z",
     "laurent_det",
-    "divexact",
     "CircleCertificate",
     "roots_unit_circle",
 ]
@@ -32,9 +34,9 @@ __all__ = [
 _GRID_N = 4096
 
 
-def _eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
+def _eval(p: Sequence, x):
     """Horner value of the coefficient list p (constant term first) at x."""
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -162,26 +164,57 @@ ONE = LaurentPoly(0, (Fraction(1),))
 Z = LaurentPoly(1, (Fraction(1),))
 
 
-def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division in the Laurent ring; raises if den does not divide num."""
-    if den.is_zero:
+# Integer Laurent polynomials for the determinant: (low, coefficients) pairs,
+# normalized like LaurentPoly (both end coefficients nonzero; zero is (0, [])).
+_IPoly = tuple[int, list[int]]
+_IZERO: _IPoly = (0, [])
+_IONE: _IPoly = (0, [1])
+
+
+def _icross(a: _IPoly, b: _IPoly, c: _IPoly, d: _IPoly) -> _IPoly:
+    """a b - c d for integer Laurent polynomials."""
+    terms = [(x, y, sign) for x, y, sign in ((a, b, 1), (c, d, -1)) if x[1] and y[1]]
+    if not terms:
+        return _IZERO
+    lo = min(x[0] + y[0] for x, y, _ in terms)
+    out = [0] * max(x[0] + y[0] + len(x[1]) + len(y[1]) - 1 - lo for x, y, _ in terms)
+    for (lx, cx), (ly, cy), sign in terms:
+        off = lx + ly - lo
+        for i, u in enumerate(cx):
+            if u:
+                u *= sign
+                for j, v in enumerate(cy):
+                    out[off + i + j] += u * v
+    start, stop = 0, len(out)
+    while stop and out[stop - 1] == 0:
+        stop -= 1
+    while start < stop and out[start] == 0:
+        start += 1
+    return (lo + start, out[start:stop]) if start < stop else _IZERO
+
+
+def _idivexact(num: _IPoly, den: _IPoly) -> _IPoly:
+    """Exact quotient num / den over the integers; raises ValueError if den
+    does not divide num with an integer quotient."""
+    (ln, a), (ld, b) = num, den
+    if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero or den == ONE:
+    if not a or den == _IONE:
         return num
-    a = list(num.coeffs)
-    b = list(den.coeffs)
-    if len(a) < len(b):
-        raise ValueError(f"{den} does not divide {num}")
     # ascending-order synthetic division; b[0] != 0 after normalization
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    for i in range(len(q)):
-        q[i] = a[i] / b[0]
-        if q[i] != 0:
+    a = list(a)
+    quot = []
+    for i in range(len(a) - len(b) + 1):
+        c, r = divmod(a[i], b[0])
+        if r:
+            raise ValueError("divisor does not divide the dividend")
+        quot.append(c)
+        if c:
             for j, bc in enumerate(b):
-                a[i + j] -= q[i] * bc
-    if any(c != 0 for c in a):
-        raise ValueError(f"{den} does not divide {num}")
-    return LaurentPoly.make(num.low - den.low, q)
+                a[i + j] -= c * bc
+    if any(a[len(quot):]):
+        raise ValueError("divisor does not divide the dividend")
+    return (ln - ld, quot)
 
 
 def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
@@ -189,8 +222,8 @@ def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
 
     Each row is multiplied by the lcm of its coefficients' denominators, so
     fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) runs on
-    integer coefficients, its divisions exact in an integral domain; one
-    division by the product of the row scales ends it.
+    integer Laurent polynomials, its divisions exact over the integers; one
+    division by the product of the row scales per coefficient ends it.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
@@ -202,89 +235,97 @@ def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     for row in mat:
         s = math.lcm(*(c.denominator for p in row for c in p.coeffs))
         scale *= s
-        m.append([p.scale(s) for p in row])
+        m.append([(p.low, [c.numerator * (s // c.denominator) for c in p.coeffs]) for p in row])
     sign = 1
-    prev = ONE
+    prev = _IONE
     for k in range(n - 1):
-        if m[k][k].is_zero:
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+        if not m[k][k][1]:
+            swap = next((i for i in range(k + 1, n) if m[i][k][1]), None)
             if swap is None:
                 return ZERO
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
+        pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = divexact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = ZERO
-        prev = m[k][k]
-    return m[n - 1][n - 1].scale(Fraction(sign, scale))
+                m[i][j] = _idivexact(_icross(m[i][j], pivot, m[i][k], m[k][j]), prev)
+        prev = pivot
+    low, coeffs = m[n - 1][n - 1]
+    return LaurentPoly(low, tuple(Fraction(sign * c, scale) for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
 # Unit-circle certificate
 #
-# The verdict is decided over Fraction.  q has real coefficients, so a zero z
-# of q on |z| = 1 is also a zero of its reverse z^n q(1/z) = z^n conj(q(z)),
-# hence of g = gcd(q, reverse(q)).  g divides its own reverse up to a sign;
-# when g(1) != 0 and g(-1) != 0 it is self-reciprocal of even degree 2k and
-# g(z) = z^k h(z + 1/z).  A zero z = e^{i theta} != +-1 of g gives the real
-# root x = 2 cos(theta) of h in (-2, 2); a zero off the circle gives either a
-# non-real x or a real x with |x| > 2.  A Sturm sequence counts the roots of h
-# in (-2, 2).  Polynomials below are coefficient lists, constant term first.
+# The verdict is decided over the integers.  q has real coefficients, so a
+# zero z of q on |z| = 1 is also a zero of its reverse z^n q(1/z) =
+# z^n conj(q(z)), hence of g = gcd(q, reverse(q)).  g divides its own reverse
+# up to a sign; when g(1) != 0 and g(-1) != 0 it is self-reciprocal of even
+# degree 2k and g(z) = z^k h(z + 1/z).  A zero z = e^{i theta} != +-1 of g
+# gives the real root x = 2 cos(theta) of h in (-2, 2); a zero off the circle
+# gives either a non-real x or a real x with |x| > 2.  A Sturm sequence counts
+# the roots of h in (-2, 2).  Remainders are primitive pseudo-remainders
+# (Brown, J. ACM 1971), sign-corrected so that each is a positive multiple of
+# the true remainder, which is all a Sturm sequence needs.  Polynomials below
+# are lists of ints, constant term first.
 # ---------------------------------------------------------------------------
 
 
-def _rem(a: list, b: list) -> list:
-    """Remainder of a modulo b (b[-1] != 0), trailing zeros stripped."""
-    a = list(a)
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Positive multiple of the remainder of a modulo b (b[-1] != 0), with
+    content 1: the pseudo-remainder lc(b)^e a mod b, e = deg a - deg b + 1,
+    negated when lc(b)^e < 0, over its content; trailing zeros stripped."""
+    lb = b[-1]
+    e = 0
     while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        if f:
-            off = len(a) - len(b)
-            for j, c in enumerate(b):
-                a[off + j] -= f * c
-        a.pop()
+        f, off = a[-1], len(a) - len(b)
+        a = [lb * c for c in a[:-1]]
+        for j, c in enumerate(b[:-1]):
+            a[off + j] -= f * c
+        e += 1
     while a and a[-1] == 0:
         a.pop()
+    if not a:
+        return a
+    if lb < 0 and e % 2:
+        a = [-c for c in a]
+    g = math.gcd(*a)
+    return [c // g for c in a]
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two nonzero polynomials, up to a constant factor."""
+    while b:
+        a, b = b, _prem(a, b)
     return a
 
 
-def _gcd(a: list, b: list) -> list:
-    """Monic gcd of two nonzero polynomials."""
-    while b:
-        a, b = b, _rem(a, b)
-        if b:
-            b = [c / b[-1] for c in b]
-    return [c / a[-1] for c in a]
-
-
-def _sign_changes(seq: list, x: Fraction) -> int:
+def _sign_changes(seq: list, x: int) -> int:
     signs = [v > 0 for v in (_eval(p, x) for p in seq) if v != 0]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _sturm_roots(h: list, lo: int, hi: int) -> int:
+def _sturm_roots(h: list[int], lo: int, hi: int) -> int:
     """Number of distinct roots of h in (lo, hi); h(lo) and h(hi) nonzero."""
     seq = [h, [k * c for k, c in enumerate(h)][1:]]
     while len(seq[-1]) > 1:
-        r = _rem(seq[-2], seq[-1])
+        r = _prem(seq[-2], seq[-1])
         if not r:
             break
-        # dividing by |leading coefficient| keeps every sign
-        seq.append([-c / abs(r[-1]) for c in r])
-    return _sign_changes(seq, Fraction(lo)) - _sign_changes(seq, Fraction(hi))
+        seq.append([-c for c in r])
+    return _sign_changes(seq, lo) - _sign_changes(seq, hi)
 
 
-def _vanishes_on_circle(q: list) -> bool:
+def _vanishes_on_circle(q: list[int]) -> bool:
     """Exact test whether the polynomial q (q[0] != 0) has a zero on |z| = 1."""
     g = _gcd(q, q[::-1])
     if len(g) == 1:
         return False
-    if _eval(g, Fraction(1)) == 0 or _eval(g, Fraction(-1)) == 0:
+    if _eval(g, 1) == 0 or _eval(g, -1) == 0:
         return True
     k = (len(g) - 1) // 2
     # h = g_k + sum_j g_{k+j} D_j(x) with D_j(z + 1/z) = z^j + z^-j
-    h = [g[k]] + [Fraction(0)] * k
+    h = [g[k]] + [0] * k
     d_prev, d = [2], [0, 1]
     for j in range(1, k + 1):
         for i, c in enumerate(d):
@@ -324,5 +365,7 @@ def roots_unit_circle(p: LaurentPoly) -> CircleCertificate:
     root_margin = math.inf
     if len(c) > 1:
         root_margin = float(np.min(np.abs(np.abs(np.roots(c[::-1])) - 1.0)))
-    verdict = "vanishing" if _vanishes_on_circle(list(p.coeffs)) else "nonvanishing"
+    den = math.lcm(*(x.denominator for x in p.coeffs))
+    q = [x.numerator * (den // x.denominator) for x in p.coeffs]
+    verdict = "vanishing" if _vanishes_on_circle(q) else "nonvanishing"
     return CircleCertificate(float(vals[imin]), float(ts[imin]), root_margin, verdict)

@@ -31,13 +31,10 @@ __all__ = [
     "take_samples",
     "sw_spline_coeffs",
     "apply_sw",
-    "discrete_norm",
     "BoundsReport",
     "frame_bounds",
     "SamplingInequalityReport",
     "verify_sampling_inequality",
-    "BoundednessProbe",
-    "sw_boundedness_probe",
 ]
 
 
@@ -175,14 +172,6 @@ def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
     return bspline_series(kappa.m, 0, e, n_lo, grid.W * x)
 
 
-def discrete_norm(samples: np.ndarray, grid: SampleGrid, p: float) -> float:
-    """Weighted sample-sequence norm ((rho/W) sum |s|^p)^{1/p}."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    w = grid.kappa.rho / grid.W
-    return float((w * np.sum(np.abs(samples) ** p)) ** (1.0 / p))
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     kappa: Kappa
@@ -246,31 +235,3 @@ def verify_sampling_inequality(
     return SamplingInequalityReport(
         kappa, n_trials, lo_ratio, hi_ratio, bounds.lower, bounds.upper_frame, violations
     )
-
-
-@dataclass(frozen=True)
-class BoundednessProbe:
-    kappa: Kappa
-    p: float
-    ratios: dict[float, float]  # W -> ||S_W f||_p / ||samples||_{l^p}
-    max_ratio: float
-
-
-def sw_boundedness_probe(
-    kappa: Kappa, table: KernelTable, w_list, f, p: float = 2.0
-) -> BoundednessProbe:
-    """Ratio of reconstruction norm to sample norm across dilations; a stable
-    configuration keeps this bounded uniformly in W."""
-    lo, hi = f.support_hint
-    ratios = {}
-    for w in w_list:
-        margin = (kappa.m + kappa.rho * (table.radius + 1)) / w + 1.0
-        grid = grid_for_window(kappa, w, lo - margin, hi + margin, table)
-        samples = take_samples(f, grid)
-        step = min(kappa.rho / (8.0 * w), 0.02)
-        ts = np.arange(lo - margin, hi + margin, step)
-        vals = apply_sw(samples, grid, table, ts)
-        num = float((step * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
-        den = discrete_norm(samples, grid, p)
-        ratios[float(w)] = num / den
-    return BoundednessProbe(kappa, p, ratios, max(ratios.values()))

@@ -140,6 +140,8 @@ def tau_modulus(
 ) -> TauEstimate:
     """Averaged modulus: midpoint L^p quadrature of the local modulus."""
     _check_search(r, delta, search_n)
+    if delta <= 0:
+        raise ValueError("delta must be > 0")
     if p < 1:
         raise ValueError("p must be >= 1")
     if domain is None:
@@ -155,7 +157,7 @@ def tau_modulus(
     value = float((step * np.sum(om**p)) ** (1.0 / p))
     lattice_n = r * (search_n - 1) + 1
     n_jump = len(_jump_points(f, r, delta))
-    f_evals = n * lattice_n + n_jump * search_n * (r + 1) if delta > 0 else 0
+    f_evals = n * lattice_n + n_jump * search_n * (r + 1)
     meta = {
         "search_n": search_n,
         "quad_step": step,

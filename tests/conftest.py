@@ -1,11 +1,13 @@
 """Shared fixtures, oracles and checks: kernel tables are comparatively
 expensive to build, so the three worked configurations are session-scoped;
 exact B-spline values come from the truncated-power formula, independent of
-the library's Cox-de Boor triangle."""
+the library's Cox-de Boor triangle; the unit-circle verdict has a Fraction
+reference, independent of the library's integer pseudo-remainders."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from derivsamp.kernel import inv_symbol_coeffs
@@ -70,3 +72,85 @@ def tau_scaling_check(
     big = tau_modulus(f, r, lam * delta, p, domain=domain).value
     small = tau_modulus(f, r, delta, p, domain=domain).value
     return big <= (2.0 * (lam + 1.0)) ** (r + 1) * small * 1.05 + 1e-300
+
+
+def discrete_norm(samples: np.ndarray, grid, p: float) -> float:
+    """Weighted sample-sequence norm ((rho/W) sum |s|^p)^{1/p}."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    w = grid.kappa.rho / grid.W
+    return float((w * np.sum(np.abs(samples) ** p)) ** (1.0 / p))
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the unit-circle verdict: gcd with the reversed
+# polynomial, x = z + 1/z and a Sturm count, every remainder an exact
+# rational remainder.  Polynomials are coefficient lists, constant term first.
+# ---------------------------------------------------------------------------
+
+
+def _eval(p, x: Fraction) -> Fraction:
+    """Horner value of the coefficient list p (constant term first) at x."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _rem(a: list, b: list) -> list:
+    """Remainder of a modulo b (b[-1] != 0), trailing zeros stripped."""
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        if f:
+            off = len(a) - len(b)
+            for j, c in enumerate(b):
+                a[off + j] -= f * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gcd(a: list, b: list) -> list:
+    """Monic gcd of two nonzero polynomials."""
+    while b:
+        a, b = b, _rem(a, b)
+        if b:
+            b = [c / b[-1] for c in b]
+    return [c / a[-1] for c in a]
+
+
+def _sign_changes(seq: list, x: Fraction) -> int:
+    signs = [v > 0 for v in (_eval(p, x) for p in seq) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _sturm_roots(h: list, lo: int, hi: int) -> int:
+    """Number of distinct roots of h in (lo, hi); h(lo) and h(hi) nonzero."""
+    seq = [h, [k * c for k, c in enumerate(h)][1:]]
+    while len(seq[-1]) > 1:
+        r = _rem(seq[-2], seq[-1])
+        if not r:
+            break
+        # dividing by |leading coefficient| keeps every sign
+        seq.append([-c / abs(r[-1]) for c in r])
+    return _sign_changes(seq, Fraction(lo)) - _sign_changes(seq, Fraction(hi))
+
+
+def vanishes_on_circle_reference(q: list) -> bool:
+    """Exact test whether the polynomial q (q[0] != 0) has a zero on |z| = 1."""
+    g = _gcd(q, q[::-1])
+    if len(g) == 1:
+        return False
+    if _eval(g, Fraction(1)) == 0 or _eval(g, Fraction(-1)) == 0:
+        return True
+    k = (len(g) - 1) // 2
+    # h = g_k + sum_j g_{k+j} D_j(x) with D_j(z + 1/z) = z^j + z^-j
+    h = [g[k]] + [Fraction(0)] * k
+    d_prev, d = [2], [0, 1]
+    for j in range(1, k + 1):
+        for i, c in enumerate(d):
+            h[i] += g[k + j] * c
+        d_prev, d = d, [x - y for x, y in zip([0] + d, d_prev + [0, 0])]
+    return _sturm_roots(h, -2, 2) > 0

@@ -12,11 +12,13 @@ from derivsamp.laurent import (
     ZERO,
     Z,
     LaurentPoly,
-    divexact,
+    _idivexact,
     laurent_det,
     roots_unit_circle,
 )
-from derivsamp.symbol import Kappa, build_symbol
+from derivsamp.symbol import Kappa, build_symbol, det_symbol
+
+from conftest import vanishes_on_circle_reference
 
 
 def _random_poly(rng) -> LaurentPoly:
@@ -71,15 +73,29 @@ def test_eval_exact_rational():
     assert p.eval_exact(z) == Fraction(3, 4) + Fraction(2)
 
 
+def _int_pair(p: LaurentPoly) -> tuple[int, list[int]]:
+    """p scaled to integer coefficients, as the (low, coefficients) pair of
+    the determinant's integer arithmetic."""
+    s = math.lcm(*(c.denominator for c in p.coeffs))
+    return (p.low, [int(c * s) for c in p.coeffs])
+
+
 def test_divexact_roundtrip_and_failure():
     rng = np.random.default_rng(24)
     for _ in range(60):
         a, b = _random_poly(rng), _random_poly(rng)
         if b.is_zero:
             continue
-        assert divexact(a * b, b) == a
+        a, b = (LaurentPoly.make(*_int_pair(p)) for p in (a, b))
+        assert _idivexact(_int_pair(a * b), _int_pair(b)) == _int_pair(a)
     with pytest.raises(ValueError):
-        divexact(Z + ONE, Z - ONE)
+        _idivexact(_int_pair(Z + ONE), _int_pair(Z - ONE))
+    # divisible over the rationals but not over the integers
+    with pytest.raises(ValueError):
+        _idivexact(_int_pair(Z + ONE), (0, [2, 2]))
+    # a dividend shorter than the divisor
+    with pytest.raises(ValueError):
+        _idivexact(_int_pair(ONE), _int_pair(Z + ONE))
 
 
 def test_coeff_accessors():
@@ -221,3 +237,61 @@ def test_circle_certificate_monomial():
 def test_dominant_coeff_sufficient_condition():
     strong = LaurentPoly.make(0, [Fraction(1), Fraction(-10), Fraction(1)])
     assert roots_unit_circle(strong).verdict == "nonvanishing"
+
+
+def _reference_verdict(p: LaurentPoly) -> str:
+    return "vanishing" if vanishes_on_circle_reference(list(p.coeffs)) else "nonvanishing"
+
+
+def _random_rational(rng, deg: int, gap: bool = False) -> LaurentPoly:
+    """Degree-deg polynomial with random nonzero rational coefficients, the
+    leading one of random sign; with gap, the two coefficients below the
+    leading one are zero (deg >= 3)."""
+    coeffs = []
+    for k in range(deg + 1):
+        num = int(rng.integers(1, 10)) * (1 if rng.integers(2) else -1)
+        coeffs.append(Fraction(num, int(rng.integers(1, 8))))
+    if gap:
+        coeffs[deg - 2 : deg] = [Fraction(0), Fraction(0)]
+    return LaurentPoly.make(0, coeffs)
+
+
+def test_circle_certificate_matches_fraction_oracle():
+    # determinants from the certify grid (rho 2-5, m <= 12, q <= 6)
+    rng = np.random.default_rng(29)
+    verdicts = set()
+    for _ in range(40):
+        rho = int(rng.integers(2, 6))
+        m = int(rng.integers(rho + 1, 13))
+        q = int(rng.integers(1, 7))
+        a = Fraction(int(rng.integers(0, rho * q)), q)
+        det = det_symbol(Kappa(m, a, rho))
+        verdict = roots_unit_circle(det).verdict
+        assert verdict == _reference_verdict(det), (m, a, rho)
+        verdicts.add(verdict)
+    assert verdicts == {"vanishing", "nonvanishing"}
+    # random rational polynomials: plain; with a self-reciprocal factor
+    # z^k h(z + 1/z), where h lacks the two terms below its leading one, so
+    # the Sturm sequence of h drops two degrees from h' to the next remainder
+    # (an odd pseudo-remainder exponent); and that times an on-circle factor
+    # z^2 - 2cz + 1 with |c| < 1
+    x = LaurentPoly.make(-1, [Fraction(1), Fraction(0), Fraction(1)])
+    counts = {"vanishing": 0, "nonvanishing": 0}
+    for trial in range(300):
+        p = _random_rational(rng, int(rng.integers(0, 6)))
+        kind = trial % 3
+        if kind >= 1:
+            h = _random_rational(rng, int(rng.integers(3, 7)), gap=True)
+            g, xj = ZERO, ONE
+            for c in h.coeffs:
+                g, xj = g + xj.scale(c), xj * x
+            p = p * g
+        if kind == 2:
+            den = int(rng.integers(2, 12))
+            c = Fraction(int(rng.integers(1 - den, den)), den)
+            p = p * LaurentPoly.make(0, [Fraction(1), -2 * c, Fraction(1)])
+        p = p.shift(int(rng.integers(-3, 4)))
+        want = _reference_verdict(p)
+        assert roots_unit_circle(p).verdict == want, str(p)
+        counts[want] += 1
+    assert min(counts.values()) >= 50

@@ -3,6 +3,7 @@ the sampling inequality."""
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from derivsamp.sampler import (
     SampleGrid,
     SplineElement,
     apply_sw,
-    discrete_norm,
     frame_bounds,
     grid_for_window,
     required_l_range,
-    sw_boundedness_probe,
     sw_spline_coeffs,
     take_samples,
     verify_sampling_inequality,
@@ -24,7 +23,7 @@ from derivsamp.sampler import (
 from derivsamp.signals import get_signal, monomial_signal, random_spline
 from derivsamp.symbol import Kappa
 
-from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H
+from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, discrete_norm
 
 
 def test_spline_element_eval_matches_direct_sum():
@@ -214,6 +213,25 @@ def test_sampling_inequality_no_violations():
         assert rep.violations == 0
         assert rep.lower - 1e-9 <= rep.min_ratio
         assert rep.max_ratio <= rep.upper_frame + 1e-9
+
+
+def sw_boundedness_probe(kappa, table, w_list, f, p: float = 2.0):
+    """Ratio of reconstruction norm to sample norm across dilations,
+    W -> ||S_W f||_p / ||samples||_{l^p}; a stable configuration keeps it
+    bounded uniformly in W."""
+    lo, hi = f.support_hint
+    ratios = {}
+    for w in w_list:
+        margin = (kappa.m + kappa.rho * (table.radius + 1)) / w + 1.0
+        grid = grid_for_window(kappa, w, lo - margin, hi + margin, table)
+        samples = take_samples(f, grid)
+        step = min(kappa.rho / (8.0 * w), 0.02)
+        ts = np.arange(lo - margin, hi + margin, step)
+        vals = apply_sw(samples, grid, table, ts)
+        num = float((step * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
+        den = discrete_norm(samples, grid, p)
+        ratios[float(w)] = num / den
+    return SimpleNamespace(ratios=ratios, max_ratio=max(ratios.values()))
 
 
 def test_boundedness_probe_stays_flat(table_q3):

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from derivsamp.sampler import SampleGrid, discrete_norm, take_samples
+from derivsamp.sampler import SampleGrid, take_samples
 from derivsamp.signals import channel, constant_signal, get_signal, monomial_signal
 from derivsamp.smoothness import finite_diff, fit_order, local_modulus, tau_modulus
 from derivsamp.symbol import Kappa
 
-from conftest import tau_scaling_check
+from conftest import discrete_norm, tau_scaling_check
 
 
 def test_finite_diff_basics():
@@ -142,6 +142,8 @@ def test_tau_modulus_validation():
         tau_modulus(ch, 0, 0.1, 2.0)
     with pytest.raises(ValueError):
         tau_modulus(ch, 2, -0.1, 2.0)
+    with pytest.raises(ValueError):
+        tau_modulus(ch, 2, 0.0, 2.0)
     with pytest.raises(ValueError):
         tau_modulus(ch, 2, 0.1, 2.0, search_n=1)
 
