@@ -21,7 +21,6 @@ from .kernel import (
     KernelTable,
     inv_symbol_coeffs,
     moment_check_fourier,
-    moment_check_time,
     reproducing_order,
     theta_eval,
     theta_support,
@@ -30,6 +29,7 @@ from .laurent import CircleCertificate, LaurentPoly, laurent_det, roots_unit_cir
 from .sampler import (
     BoundsReport,
     SampleGrid,
+    SampleNodeError,
     SplineElement,
     apply_sw,
     frame_bounds,
@@ -39,12 +39,11 @@ from .sampler import (
     take_samples,
     verify_sampling_inequality,
 )
-from .signals import SignalSpec, catalog, channel, get_signal, random_spline
+from .signals import SignalSpec, catalog, channel, get_signal
 from .smoothness import (
     TauEstimate,
     finite_diff,
     fit_order,
-    local_modulus,
     tau_modulus,
 )
 from .symbol import (
@@ -89,10 +88,10 @@ __all__ = [
     "theta_eval",
     "theta_support",
     "reproducing_order",
-    "moment_check_time",
     "moment_check_fourier",
     "SplineElement",
     "SampleGrid",
+    "SampleNodeError",
     "BoundsReport",
     "required_l_range",
     "grid_for_window",
@@ -105,10 +104,8 @@ __all__ = [
     "catalog",
     "channel",
     "get_signal",
-    "random_spline",
     "TauEstimate",
     "finite_diff",
-    "local_modulus",
     "tau_modulus",
     "fit_order",
 ]

@@ -7,8 +7,9 @@ produce byte-identical files: floats are serialized with repr (shortest
 round-trip form) and all row orders are fixed.
 
 Exit codes: 0 success (and CIS where relevant), 1 mathematical negative
-(not CIS; the certificate is exact), 2 usage error, 3 numerical failure
-of a kernel build.
+(not CIS; the certificate is exact), 2 usage error (including a dilation
+whose sample nodes hit a point where the signal is undefined), 3 numerical
+failure of a kernel build or of a reconstruction.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .kernel import KernelTable, inv_symbol_coeffs
-from .sampler import apply_sw, frame_bounds, grid_for_window, take_samples
+from .sampler import SampleNodeError, apply_sw, frame_bounds, grid_for_window, take_samples
 from .signals import channel, get_signal
 from .smoothness import fit_order, tau_modulus
 from .symbol import Kappa, check_cis, scan_assumption1, table_polynomial
@@ -30,6 +31,9 @@ from .symbol import Kappa, check_cis, scan_assumption1, table_polynomial
 __all__ = ["main", "TabulatedSignal", "approx_error"]
 
 _SQRT7 = math.sqrt(7.0)
+# approx_error measures over the signal's support window widened by this
+# much on each side.
+_PAD = 1.0
 
 
 class _UsageError(Exception):
@@ -166,12 +170,11 @@ def approx_error(
     w: float,
     p: float = 2.0,
     grid_n: int = 2000,
-    pad: float = 1.0,
 ) -> float:
     """L^p distance between the reconstruction at dilation w and the signal,
-    over its support window padded by `pad` (full sample coverage inside)."""
+    over its support window padded by _PAD (full sample coverage inside)."""
     lo, hi = f.support_hint
-    lo, hi = lo - pad, hi + pad
+    lo, hi = lo - _PAD, hi + _PAD
     grid = grid_for_window(kappa, w, lo, hi, table)
     samples = take_samples(f, grid)
     step = (hi - lo) / grid_n
@@ -257,10 +260,13 @@ def cmd_approx(args) -> int:
     for w in ws:
         try:
             err = approx_error(kappa, table, f, w, p=args.p, grid_n=args.grid_n)
-        except ValueError as exc:
+        except SampleNodeError as exc:
             raise _UsageError(
                 f"{exc}; pick an irrational dilation (e.g. --W 3*sqrt(7))"
             )
+        except (ValueError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
         rows.append((w, err, math.log10(w), math.log10(err) if err > 0 else -math.inf))
     footer = _fit_footer([(w, e) for w, e, _, _ in rows], negate=True)
     _emit(args, "W,error,log10W,log10err", rows, footer)

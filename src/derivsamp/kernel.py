@@ -34,7 +34,6 @@ __all__ = [
     "theta_support",
     "ReproducingReport",
     "reproducing_order",
-    "moment_check_time",
     "moment_check_fourier",
 ]
 
@@ -219,24 +218,27 @@ def _kernel_l_range(table: KernelTable) -> range:
 def reproducing_order(table: KernelTable, r_max: int = 6, tol: float = 1e-8) -> ReproducingReport:
     """Largest r such that sum_i C(n,i) i! sum_l (a+rho l-t)^{n-i}
     Theta_i(t-rho l) = delta_{n0} holds to tol for all n <= r, checked on a
-    64-point grid over one period [0, rho)."""
+    64-point grid over one period [0, rho).
+
+    residuals[n] is relative: max_t |sum - delta_{n0}| over max_t of the same
+    sum of |terms|.  The terms grow with the kernel radius and with n, and
+    so does their roundoff, which an absolute tol would read as failure.
+    """
     kappa = table.kappa
     rho, a = kappa.rho, float(kappa.a)
     ts = np.arange(64) / 64 * rho
-    ls = list(_kernel_l_range(table))
-    theta_cache = {
-        (i, l): theta_eval(table, i, ts - rho * l) for i in range(rho) for l in ls
-    }
+    ls = np.array(_kernel_l_range(table))[:, None]
+    theta = [theta_eval(table, i, ts - rho * ls) for i in range(rho)]  # (l, t) each
+    dist = a + rho * ls - ts
     residuals = []
     for n in range(r_max + 1):
-        acc = np.zeros_like(ts)
-        for i in range(min(n, rho - 1) + 1):
-            w = math.comb(n, i) * math.factorial(i)
-            for l in ls:
-                acc += w * (a + rho * l - ts) ** (n - i) * theta_cache[(i, l)]
-        if n == 0:
-            acc -= 1.0
-        residuals.append(float(np.max(np.abs(acc))))
+        terms = np.stack([
+            math.comb(n, i) * math.factorial(i) * dist ** (n - i) * theta[i]
+            for i in range(min(n, rho - 1) + 1)
+        ])
+        acc = terms.sum(axis=(0, 1)) - (1.0 if n == 0 else 0.0)
+        scale = np.abs(terms).sum(axis=(0, 1))
+        residuals.append(float(np.max(np.abs(acc)) / np.max(scale)))
     order = -1
     for n, res in enumerate(residuals):
         if res <= tol:
@@ -244,24 +246,6 @@ def reproducing_order(table: KernelTable, r_max: int = 6, tol: float = 1e-8) -> 
         else:
             break
     return ReproducingReport(kappa, order, tuple(residuals), tol)
-
-
-def moment_check_time(table: KernelTable, n: int, t: float) -> float:
-    """Residual of the degree-n time-domain moment condition at t."""
-    kappa = table.kappa
-    rho, a = kappa.rho, float(kappa.a)
-    acc = 0.0
-    for i in range(min(n, rho - 1) + 1):
-        w = math.comb(n, i) * math.factorial(i)
-        for l in _kernel_l_range_at(table, t):
-            acc += w * (a + rho * l - t) ** (n - i) * theta_eval(table, i, t - rho * l)
-    return acc - (1.0 if n == 0 else 0.0)
-
-
-def _kernel_l_range_at(table: KernelTable, t: float) -> range:
-    rho = table.kappa.rho
-    lo, hi = theta_support(table)
-    return range(math.floor((t - hi) / rho) - 1, math.ceil((t - lo) / rho) + 2)
 
 
 def _theta_hat_deriv(table: KernelTable, i: int, d: int, xi: float) -> complex:

@@ -13,7 +13,6 @@ sign-correct primitive pseudo-remainders.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,23 +119,6 @@ class LaurentPoly:
         if self.is_zero:
             return ZERO
         return LaurentPoly(self.low + k, self.coeffs)
-
-    def eval_complex(self, z: complex) -> complex:
-        if self.is_zero:
-            return 0j
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(float(c))
-        return acc * z ** self.low
-
-    def eval_unit(self, t: float) -> complex:
-        """Value at z = exp(2 pi i t)."""
-        return self.eval_complex(cmath.exp(2j * math.pi * t))
-
-    def eval_exact(self, z) -> Fraction:
-        """Exact value at a rational z (z != 0 when low < 0)."""
-        z = Fraction(z)
-        return _eval(self.coeffs, z) * z ** self.low
 
     def __str__(self) -> str:
         if self.is_zero:

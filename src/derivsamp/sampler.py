@@ -10,6 +10,11 @@ samples are convolved once with the (real) kernel coefficients, giving
 coefficients over the refined lattice (rho k + j), then evaluated as a single
 B-spline series by `bspline_series`.  For f already in the spline space and
 W=1 this returns f exactly.
+
+On f = sum_k c_k Q_m(. - k) both sides of the sampling inequality are
+quadratic forms in c: ||f||^2 = c^T G c with the Gram matrix G, and the
+sample energy sum_{i,l} |f^{(i)}(a + rho l)|^2 = c^T M c with M built from
+the symbol's exact coefficients.
 """
 
 from __future__ import annotations
@@ -19,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import bspline_series, riesz_lower_bound
+from .bspline import bspline_series, exact_lattice_values, riesz_lower_bound
 from .kernel import KernelTable
-from .symbol import Kappa, build_symbol
+from .symbol import Kappa, SymbolMatrix, build_symbol
 
 __all__ = [
     "SplineElement",
     "SampleGrid",
+    "SampleNodeError",
     "required_l_range",
     "grid_for_window",
     "take_samples",
@@ -57,15 +63,19 @@ class SplineElement:
         return bspline_series(self.m, deriv, self.coeffs, self.k0, t)
 
     def l2_norm(self) -> float:
-        """Exact L2 norm: per-knot-interval Gauss-Legendre with m nodes
-        (integrand is piecewise polynomial of degree 2m-2)."""
-        xs, ws = np.polynomial.legendre.leggauss(self.m)
-        lo, hi = self.support
-        acc = 0.0
-        for j in range(int(lo), int(math.ceil(hi))):
-            tt = j + (xs + 1.0) / 2.0
-            acc += float(np.sum(ws / 2.0 * self.eval(tt) ** 2))
-        return math.sqrt(acc)
+        """L2 norm sqrt(c^T G c) on the B-spline Gram matrix G."""
+        c = self.coeffs
+        return math.sqrt(float(c @ _gram(self.m, len(c)) @ c))
+
+
+def _gram(m: int, n: int) -> np.ndarray:
+    """G[j, k] = <Q_m(. - j), Q_m(. - k)> = Q_2m(m + j - k) for 0 <= j, k < n,
+    the B-spline autocorrelation, each value rounded once from exact."""
+    q2m = [float(v) for v in exact_lattice_values(2 * m, 0, 0)[0]] + [0.0]
+    lag = m + np.subtract.outer(np.arange(n), np.arange(n))
+    # Q_2m(p) for 0 <= p < 2m; clipping sends every lag outside onto a zero
+    # (Q_2m(0) = 0 below, the appended 0 above)
+    return np.take(q2m, lag, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -110,11 +120,16 @@ def grid_for_window(
     return SampleGrid(kappa, W, l_lo, l_hi)
 
 
+class SampleNodeError(ValueError):
+    """A sample node falls where the signal has no finite value."""
+
+
 def take_samples(f, grid: SampleGrid) -> np.ndarray:
     """Derivative samples f^{(i)}(node), shape (len(ls), rho).
 
     Accepts a SplineElement or any signal object with eval(i, t) /
-    undefined_points(i); sampling at a declared undefined point is an error.
+    undefined_points(i); a node at a declared undefined point, or a
+    non-finite sample, raises SampleNodeError.
     """
     kappa = grid.kappa
     nodes = grid.nodes()
@@ -127,13 +142,13 @@ def take_samples(f, grid: SampleGrid) -> np.ndarray:
             for pt in f.undefined_points(i):
                 d = np.min(np.abs(nodes - pt))
                 if d < 1e-12 * max(1.0, abs(pt)):
-                    raise ValueError(
+                    raise SampleNodeError(
                         f"sample node hits undefined point t={pt} of channel {i} "
                         f"(W={grid.W}); choose W avoiding the lattice"
                     )
             vals = np.asarray(f.eval(i, nodes), dtype=float)
             if np.any(~np.isfinite(vals)):
-                raise ValueError(f"channel {i} returned non-finite sample values")
+                raise SampleNodeError(f"channel {i} returned non-finite sample values")
             cols.append(vals)
     return np.stack(cols, axis=1)
 
@@ -195,6 +210,32 @@ def frame_bounds(kappa: Kappa, grid_n: int = 1024) -> BoundsReport:
     return BoundsReport(kappa, lower, upper, upper / riesz_lower_bound(kappa.m))
 
 
+# Random elements of the sampling-inequality check have this many coefficients.
+_TRIAL_LEN = 30
+
+
+def _sample_matrix(sym: SymbolMatrix, n: int) -> np.ndarray:
+    """B with rows (i, l) and columns k, B[(i, l), k] = Q_m^(i)(a + rho l - k),
+    for 0 <= k < n and every l whose node meets some Q_m(. - k).
+
+    Entry [i][j] of the symbol holds Q_m^(i)(a + rho e - j) at z^e, so column
+    k = rho s + j is that coefficient list placed at l = e + s.
+    """
+    rho = sym.kappa.rho
+    polys = [p for row in sym.entries for p in row if not p.is_zero]
+    l_lo = min(p.low for p in polys)
+    n_l = max(p.high for p in polys) + (n - 1) // rho - l_lo + 1
+    b = np.zeros((rho, n_l, n))
+    for i in range(rho):
+        for j in range(rho):
+            p = sym.entries[i][j]
+            vals = [float(c) for c in p.coeffs]
+            for k in range(j, n, rho):
+                top = p.low + k // rho - l_lo
+                b[i, top : top + len(vals), k] = vals
+    return b.reshape(rho * n_l, n)
+
+
 @dataclass(frozen=True)
 class SamplingInequalityReport:
     kappa: Kappa
@@ -204,34 +245,30 @@ class SamplingInequalityReport:
     lower: float
     upper_frame: float
     violations: int
+    eig_min: float  # extreme generalized eigenvalues of (M, G): the
+    eig_max: float  # sharp constants over all elements of the trial length
 
 
 def verify_sampling_inequality(
     kappa: Kappa,
     n_trials: int = 200,
     seed: int = 1030,
-    support_len: int = 30,
 ) -> SamplingInequalityReport:
-    """Monte-Carlo check that sum_{i,l} |f^{(i)}(a + rho l)|^2 / ||f||_2^2
-    stays inside [lower, upper_frame] for random spline elements."""
+    """Check lower ||f||^2 <= sum_{i,l} |f^(i)(a + rho l)|^2 <= upper_frame ||f||^2
+    on n_trials random f = sum_k c_k Q_m(. - k), 0 <= k < 30, c_k uniform in
+    [-1, 1], as ratios c^T M c / c^T G c with M = B^T B (`_sample_matrix`);
+    the generalized eigenvalues of (M, G) bound every such ratio."""
     bounds = frame_bounds(kappa)
-    rng = np.random.default_rng(seed)
-    rho, a = kappa.rho, float(kappa.a)
-    lo_ratio, hi_ratio = math.inf, -math.inf
-    violations = 0
-    for _ in range(n_trials):
-        coeffs = rng.uniform(-1.0, 1.0, support_len)
-        f = SplineElement(kappa.m, 0, coeffs)
-        s_lo, s_hi = f.support
-        l_lo = math.floor((s_lo - a) / rho) - 1
-        l_hi = math.ceil((s_hi - a) / rho) + 1
-        nodes = (a + rho * np.arange(l_lo, l_hi + 1)).astype(float)
-        num = sum(float(np.sum(f.eval(nodes, deriv=i) ** 2)) for i in range(rho))
-        ratio = num / f.l2_norm() ** 2
-        lo_ratio = min(lo_ratio, ratio)
-        hi_ratio = max(hi_ratio, ratio)
-        if not (bounds.lower - 1e-9 <= ratio <= bounds.upper_frame + 1e-9):
-            violations += 1
+    gram = _gram(kappa.m, _TRIAL_LEN)
+    b = _sample_matrix(build_symbol(kappa), _TRIAL_LEN)
+    energy = b.T @ b
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_trials, _TRIAL_LEN))
+    ratios = np.einsum("tj,jk,tk->t", c, energy, c) / np.einsum("tj,jk,tk->t", c, gram, c)
+    inside = (bounds.lower - 1e-9 <= ratios) & (ratios <= bounds.upper_frame + 1e-9)
+    chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    eig = np.linalg.eigvalsh(chol_inv @ energy @ chol_inv.T)
     return SamplingInequalityReport(
-        kappa, n_trials, lo_ratio, hi_ratio, bounds.lower, bounds.upper_frame, violations
+        kappa, n_trials, float(ratios.min(initial=math.inf)), float(ratios.max(initial=-math.inf)),
+        bounds.lower, bounds.upper_frame, int(np.count_nonzero(~inside)),
+        float(eig[0]), float(eig[-1]),
     )

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import SplineElement
-
 __all__ = [
     "SignalSpec",
     "channel",
@@ -27,7 +25,6 @@ __all__ = [
     "get_signal",
     "constant_signal",
     "monomial_signal",
-    "random_spline",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -200,11 +197,3 @@ def get_signal(id: str) -> SignalSpec:
         if spec.id == id:
             return spec
     raise KeyError(f"unknown signal {id!r}")
-
-
-def random_spline(m: int, support_len: int, seed: int) -> SplineElement:
-    """Deterministic random element of the integer-shift spline space."""
-    if support_len < 1:
-        raise ValueError("support_len must be >= 1")
-    rng = np.random.default_rng(seed)
-    return SplineElement(m, 0, rng.uniform(-1.0, 1.0, support_len))

@@ -24,13 +24,16 @@ import numpy as np
 
 __all__ = [
     "finite_diff",
-    "local_modulus",
     "TauEstimate",
     "tau_modulus",
     "fit_order",
 ]
 
 _JUMP_EPS = 1e-9
+# Most lattice points (or jump-mask entries) that one block of windows holds:
+# 8 MB per float array.  The benchmark's tau calls, at delta >= 0.07, need at
+# most about 1.4e5 and run in one block.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def finite_diff(f, r: int, h: float, t: float) -> float:
@@ -64,26 +67,19 @@ def _moduli_batch(f, r: int, xs: np.ndarray, delta: float, search_n: int) -> np.
     The window of x has r(search_n - 1) + 1 lattice points F[0..last], and
     Delta_{kg}^r f at point i is sum_j c_j F[i + j k] for i + r k <= last.
     Differences that touch an undefined (non-finite) value of f are skipped.
+    The lattices, and the jump-candidate masks, go through in blocks of at
+    most _BLOCK_ELEMENTS entries; f is pointwise, so the blocks change no value.
     """
     if delta == 0.0:
         return np.zeros(len(xs))
     signs = np.array([(-1.0) ** (r - j) * math.comb(r, j) for j in range(r + 1)])
     half = r * delta / 2.0
-    last = r * (search_n - 1)
-    # Row i holds lattice point i of every window, so each shift is a
-    # contiguous block of rows.
-    lattice = np.linspace(-half, half, last + 1)[:, None] + xs[None, :]
-    vals = np.asarray(f(lattice.ravel()), dtype=float).reshape(lattice.shape)
-    vals[~np.isfinite(vals)] = np.nan
-    out = np.zeros(len(xs))
-    for k in range(1, search_n):  # h = 0 gives a zero difference
-        n = last - r * k + 1
-        diff = signs[0] * vals[:n]
-        for j in range(1, r + 1):
-            diff += signs[j] * vals[j * k : j * k + n]
-        np.abs(diff, out=diff)
-        # fmax skips NaN, so a difference touching an undefined value drops out.
-        out = np.fmax(out, np.fmax.reduce(diff, axis=0))
+    offsets = np.linspace(-half, half, r * (search_n - 1) + 1)
+    out = np.empty(len(xs))
+    block = max(1, _BLOCK_ELEMENTS // len(offsets))
+    for start in range(0, len(xs), block):
+        x = xs[start : start + block]
+        out[start : start + block] = _lattice_moduli(f, signs, offsets, x, search_n)
     jumps = _jump_points(f, r, delta)
     if len(jumps):
         hs = np.linspace(0.0, delta, search_n)
@@ -97,11 +93,35 @@ def _moduli_batch(f, r: int, xs: np.ndarray, delta: float, search_n: int) -> np.
             np.searchsorted(jumps, xs + half + 1e-15, side="right")
             > np.searchsorted(jumps, xs - half - 1e-15, side="left")
         )
-        x = xs[hit][:, None, None]
-        ok = (jumps[None, :, None] >= x - half - 1e-15) & (
-            jumps[None, :, None] + r * hs[None, None, :] <= x + half + 1e-15
-        )
-        out[hit] = np.maximum(out[hit], np.where(ok, table[None], 0.0).max(axis=(1, 2)))
+        block = max(1, _BLOCK_ELEMENTS // table.size)
+        for start in range(0, len(hit), block):
+            idx = hit[start : start + block]
+            x = xs[idx][:, None, None]
+            ok = (jumps[None, :, None] >= x - half - 1e-15) & (
+                jumps[None, :, None] + r * hs[None, None, :] <= x + half + 1e-15
+            )
+            out[idx] = np.maximum(out[idx], np.where(ok, table[None], 0.0).max(axis=(1, 2)))
+    return out
+
+
+def _lattice_moduli(f, signs: np.ndarray, offsets: np.ndarray, xs: np.ndarray, search_n: int):
+    """Largest |Delta_{kg}^r f| on the lattice of each window, 1 <= k < search_n."""
+    r = len(signs) - 1
+    last = len(offsets) - 1
+    # Row i holds lattice point i of every window, so each shift is a
+    # contiguous block of rows.
+    lattice = offsets[:, None] + xs[None, :]
+    vals = np.asarray(f(lattice.ravel()), dtype=float).reshape(lattice.shape)
+    vals[~np.isfinite(vals)] = np.nan
+    out = np.zeros(len(xs))
+    for k in range(1, search_n):  # h = 0 gives a zero difference
+        n = last - r * k + 1
+        diff = signs[0] * vals[:n]
+        for j in range(1, r + 1):
+            diff += signs[j] * vals[j * k : j * k + n]
+        np.abs(diff, out=diff)
+        # fmax skips NaN, so a difference touching an undefined value drops out.
+        out = np.fmax(out, np.fmax.reduce(diff, axis=0))
     return out
 
 
@@ -112,12 +132,6 @@ def _check_search(r: int, delta: float, search_n: int) -> None:
         raise ValueError("delta must be >= 0")
     if search_n < 64:
         raise ValueError("search_n must be >= 64")
-
-
-def local_modulus(f, r: int, x: float, delta: float, search_n: int = 64) -> float:
-    """Lattice-search estimate of the local modulus of smoothness at x."""
-    _check_search(r, delta, search_n)
-    return float(_moduli_batch(f, r, np.array([float(x)]), float(delta), search_n)[0])
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,23 @@
 """Shared fixtures, oracles and checks: kernel tables are comparatively
 expensive to build, so the three worked configurations are session-scoped;
 exact B-spline values come from the truncated-power formula, independent of
-the library's Cox-de Boor triangle; the unit-circle verdict has a Fraction
-reference, independent of the library's integer pseudo-remainders."""
+the library's Cox-de Boor triangle; spline norms have a Gauss-Legendre
+reference, independent of the library's Gram matrix; the unit-circle verdict
+has a Fraction reference, independent of the library's integer
+pseudo-remainders.  Point evaluations of Laurent polynomials, the local
+modulus at one x, the time-domain moment residual and random spline elements
+are test helpers here, built on the library's public API."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from derivsamp.kernel import inv_symbol_coeffs
-from derivsamp.smoothness import tau_modulus
+from derivsamp.kernel import inv_symbol_coeffs, theta_eval, theta_support
+from derivsamp.sampler import SplineElement
+from derivsamp.smoothness import _check_search, _moduli_batch, tau_modulus
 from derivsamp.symbol import Kappa
 
 KAPPA_Q3 = Kappa(3, 0, 2)
@@ -40,6 +46,65 @@ def eval_q_deriv_exact(m: int, k: int, t) -> Fraction:
         ((-1) ** r * math.comb(k, r) * eval_q_exact(m - k, t - r) for r in range(k + 1)),
         Fraction(0),
     )
+
+
+def l2_norm_quadrature(f: SplineElement) -> float:
+    """L2 norm by per-knot-interval Gauss-Legendre with m nodes (the
+    integrand is piecewise polynomial of degree 2m-2, so this is exact up to
+    rounding)."""
+    xs, ws = np.polynomial.legendre.leggauss(f.m)
+    lo, hi = f.support
+    acc = 0.0
+    for j in range(int(lo), int(math.ceil(hi))):
+        tt = j + (xs + 1.0) / 2.0
+        acc += float(np.sum(ws / 2.0 * f.eval(tt) ** 2))
+    return math.sqrt(acc)
+
+
+def random_spline(m: int, support_len: int, seed: int) -> SplineElement:
+    """Deterministic random element of the integer-shift spline space."""
+    rng = np.random.default_rng(seed)
+    return SplineElement(m, 0, rng.uniform(-1.0, 1.0, support_len))
+
+
+def eval_complex(p, z: complex) -> complex:
+    """Value of the LaurentPoly p at a complex z."""
+    acc = 0j
+    for c in reversed(p.coeffs):
+        acc = acc * z + complex(float(c))
+    return acc * z ** p.low
+
+
+def eval_unit(p, t: float) -> complex:
+    """Value of the LaurentPoly p at z = exp(2 pi i t)."""
+    return eval_complex(p, cmath.exp(2j * math.pi * t))
+
+
+def eval_exact(p, z) -> Fraction:
+    """Exact value of the LaurentPoly p at a rational z (z != 0 when low < 0)."""
+    z = Fraction(z)
+    return _eval(p.coeffs, z) * z ** p.low
+
+
+def local_modulus(f, r: int, x: float, delta: float, search_n: int = 64) -> float:
+    """The library's lattice-search estimate of the local modulus at one x."""
+    _check_search(r, delta, search_n)
+    return float(_moduli_batch(f, r, np.array([float(x)]), float(delta), search_n)[0])
+
+
+def moment_check_time(table, n: int, t: float) -> float:
+    """Residual of the degree-n time-domain moment condition at t:
+    sum_i C(n,i) i! sum_l (a + rho l - t)^{n-i} Theta_i(t - rho l) - delta_{n0}."""
+    kappa = table.kappa
+    rho, a = kappa.rho, float(kappa.a)
+    lo, hi = theta_support(table)
+    ls = range(math.floor((t - hi) / rho) - 1, math.ceil((t - lo) / rho) + 2)
+    acc = 0.0
+    for i in range(min(n, rho - 1) + 1):
+        w = math.comb(n, i) * math.factorial(i)
+        for l in ls:
+            acc += w * (a + rho * l - t) ** (n - i) * theta_eval(table, i, t - rho * l)
+    return acc - (1.0 if n == 0 else 0.0)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ import numpy as np
 from derivsamp.cli import approx_error, main
 from derivsamp.kernel import (
     moment_check_fourier,
-    moment_check_time,
     reproducing_order,
 )
 from derivsamp.laurent import LaurentPoly
@@ -44,7 +43,7 @@ from derivsamp.symbol import (
     table_polynomial,
 )
 
-from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, tau_scaling_check
+from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, eval_exact, moment_check_time, tau_scaling_check
 
 
 def _report(n: int, ok: bool, details: str) -> None:
@@ -158,12 +157,19 @@ def test_criterion_03_frame_bounds_and_inequality():
         and abs(b.upper_frame - 15.0) <= 1e-9
     )
     rep = verify_sampling_inequality(KAPPA_Q3, n_trials=200)
-    ok = bounds_ok and rep.violations == 0
+    # the generalized eigenvalues of (M, G) bracket every sampled ratio and
+    # sit inside the frame bounds
+    bracket_ok = (
+        rep.lower - 1e-9 <= rep.eig_min <= rep.min_ratio
+        <= rep.max_ratio <= rep.eig_max <= rep.upper_frame + 1e-9
+    )
+    ok = bounds_ok and rep.violations == 0 and bracket_ok
     _report(
         3,
         ok,
         f"A={b.lower!r}, B={b.upper!r}, upper={b.upper_frame!r}, "
         f"ratios [{rep.min_ratio:.3f}, {rep.max_ratio:.3f}], "
+        f"eigen-extremes [{rep.eig_min:.4f}, {rep.eig_max:.3f}], "
         f"violations={rep.violations}/200",
     )
 
@@ -361,7 +367,7 @@ def test_criterion_09_shift_placement_scan():
     factor_ok = True
     for r in r2:
         p = table_polynomial(Kappa(r.m, r.a, 2))
-        vanishes = p.eval_exact(1) == 0
+        vanishes = eval_exact(p, 1) == 0
         factor_ok = factor_ok and (vanishes == (not r.is_cis))
     others = [r for r in rows if r.rho > 2]
     disagreements = [f"(m={r.m},a={r.a},rho={r.rho})" for r in others if not r.agree]

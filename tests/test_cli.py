@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import derivsamp
+from derivsamp import cli
 from derivsamp.cli import (
     TabulatedSignal,
     _UsageError,
@@ -67,11 +68,26 @@ def test_approx_bad_w_token_exit_code():
     assert main(["approx", "--m", "3", "--rho", "2", "--W", "oops"]) == 2
 
 
-def test_approx_rational_w_on_f3_is_usage_error(tmp_path):
+def test_approx_rational_w_on_f3_is_usage_error(tmp_path, capsys):
     # W = 4 sample lattice hits the f3 jump at t = 3 exactly
     code = main(["approx", "--m", "3", "--rho", "2", "--signal", "f3",
                  "--W", "4", "--out", str(tmp_path / "a.csv")])
     assert code == 2
+    err = capsys.readouterr().err
+    assert "undefined point" in err and "irrational dilation" in err
+
+
+def test_approx_internal_failure_is_numerical_exit(monkeypatch, capsys):
+    # a failure past sampling is the program's fault, not a usage error
+    def broken(*args, **kwargs):
+        raise ValueError("sample range insufficient for the requested window")
+
+    monkeypatch.setattr(cli, "apply_sw", broken)
+    code = main(["approx", "--m", "3", "--rho", "2", "--signal", "f1",
+                 "--W", "4", "--grid-n", "100"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "insufficient" in err and "irrational" not in err
 
 
 def test_approx_unknown_signal():

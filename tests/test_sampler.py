@@ -8,9 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from derivsamp.bspline import eval_q_deriv
+from derivsamp.bspline import bspline_series, eval_q_deriv
 from derivsamp.sampler import (
+    _TRIAL_LEN,
+    _gram,
+    _sample_matrix,
     SampleGrid,
+    SampleNodeError,
     SplineElement,
     apply_sw,
     frame_bounds,
@@ -20,10 +24,25 @@ from derivsamp.sampler import (
     take_samples,
     verify_sampling_inequality,
 )
-from derivsamp.signals import get_signal, monomial_signal, random_spline
-from derivsamp.symbol import Kappa
+from derivsamp.signals import get_signal, monomial_signal
+from derivsamp.symbol import Kappa, build_symbol
 
-from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, discrete_norm
+from conftest import (
+    KAPPA_Q3,
+    KAPPA_Q4,
+    KAPPA_Q4H,
+    discrete_norm,
+    l2_norm_quadrature,
+    random_spline,
+)
+
+# The configurations of the benchmark's `verify` workload.
+VERIFY_KAPPAS = tuple(
+    Kappa(m, Fraction(a), rho)
+    for m, a, rho in (
+        (3, 0, 2), (4, "1/2", 2), (4, 0, 3), (5, 0, 2), (6, "1/2", 2), (5, "1/2", 3), (5, 0, 4)
+    )
+)
 
 
 def test_spline_element_eval_matches_direct_sum():
@@ -59,6 +78,52 @@ def test_l2_norm_matches_riemann():
     assert f.l2_norm() == pytest.approx(riemann, rel=1e-8)
 
 
+def test_gram_matches_quadrature():
+    rng = np.random.default_rng(8)
+    for m in range(1, 9):
+        bump = l2_norm_quadrature(SplineElement(m, 0, [1.0])) ** 2
+        assert _gram(m, 5)[2, 2] == pytest.approx(bump, rel=1e-14)
+        for _ in range(5):
+            n = int(rng.integers(1, 40))
+            f = SplineElement(m, int(rng.integers(-5, 5)), rng.uniform(-1.0, 1.0, n))
+            assert f.l2_norm() == pytest.approx(l2_norm_quadrature(f), rel=1e-13), m
+
+
+def test_sample_matrix_matches_direct_sums():
+    rng = np.random.default_rng(9)
+    for kappa in VERIFY_KAPPAS:
+        a, rho = float(kappa.a), kappa.rho
+        b = _sample_matrix(build_symbol(kappa), 17)
+        energy = b.T @ b
+        # a node range wider than every support, so no sample is missed
+        nodes = a + rho * np.arange(-5, 17 + kappa.m)
+        for _ in range(5):
+            c = rng.uniform(-1.0, 1.0, 17)
+            direct = sum(
+                float(np.sum(bspline_series(kappa.m, i, c, 0, nodes) ** 2)) for i in range(rho)
+            )
+            assert c @ energy @ c == pytest.approx(direct, rel=1e-13), kappa
+
+
+def test_sampling_inequality_ratios_match_direct_trials():
+    # the trials drawn one element at a time, sampled by the series primitive
+    # and normed by quadrature, give the report's ratios
+    for kappa in VERIFY_KAPPAS:
+        rep = verify_sampling_inequality(kappa, n_trials=20, seed=11)
+        rng = np.random.default_rng(11)
+        a, rho = float(kappa.a), kappa.rho
+        nodes = a + rho * np.arange(-5, _TRIAL_LEN + kappa.m)
+        ratios = []
+        for _ in range(20):
+            c = rng.uniform(-1.0, 1.0, _TRIAL_LEN)
+            num = sum(
+                float(np.sum(bspline_series(kappa.m, i, c, 0, nodes) ** 2)) for i in range(rho)
+            )
+            ratios.append(num / l2_norm_quadrature(SplineElement(kappa.m, 0, c)) ** 2)
+        assert rep.min_ratio == pytest.approx(min(ratios), rel=1e-13)
+        assert rep.max_ratio == pytest.approx(max(ratios), rel=1e-13)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         SampleGrid(KAPPA_Q3, 0.0, 0, 4)
@@ -81,8 +146,15 @@ def test_take_samples_refuses_undefined_nodes():
     kappa = KAPPA_Q3
     # W = 4 puts the node lattice l/2 right on the jump at t = 3
     g = SampleGrid(kappa, 4.0, 0, 8)
-    with pytest.raises(ValueError, match="undefined point t=3"):
+    with pytest.raises(SampleNodeError, match="undefined point t=3"):
         take_samples(f3, g)
+    # an undeclared non-finite value at a node is refused the same way
+    holey = SimpleNamespace(
+        undefined_points=lambda i: (),
+        eval=lambda i, t: np.where(np.isclose(t, 2.0), np.nan, 1.0),
+    )
+    with pytest.raises(SampleNodeError, match="non-finite"):
+        take_samples(holey, SampleGrid(kappa, 1.0, 0, 3))
     # an irrational dilation misses every rational special point
     g2 = SampleGrid(kappa, 3.0 * math.sqrt(7.0), 0, 8)
     s = take_samples(f3, g2)
@@ -208,11 +280,16 @@ def test_frame_bounds_validation():
 
 
 def test_sampling_inequality_no_violations():
-    for kappa in (KAPPA_Q3, KAPPA_Q4):
+    for kappa in VERIFY_KAPPAS:
         rep = verify_sampling_inequality(kappa, n_trials=50)
         assert rep.violations == 0
-        assert rep.lower - 1e-9 <= rep.min_ratio
-        assert rep.max_ratio <= rep.upper_frame + 1e-9
+        # the generalized eigenvalues of (M, G) bracket every trial ratio
+        assert (
+            rep.lower - 1e-9 <= rep.eig_min <= rep.min_ratio
+            <= rep.max_ratio <= rep.eig_max <= rep.upper_frame + 1e-9
+        ), kappa
+    rep = verify_sampling_inequality(KAPPA_Q3)
+    assert round(rep.eig_min, 3) == 0.502 and round(rep.eig_max, 2) == 14.77
 
 
 def sw_boundedness_probe(kappa, table, w_list, f, p: float = 2.0):

@@ -13,8 +13,9 @@ from derivsamp.signals import (
     constant_signal,
     get_signal,
     monomial_signal,
-    random_spline,
 )
+
+from conftest import random_spline
 
 
 def _interior_points(spec, i, rng, n=200):

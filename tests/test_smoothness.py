@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from derivsamp import smoothness
 from derivsamp.sampler import SampleGrid, take_samples
 from derivsamp.signals import channel, constant_signal, get_signal, monomial_signal
-from derivsamp.smoothness import finite_diff, fit_order, local_modulus, tau_modulus
+from derivsamp.smoothness import finite_diff, fit_order, tau_modulus
 from derivsamp.symbol import Kappa
 
-from conftest import discrete_norm, tau_scaling_check
+from conftest import discrete_norm, local_modulus, tau_scaling_check
 
 
 def test_finite_diff_basics():
@@ -115,6 +116,27 @@ def test_local_modulus_monotone_in_delta():
     vals = [local_modulus(ch, 2, 0.3, d) for d in (0.02, 0.04, 0.08, 0.16)]
     for a, b in zip(vals, vals[1:]):
         assert a <= b + 1e-12
+
+
+def test_blocked_lattice_is_bytewise_unblocked(monkeypatch):
+    # f is pointwise, so splitting the windows into blocks changes no value
+    cases = [("f1", 0, 2), ("f2", 1, 2), ("f3", 0, 1), ("f3", 1, 3)]
+    full = {}
+    for sid, i, r in cases:
+        ch = channel(get_signal(sid), i)
+        lo, hi = ch.spec.support_hint
+        xs = np.linspace(lo - 0.5, hi + 0.5, 301)
+        full[sid, i, r] = (smoothness._moduli_batch(ch, r, xs, 0.1, 64),
+                           tau_modulus(ch, r, 0.1, 2.0).value)
+    # several windows per lattice block, one window per jump-mask block
+    monkeypatch.setattr(smoothness, "_BLOCK_ELEMENTS", 2000)
+    for sid, i, r in cases:
+        ch = channel(get_signal(sid), i)
+        lo, hi = ch.spec.support_hint
+        xs = np.linspace(lo - 0.5, hi + 0.5, 301)
+        om, value = full[sid, i, r]
+        assert np.array_equal(smoothness._moduli_batch(ch, r, xs, 0.1, 64), om)
+        assert tau_modulus(ch, r, 0.1, 2.0).value == value
 
 
 def test_tau_modulus_zero_for_constant():

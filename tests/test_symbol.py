@@ -23,7 +23,7 @@ from derivsamp.symbol import (
     table_polynomial,
 )
 
-from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, eval_q_deriv_exact
+from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, eval_exact, eval_q_deriv_exact, eval_unit
 
 
 def L(low, *cs):
@@ -92,7 +92,7 @@ def test_symbol_eval_grid_matches_unit_eval():
         for n, t in enumerate(ts):
             for i in range(kappa.rho):
                 for j in range(kappa.rho):
-                    want = sym.entries[i][j].eval_unit(float(t))
+                    want = eval_unit(sym.entries[i][j], float(t))
                     assert abs(grid[n, i, j] - want) <= 1e-12
 
 
@@ -192,9 +192,9 @@ def test_cis_exactly_when_shift_rule_allows():
 
 def test_non_cis_determinant_vanishes_at_unit_root():
     # the factor table shows exactly which of z = +-1 kills the determinant
-    assert det_symbol(Kappa(4, Fraction(0), 2)).eval_exact(1) == 0
-    assert det_symbol(Kappa(5, Fraction(1, 2), 2)).eval_exact(1) == 0
-    assert det_symbol(KAPPA_Q3).eval_exact(1) != 0
+    assert eval_exact(det_symbol(Kappa(4, Fraction(0), 2)), 1) == 0
+    assert eval_exact(det_symbol(Kappa(5, Fraction(1, 2), 2)), 1) == 0
+    assert eval_exact(det_symbol(KAPPA_Q3), 1) != 0
 
 
 def test_predicted_cis_shift():
