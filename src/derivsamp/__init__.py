@@ -12,7 +12,6 @@ from .bspline import (
     bspline_series,
     eval_q,
     eval_q_deriv,
-    fourier_q,
     fourier_q_deriv,
     krein_favard,
     riesz_lower_bound,
@@ -42,7 +41,6 @@ from .sampler import (
 from .signals import SignalSpec, catalog, channel, get_signal
 from .smoothness import (
     TauEstimate,
-    finite_diff,
     fit_order,
     tau_modulus,
 )
@@ -53,7 +51,6 @@ from .symbol import (
     build_symbol,
     check_cis,
     det_symbol,
-    pascal_det_check,
     predicted_cis_shift,
     scan_assumption1,
     table_polynomial,
@@ -65,7 +62,6 @@ __all__ = [
     "bspline_series",
     "eval_q",
     "eval_q_deriv",
-    "fourier_q",
     "fourier_q_deriv",
     "krein_favard",
     "riesz_lower_bound",
@@ -82,7 +78,6 @@ __all__ = [
     "table_polynomial",
     "predicted_cis_shift",
     "scan_assumption1",
-    "pascal_det_check",
     "KernelTable",
     "inv_symbol_coeffs",
     "theta_eval",
@@ -105,7 +100,6 @@ __all__ = [
     "channel",
     "get_signal",
     "TauEstimate",
-    "finite_diff",
     "tau_modulus",
     "fit_order",
 ]

@@ -5,8 +5,10 @@ Every float evaluation goes through one primitive, `bspline_series`, which
 sums a finite series sum_n c_n Q_m^(d)(x - k0 - n).  On each knot interval
 [p, p+1) the function Q_m^(d) is a polynomial in the local variable
 u = x - floor(x); the m pieces are expanded exactly over Fraction from the
-truncated-power form, converted to float once per (m, d) and evaluated by
-Horner (de Boor, A Practical Guide to Splines, ch. IX).  `eval_q` and
+truncated-power form and converted to float once per (m, d).  A series is
+folded into its piecewise-polynomial (pp) form first, one polynomial of
+degree m-1-d per knot interval, so that each point costs one gather and one
+Horner pass (de Boor, A Practical Guide to Splines, ch. X).  `eval_q` and
 `eval_q_deriv` are the one-coefficient series.  Exact rational values on a
 shifted integer lattice, Q_m^(i)(u + p), come from one Cox-de Boor triangle
 on integer numerators over the common denominator (m-1)! q^(m-1) of u = s/q,
@@ -29,7 +31,6 @@ __all__ = [
     "eval_q",
     "eval_q_deriv",
     "exact_lattice_values",
-    "fourier_q",
     "fourier_q_deriv",
     "krein_favard",
     "riesz_lower_bound",
@@ -78,25 +79,30 @@ def _pieces(m: int, deriv: int) -> np.ndarray:
 def bspline_series(m: int, deriv: int, coeffs, k0: int, x):
     """sum_n coeffs[n] Q_m^(deriv)(x - k0 - n) at x (scalar or ndarray).
 
-    The point x meets the m translates with n = floor(x) - k0 - p, one per
-    piece p; each piece is one Horner pass over the array.
+    pp-form (de Boor, A Practical Guide to Splines, ch. X): on the knot
+    interval [k0 + j, k0 + j + 1) the series is sum_k pp[k, 1 + j] u^k with
+    pp[k, 1 + j] = sum_p coeffs[j - p] pieces[p, k], one convolution per
+    power k.  Each point then costs one Horner pass of degree m-1-deriv,
+    gathering its interval's coefficient at every step.
     """
     _check_order(m)
     _check_deriv_order(m, deriv)
     arr = np.asarray(x, dtype=float)
     pieces = _pieces(m, deriv)
-    # zero-padded so that every out-of-range index clips onto a zero
-    padded = np.concatenate(([0.0], np.asarray(coeffs, dtype=float), [0.0]))
+    c = np.asarray(coeffs, dtype=float)
+    # zero columns at both ends: every point outside the support clips onto
+    # one; mode="clip" also bounds the meaningless index of a NaN point
+    pp = np.zeros((pieces.shape[1], len(c) + m + 1))
+    if len(c):
+        for k, col in enumerate(pieces.T):
+            pp[k, 1:-1] = np.convolve(c, col)
     base = np.floor(arr)
     u = arr - base
-    first = base.astype(np.int64) - (int(k0) - 1)
-    out = np.zeros(arr.shape)
-    for p, poly in enumerate(pieces):
-        val = np.full(arr.shape, poly[-1])
-        for c in poly[-2::-1]:
-            val *= u
-            val += c
-        out += padded.take(first - p, mode="clip") * val
+    idx = np.clip(base - (int(k0) - 1), 0, len(c) + m).astype(np.intp)
+    out = pp[-1].take(idx, mode="clip")
+    for row in pp[-2::-1]:
+        out *= u
+        out += row.take(idx, mode="clip")
     return float(out) if arr.ndim == 0 else out
 
 
@@ -182,12 +188,6 @@ def _g_deriv(r: int, x: complex) -> complex:
 
 def _phi_deriv(r: int, xi: float) -> complex:
     return _C ** r * _g_deriv(r, _C * xi)
-
-
-def fourier_q(m: int, xi: float) -> complex:
-    """Fourier transform of Q_m at xi (removable singularity at 0 handled)."""
-    _check_order(m)
-    return _phi_deriv(0, float(xi)) ** m
 
 
 def fourier_q_deriv(m: int, r: int, xi: float) -> complex:

@@ -195,19 +195,26 @@ class BoundsReport:
     upper_frame: float  # upper * pi^{2m-1} / (2^{2m-1} K_{2m-1})
 
 
-def frame_bounds(kappa: Kappa, grid_n: int = 1024) -> BoundsReport:
+# Grid size in t of the frame constants, unless a caller asks for another.
+_FRAME_GRID_N = 1024
+
+
+def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     """Frame constants of the sampling inequality from the symbol's singular
     values over a uniform grid in t."""
     if grid_n < 64:
         raise ValueError("grid_n too small")
-    sym = build_symbol(kappa)
+    return _frame_bounds(build_symbol(kappa), grid_n)
+
+
+def _frame_bounds(sym: SymbolMatrix, grid_n: int) -> BoundsReport:
     ts = np.arange(grid_n) / grid_n
     psi = sym.eval_grid(ts)
     gram = np.matmul(psi.conj().transpose(0, 2, 1), psi)
     lam = np.linalg.eigvalsh(gram)
     lower = float(lam[:, 0].min())
     upper = float(lam[:, -1].max())
-    return BoundsReport(kappa, lower, upper, upper / riesz_lower_bound(kappa.m))
+    return BoundsReport(sym.kappa, lower, upper, upper / riesz_lower_bound(sym.kappa.m))
 
 
 # Random elements of the sampling-inequality check have this many coefficients.
@@ -258,9 +265,10 @@ def verify_sampling_inequality(
     on n_trials random f = sum_k c_k Q_m(. - k), 0 <= k < 30, c_k uniform in
     [-1, 1], as ratios c^T M c / c^T G c with M = B^T B (`_sample_matrix`);
     the generalized eigenvalues of (M, G) bound every such ratio."""
-    bounds = frame_bounds(kappa)
+    sym = build_symbol(kappa)
+    bounds = _frame_bounds(sym, _FRAME_GRID_N)
     gram = _gram(kappa.m, _TRIAL_LEN)
-    b = _sample_matrix(build_symbol(kappa), _TRIAL_LEN)
+    b = _sample_matrix(sym, _TRIAL_LEN)
     energy = b.T @ b
     c = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_trials, _TRIAL_LEN))
     ratios = np.einsum("tj,jk,tk->t", c, energy, c) / np.einsum("tj,jk,tk->t", c, gram, c)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "finite_diff",
     "TauEstimate",
     "tau_modulus",
     "fit_order",
@@ -34,17 +33,6 @@ _JUMP_EPS = 1e-9
 # 8 MB per float array.  The benchmark's tau calls, at delta >= 0.07, need at
 # most about 1.4e5 and run in one block.
 _BLOCK_ELEMENTS = 1 << 20
-
-
-def finite_diff(f, r: int, h: float, t: float) -> float:
-    """Forward difference sum_{j=0}^r (-1)^{r-j} C(r,j) f(t + j h)."""
-    if r < 1:
-        raise ValueError("difference order must be >= 1")
-    vals = np.asarray(f(t + h * np.arange(r + 1)), dtype=float)
-    if np.any(~np.isfinite(vals)):
-        raise ValueError(f"f undefined at a difference node near t={t}")
-    signs = np.array([(-1.0) ** (r - j) * math.comb(r, j) for j in range(r + 1)])
-    return float(np.dot(signs, vals))
 
 
 def _jump_points(f, r: int, delta: float) -> np.ndarray:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .bspline import exact_lattice_values
 from .laurent import (
-    ONE,
     CircleCertificate,
     LaurentPoly,
     laurent_det,
@@ -42,7 +41,6 @@ __all__ = [
     "table_polynomial",
     "scan_assumption1",
     "predicted_cis_shift",
-    "pascal_det_check",
     "ruiz_sum",
     "binom_convolution_sum",
     "spline_pascal_sum",
@@ -229,17 +227,6 @@ def _binom(mu: int, j: int) -> int:
     if mu < 0 or j < 0 or j > mu:
         return 0
     return math.comb(mu, j)
-
-
-def pascal_det_check(m: int) -> bool:
-    """For kappa = (Q_m, 0, m-1) the k=1 Fourier coefficient matrix
-    A[i][j] = Q_m^{(i)}(m-1-j) = sum_r (-1)^r C(i,r) Q_{m-i}(m-1-j-r) must
-    have determinant 1."""
-    if m < 2:
-        raise ValueError("need m >= 2")
-    vals = exact_lattice_values(m, 0, m - 2)
-    mat = [[LaurentPoly.make(0, [row[m - 1 - j]]) for j in range(m - 1)] for row in vals]
-    return laurent_det(mat) == ONE
 
 
 def ruiz_sum(n: int, l: int, t) -> Fraction:

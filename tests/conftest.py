@@ -4,9 +4,12 @@ exact B-spline values come from the truncated-power formula, independent of
 the library's Cox-de Boor triangle; spline norms have a Gauss-Legendre
 reference, independent of the library's Gram matrix; the unit-circle verdict
 has a Fraction reference, independent of the library's integer
-pseudo-remainders.  Point evaluations of Laurent polynomials, the local
-modulus at one x, the time-domain moment residual and random spline elements
-are test helpers here, built on the library's public API."""
+pseudo-remainders; the pp-form series evaluator has a per-piece Horner
+reference.  Point evaluations of Laurent polynomials, the local modulus at
+one x, the time-domain moment residual, random spline elements, the Fourier
+transform of Q_m, single finite differences and the maximal-density
+determinant check are test helpers here, built on the library's public
+API."""
 
 import cmath
 import math
@@ -15,7 +18,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from derivsamp.bspline import _pieces, exact_lattice_values, fourier_q_deriv
 from derivsamp.kernel import inv_symbol_coeffs, theta_eval, theta_support
+from derivsamp.laurent import ONE, LaurentPoly, laurent_det
 from derivsamp.sampler import SplineElement
 from derivsamp.smoothness import _check_search, _moduli_batch, tau_modulus
 from derivsamp.symbol import Kappa
@@ -46,6 +51,54 @@ def eval_q_deriv_exact(m: int, k: int, t) -> Fraction:
         ((-1) ** r * math.comb(k, r) * eval_q_exact(m - k, t - r) for r in range(k + 1)),
         Fraction(0),
     )
+
+
+def bspline_series_pieces(m: int, deriv: int, coeffs, k0: int, x) -> np.ndarray:
+    """sum_n coeffs[n] Q_m^(deriv)(x - k0 - n) by the per-piece Horner loop:
+    the point x meets the m translates with n = floor(x) - k0 - p, one per
+    piece p, and each piece is one Horner pass over the array."""
+    arr = np.asarray(x, dtype=float)
+    pieces = _pieces(m, deriv)
+    # zero-padded so that every out-of-range index clips onto a zero
+    padded = np.concatenate(([0.0], np.asarray(coeffs, dtype=float), [0.0]))
+    base = np.floor(arr)
+    u = arr - base
+    first = base.astype(np.int64) - (int(k0) - 1)
+    out = np.zeros(arr.shape)
+    for p, poly in enumerate(pieces):
+        val = np.full(arr.shape, poly[-1])
+        for c in poly[-2::-1]:
+            val *= u
+            val += c
+        out += padded.take(first - p, mode="clip") * val
+    return out
+
+
+def fourier_q(m: int, xi: float) -> complex:
+    """Fourier transform of Q_m at xi, the derivative of order 0."""
+    return fourier_q_deriv(m, 0, xi)
+
+
+def finite_diff(f, r: int, h: float, t: float) -> float:
+    """Forward difference sum_{j=0}^r (-1)^{r-j} C(r,j) f(t + j h)."""
+    if r < 1:
+        raise ValueError("difference order must be >= 1")
+    vals = np.asarray(f(t + h * np.arange(r + 1)), dtype=float)
+    if np.any(~np.isfinite(vals)):
+        raise ValueError(f"f undefined at a difference node near t={t}")
+    signs = np.array([(-1.0) ** (r - j) * math.comb(r, j) for j in range(r + 1)])
+    return float(np.dot(signs, vals))
+
+
+def pascal_det_check(m: int) -> bool:
+    """For kappa = (Q_m, 0, m-1) the k=1 Fourier coefficient matrix
+    A[i][j] = Q_m^{(i)}(m-1-j) = sum_r (-1)^r C(i,r) Q_{m-i}(m-1-j-r) must
+    have determinant 1."""
+    if m < 2:
+        raise ValueError("need m >= 2")
+    vals = exact_lattice_values(m, 0, m - 2)
+    mat = [[LaurentPoly.make(0, [row[m - 1 - j]]) for j in range(m - 1)] for row in vals]
+    return laurent_det(mat) == ONE
 
 
 def l2_norm_quadrature(f: SplineElement) -> float:

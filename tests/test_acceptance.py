@@ -37,13 +37,20 @@ from derivsamp.symbol import (
     check_cis,
     check_identity_lemmas,
     det_symbol,
-    pascal_det_check,
     predicted_cis_shift,
     scan_assumption1,
     table_polynomial,
 )
 
-from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, eval_exact, moment_check_time, tau_scaling_check
+from conftest import (
+    KAPPA_Q3,
+    KAPPA_Q4,
+    KAPPA_Q4H,
+    eval_exact,
+    moment_check_time,
+    pascal_det_check,
+    tau_scaling_check,
+)
 
 
 def _report(n: int, ok: bool, details: str) -> None:

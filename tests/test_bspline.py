@@ -1,6 +1,7 @@
 """B-spline evaluation, derivatives, Fourier transform, and the classical
 constants, checked against independent oracles."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -8,16 +9,16 @@ import numpy as np
 import pytest
 
 from derivsamp.bspline import (
+    bspline_series,
     eval_q,
     eval_q_deriv,
     exact_lattice_values,
-    fourier_q,
     fourier_q_deriv,
     krein_favard,
     riesz_lower_bound,
 )
 
-from conftest import eval_q_deriv_exact
+from conftest import bspline_series_pieces, eval_q_deriv_exact, fourier_q
 
 
 def test_eval_matches_truncated_power_oracle():
@@ -32,6 +33,55 @@ def test_eval_matches_truncated_power_oracle():
             for t, g in zip(ts, got):
                 want = float(eval_q_deriv_exact(m, k, t))
                 assert abs(g - want) <= 1e-14 * max(1.0, abs(want)), (m, k, t)
+
+
+def test_series_matches_exact_oracle():
+    # random series of 1-40 coefficients, every derivative order, at random
+    # eighths and at every integer knot of the support and beyond it; exact
+    # zeros outside the support [k0, k0 + n - 1 + m)
+    rng = np.random.default_rng(12)
+    for m in range(1, 13):
+        for deriv in range(max(1, m - 1)):
+            n, k0 = int(rng.integers(1, 41)), int(rng.integers(-20, 21))
+            c = rng.uniform(-1.0, 1.0, n)
+            hi = k0 + n - 1 + m
+            ts = [Fraction(int(v), 8) for v in rng.integers(8 * (k0 - 3), 8 * (hi + 3), 20)]
+            ts += [Fraction(k) for k in range(k0 - 2, hi + 3)]
+            got = bspline_series(m, deriv, c, k0, np.array([float(t) for t in ts]))
+            tol = 1e-13 * float(np.sum(np.abs(c)))
+            exact = functools.lru_cache(None)(lambda s: eval_q_deriv_exact(m, deriv, s))
+            for t, g in zip(ts, got):
+                if t < k0 or t >= hi:
+                    assert g == 0.0, (m, deriv, t)
+                    continue
+                # only the translates with 0 <= t - k0 - j < m meet t
+                js = range(max(0, math.floor(t) - k0 - m + 1), min(n, math.floor(t) - k0 + 1))
+                want = sum(Fraction(c[j]) * exact(t - k0 - j) for j in js)
+                assert abs(g - float(want)) <= tol, (m, deriv, t)
+    c = rng.uniform(-1.0, 1.0, 7)
+    scalar = bspline_series(5, 2, c, -3, 1.25)
+    assert type(scalar) is float
+    grid = rng.uniform(-5.0, 10.0, (4, 6))
+    vals = bspline_series(5, 2, c, -3, grid)
+    assert vals.shape == grid.shape
+    assert np.array_equal(vals.ravel(), bspline_series(5, 2, c, -3, grid.ravel()))
+    assert bspline_series(5, 2, c, -3, 1.25) == bspline_series(5, 2, c, -3, np.array([1.25]))[0]
+
+
+def test_series_matches_per_piece_reference():
+    # reconstruct-sized inputs: 10^5 sorted points across about 4000
+    # coefficients and past both ends of the support
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    for m in range(3, 10):
+        c = rng.uniform(-1.0, 1.0, 4000)
+        x = np.sort(rng.uniform(-2010.0, 2010.0, 100_000))
+        for deriv in (0, m - 2):
+            got = bspline_series(m, deriv, c, -2000, x)
+            want = bspline_series_pieces(m, deriv, c, -2000, x)
+            worst = max(worst, float(np.max(np.abs(got - want))) / float(np.sum(np.abs(c))))
+    print(f"pp-form vs per-piece: max |difference| / sum|c| = {worst:.3e}")
+    assert worst <= 1e-13, worst
 
 
 def test_eval_exact_is_exact():

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from derivsamp import sampler
 from derivsamp.bspline import bspline_series, eval_q_deriv
 from derivsamp.sampler import (
     _TRIAL_LEN,
@@ -290,6 +291,20 @@ def test_sampling_inequality_no_violations():
         ), kappa
     rep = verify_sampling_inequality(KAPPA_Q3)
     assert round(rep.eig_min, 3) == 0.502 and round(rep.eig_max, 2) == 14.77
+
+
+def test_sampling_inequality_builds_one_symbol(monkeypatch):
+    built = []
+
+    def counting_build_symbol(kappa):
+        built.append(kappa)
+        return build_symbol(kappa)
+
+    monkeypatch.setattr(sampler, "build_symbol", counting_build_symbol)
+    rep = verify_sampling_inequality(KAPPA_Q4H, n_trials=10)
+    assert built == [KAPPA_Q4H]
+    bounds = frame_bounds(KAPPA_Q4H)
+    assert (rep.lower, rep.upper_frame) == (bounds.lower, bounds.upper_frame)
 
 
 def sw_boundedness_probe(kappa, table, w_list, f, p: float = 2.0):

@@ -10,10 +10,10 @@ import pytest
 from derivsamp import smoothness
 from derivsamp.sampler import SampleGrid, take_samples
 from derivsamp.signals import channel, constant_signal, get_signal, monomial_signal
-from derivsamp.smoothness import finite_diff, fit_order, tau_modulus
+from derivsamp.smoothness import fit_order, tau_modulus
 from derivsamp.symbol import Kappa
 
-from conftest import discrete_norm, local_modulus, tau_scaling_check
+from conftest import discrete_norm, finite_diff, local_modulus, tau_scaling_check
 
 
 def test_finite_diff_basics():

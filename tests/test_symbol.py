@@ -15,7 +15,6 @@ from derivsamp.symbol import (
     check_cis,
     check_identity_lemmas,
     det_symbol,
-    pascal_det_check,
     predicted_cis_shift,
     ruiz_sum,
     scan_assumption1,
@@ -23,7 +22,15 @@ from derivsamp.symbol import (
     table_polynomial,
 )
 
-from conftest import KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, eval_exact, eval_q_deriv_exact, eval_unit
+from conftest import (
+    KAPPA_Q3,
+    KAPPA_Q4,
+    KAPPA_Q4H,
+    eval_exact,
+    eval_q_deriv_exact,
+    eval_unit,
+    pascal_det_check,
+)
 
 
 def L(low, *cs):
