@@ -10,8 +10,6 @@ of smoothness.
 
 from .bspline import (
     bspline_series,
-    eval_q,
-    eval_q_deriv,
     fourier_q_deriv,
     krein_favard,
     riesz_lower_bound,
@@ -47,10 +45,10 @@ from .smoothness import (
 from .symbol import (
     CisReport,
     Kappa,
+    NotCISError,
     SymbolMatrix,
     build_symbol,
     check_cis,
-    det_symbol,
     predicted_cis_shift,
     scan_assumption1,
     table_polynomial,
@@ -60,8 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "bspline_series",
-    "eval_q",
-    "eval_q_deriv",
     "fourier_q_deriv",
     "krein_favard",
     "riesz_lower_bound",
@@ -72,8 +68,8 @@ __all__ = [
     "Kappa",
     "SymbolMatrix",
     "CisReport",
+    "NotCISError",
     "build_symbol",
-    "det_symbol",
     "check_cis",
     "table_polynomial",
     "predicted_cis_shift",

@@ -8,11 +8,11 @@ u = x - floor(x); the m pieces are expanded exactly over Fraction from the
 truncated-power form and converted to float once per (m, d).  A series is
 folded into its piecewise-polynomial (pp) form first, one polynomial of
 degree m-1-d per knot interval, so that each point costs one gather and one
-Horner pass (de Boor, A Practical Guide to Splines, ch. X).  `eval_q` and
-`eval_q_deriv` are the one-coefficient series.  Exact rational values on a
-shifted integer lattice, Q_m^(i)(u + p), come from one Cox-de Boor triangle
-on integer numerators over the common denominator (m-1)! q^(m-1) of u = s/q,
-with one Fraction built per returned value (`exact_lattice_values`).
+Horner pass (de Boor, A Practical Guide to Splines, ch. X).  Exact rational
+values on a shifted integer lattice, Q_m^(i)(u + p), come from one Cox-de
+Boor triangle on integer numerators over the common denominator
+(m-1)! q^(m-1) of u = s/q, with one Fraction built per returned value
+(`exact_lattice_values`).
 Fourier transforms use the convention f^(w) = int f(t) exp(-2 pi i w t) dt,
 so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m.
 """
@@ -28,8 +28,6 @@ import numpy as np
 
 __all__ = [
     "bspline_series",
-    "eval_q",
-    "eval_q_deriv",
     "exact_lattice_values",
     "fourier_q_deriv",
     "krein_favard",
@@ -104,19 +102,6 @@ def bspline_series(m: int, deriv: int, coeffs, k0: int, x):
         out *= u
         out += row.take(idx, mode="clip")
     return float(out) if arr.ndim == 0 else out
-
-
-def eval_q(m: int, t):
-    """Evaluate Q_m at t (scalar or ndarray).
-
-    Right-continuous at knots for m=1 (indicator of [0,1)); continuous for m>=2.
-    """
-    return bspline_series(m, 0, (1.0,), 0, t)
-
-
-def eval_q_deriv(m: int, k: int, t):
-    """k-th derivative of Q_m at t, for k <= m-2."""
-    return bspline_series(m, k, (1.0,), 0, t)
 
 
 def exact_lattice_values(m: int, u, d_max: int) -> list[list[Fraction]]:

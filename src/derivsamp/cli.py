@@ -6,10 +6,12 @@ configuration, so artifacts are self-describing.  Identical configurations
 produce byte-identical files: floats are serialized with repr (shortest
 round-trip form) and all row orders are fixed.
 
-Exit codes: 0 success (and CIS where relevant), 1 mathematical negative
-(not CIS; the certificate is exact), 2 usage error (including a dilation
-whose sample nodes hit a point where the signal is undefined), 3 numerical
-failure of a kernel build or of a reconstruction.
+This module parses arguments (range-checking every flag), formats CSV, and
+maps exceptions to exit codes in one place, main(): 0 success; 1 unstable
+configuration (NotCISError, an exact verdict); 2 usage error, including a
+malformed --signal-csv, an unwritable --out and sample nodes on a point where
+the signal is undefined (SampleNodeError); 3 any other ValueError or
+ArithmeticError, a numerical failure.
 """
 
 from __future__ import annotations
@@ -20,73 +22,99 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .kernel import KernelTable, inv_symbol_coeffs
-from .sampler import SampleNodeError, apply_sw, frame_bounds, grid_for_window, take_samples
-from .signals import channel, get_signal
+from .kernel import inv_symbol_coeffs
+from .sampler import SampleNodeError, approx_error, frame_bounds
+from .signals import TabulatedSignal, catalog, channel, get_signal
 from .smoothness import fit_order, tau_modulus
-from .symbol import Kappa, check_cis, scan_assumption1, table_polynomial
+from .symbol import Kappa, NotCISError, check_cis, scan_assumption1, table_polynomial
 
-__all__ = ["main", "TabulatedSignal", "approx_error"]
-
-_SQRT7 = math.sqrt(7.0)
-# approx_error measures over the signal's support window widened by this
-# much on each side.
-_PAD = 1.0
+__all__ = ["main"]
 
 
 class _UsageError(Exception):
-    pass
+    """Bad user input.  Not a ValueError: argparse would reword one raised by
+    a type= converter, and main() would read it as a numerical failure."""
 
 
 def _cell(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, float):
-        # repr(float(.)) also normalizes numpy scalar reprs
-        return repr(float(x))
-    if isinstance(x, Fraction):
-        return str(x)
-    return str(x)
+    # repr(float(.)) also normalizes numpy scalar reprs
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+class _ListFlag(list):
+    """Parsed values of a comma-list flag; str() gives the flag text as typed,
+    which is what the CSV header records."""
+
+    def __init__(self, text: str, values: list[float]):
+        super().__init__(values)
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _numbers(text: str, flag: str, token=float) -> _ListFlag:
+    """Comma list of positive finite numbers; empty items are skipped."""
+    out = []
+    for tok in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            x = token(tok)
+        except ValueError:
+            raise _UsageError(f"bad {flag} item {tok!r}") from None
+        if not 0.0 < x < math.inf:
+            raise _UsageError(f"{flag} items must be positive and finite, got {tok!r}")
+        out.append(x)
+    if not out:
+        raise _UsageError(f"{flag} list is empty")
+    return _ListFlag(text, out)
+
+
+def _w_token(tok: str) -> float:
+    hit = re.fullmatch(r"(\d+(?:\.\d+)?)\s*\*\s*sqrt\(7\)", tok)
+    return float(hit.group(1)) * math.sqrt(7.0) if hit else float(tok)
 
 
 def parse_w_list(text: str) -> list[float]:
     """Comma list of dilations; token "N*sqrt(7)" selects irrational nodes
     that avoid rational non-differentiability points."""
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        hit = re.fullmatch(r"(\d+(?:\.\d+)?)\s*\*\s*sqrt\(7\)", tok)
-        if hit:
-            out.append(float(hit.group(1)) * _SQRT7)
-            continue
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise _UsageError(f"bad --W token {tok!r}: use a number or N*sqrt(7)")
-    if not out:
-        raise _UsageError("--W list is empty")
-    return out
+    return _numbers(text, "--W", _w_token)
+
+
+def _checked(convert, ok, want: str):
+    """argparse type= converter: convert the flag text, then require ok.  A
+    text that does not convert is argparse's own usage error."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise _UsageError(f"{want}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it: "invalid int value"
+    return parse
+
+
+_GRID_N_64 = _checked(int, lambda n: n >= 64, "--grid-n must be at least 64")
+_P = _checked(float, lambda p: 1.0 <= p < math.inf, "--p must be finite and at least 1")
+_TOL = _checked(float, lambda x: 0.0 < x < math.inf, "--tol must be positive and finite")
 
 
 def _parse_kappa(args) -> Kappa:
     try:
         return Kappa(args.m, Fraction(args.a), args.rho)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"invalid kappa: {exc}")
+        raise _UsageError(f"invalid kappa: {exc}") from None
 
 
-def _config(args) -> dict:
-    skip = {"func", "out"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+def _header(args) -> str:
+    """The "# derivsamp v1," line: every flag but --out, sorted by name."""
+    cfg = sorted((k, v) for k, v in vars(args).items()
+                 if k not in ("func", "out") and v is not None)
+    return "# derivsamp v1," + ",".join(f"{k}={_cell(v)}" for k, v in cfg)
 
 
 def _emit(args, columns: str, rows, footer=()) -> None:
-    cfg = ",".join(f"{k}={_cell(v)}" for k, v in sorted(_config(args).items()))
-    lines = [f"# derivsamp v1,{cfg}", columns]
+    lines = [_header(args), columns]
     lines.extend(",".join(_cell(x) for x in row) for row in rows)
     lines.extend(footer)
     _write(args, "\n".join(lines) + "\n")
@@ -100,88 +128,19 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-class TabulatedSignal:
-    """Signal given by a CSV table of derivative values.
-
-    Format: optional '#' comment lines, a header row t,f,f1,...,f<k>, then
-    numeric rows.  Sampling is nearest-node only; no interpolation is done,
-    so the sample grid must essentially match the tabulated nodes.
-    """
-
-    special_points: tuple[float, ...] = ()
-
-    def __init__(self, ts: np.ndarray, cols: np.ndarray):
-        order = np.argsort(ts)
-        self.ts = np.asarray(ts, dtype=float)[order]
-        self.cols = np.asarray(cols, dtype=float)[order]
-        if len(self.ts) < 2:
-            raise _UsageError("tabulated signal needs at least 2 rows")
-        self.max_deriv = self.cols.shape[1] - 1
-        self.support_hint = (float(self.ts[0]), float(self.ts[-1]))
-
-    @classmethod
-    def from_csv(cls, path: str) -> "TabulatedSignal":
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                rows.append(line.split(","))
-        if not rows or rows[0][0].strip() != "t":
-            raise _UsageError(f"{path}: expected header row starting with 't'")
-        data = np.array([[float(c) for c in r] for r in rows[1:]])
-        return cls(data[:, 0], data[:, 1:])
-
-    def undefined_points(self, i: int) -> tuple[float, ...]:
-        return ()
-
-    def eval(self, i: int, t):
-        if not 0 <= i <= self.max_deriv:
-            raise ValueError(f"tabulated signal has no channel {i}")
-        x = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.searchsorted(self.ts, x)
-        idx = np.clip(idx, 1, len(self.ts) - 1)
-        left_closer = (x - self.ts[idx - 1]) <= (self.ts[idx] - x)
-        nearest = np.where(left_closer, idx - 1, idx)
-        vals = self.cols[nearest, i]
-        return float(vals[0]) if np.ndim(t) == 0 else vals
-
-
 def _load_signal(args, rho: int):
-    if getattr(args, "signal_csv", None):
-        f = TabulatedSignal.from_csv(args.signal_csv)
-    else:
+    if args.signal_csv:
         try:
-            f = get_signal(args.signal)
-        except KeyError as exc:
-            raise _UsageError(str(exc))
+            f = TabulatedSignal.from_csv(args.signal_csv)
+        except ValueError as exc:
+            raise _UsageError(f"--signal-csv {args.signal_csv}: {exc}") from None
+    else:
+        f = get_signal(args.signal)
     if f.max_deriv < rho - 1:
         raise _UsageError(
             f"signal provides derivatives up to {f.max_deriv}, need {rho - 1}"
         )
     return f
-
-
-def approx_error(
-    kappa: Kappa,
-    table: KernelTable,
-    f,
-    w: float,
-    p: float = 2.0,
-    grid_n: int = 2000,
-) -> float:
-    """L^p distance between the reconstruction at dilation w and the signal,
-    over its support window padded by _PAD (full sample coverage inside)."""
-    lo, hi = f.support_hint
-    lo, hi = lo - _PAD, hi + _PAD
-    grid = grid_for_window(kappa, w, lo, hi, table)
-    samples = take_samples(f, grid)
-    step = (hi - lo) / grid_n
-    ts = lo + step * (np.arange(grid_n) + 0.5)
-    vals = apply_sw(samples, grid, table, ts)
-    ref = np.asarray(f.eval(0, ts), dtype=float)
-    return float((step * np.sum(np.abs(vals - ref) ** p)) ** (1.0 / p))
 
 
 def _fit_footer(pairs, negate: bool = False) -> list[str]:
@@ -194,19 +153,7 @@ def _fit_footer(pairs, negate: bool = False) -> list[str]:
     return [f"# fit,slope={slope!r},r2={r2!r}"]
 
 
-def _build_kernel(kappa: Kappa, tol: float):
-    """Kernel table with exit-code-bearing failures."""
-    try:
-        return inv_symbol_coeffs(kappa, tol=tol), 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 1
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 3
-
-
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> None:
     rows = []
     for table_id, a in ((1, Fraction(0)), (2, Fraction(1, 2))):
         for m in range(3, 10):
@@ -214,10 +161,9 @@ def cmd_tables(args) -> int:
             coeffs = [int(c) for c in poly.coeffs]
             rows.append((table_id, m, len(coeffs) - 1, *coeffs))
     _emit(args, "table_id,m,degree,coefficients", rows)
-    return 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> None:
     kappa = _parse_kappa(args)
     report = check_cis(kappa)
     cert = report.certificate
@@ -236,82 +182,50 @@ def cmd_check(args) -> int:
         b = frame_bounds(kappa, args.grid_n)
         rows += [("A", b.lower), ("B", b.upper), ("upper_frame", b.upper_frame)]
     _emit(args, "key,value", rows)
-    return 0 if report.is_cis else 1
+    if not report.is_cis:
+        raise NotCISError(kappa)
 
 
-def cmd_kernel_dump(args) -> int:
+def cmd_kernel_dump(args) -> None:
+    table = inv_symbol_coeffs(_parse_kappa(args), tol=args.tol)
+    _write(args, _header(args) + "\n" + table.to_csv())
+
+
+def cmd_approx(args) -> None:
     kappa = _parse_kappa(args)
-    table, code = _build_kernel(kappa, args.tol)
-    if table is None:
-        return code
-    cfg = ",".join(f"{k}={_cell(v)}" for k, v in sorted(_config(args).items()))
-    _write(args, f"# derivsamp v1,{cfg}\n" + table.to_csv())
-    return 0
-
-
-def cmd_approx(args) -> int:
-    kappa = _parse_kappa(args)
-    ws = parse_w_list(args.W)
     f = _load_signal(args, kappa.rho)
-    table, code = _build_kernel(kappa, args.tol)
-    if table is None:
-        return code
+    table = inv_symbol_coeffs(kappa, tol=args.tol)
     rows = []
-    for w in ws:
-        try:
-            err = approx_error(kappa, table, f, w, p=args.p, grid_n=args.grid_n)
-        except SampleNodeError as exc:
-            raise _UsageError(
-                f"{exc}; pick an irrational dilation (e.g. --W 3*sqrt(7))"
-            )
-        except (ValueError, ArithmeticError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+    for w in args.W:
+        err = approx_error(kappa, table, f, w, p=args.p, grid_n=args.grid_n)
         rows.append((w, err, math.log10(w), math.log10(err) if err > 0 else -math.inf))
     footer = _fit_footer([(w, e) for w, e, _, _ in rows], negate=True)
     _emit(args, "W,error,log10W,log10err", rows, footer)
-    return 0
 
 
-def cmd_tau(args) -> int:
-    try:
-        deltas = [float(tok) for tok in args.delta.split(",") if tok.strip()]
-    except ValueError:
-        raise _UsageError(f"bad --delta list {args.delta!r}")
-    if not deltas:
-        raise _UsageError("--delta list is empty")
-    if not all(0.0 < d < math.inf for d in deltas):
-        raise _UsageError("--delta values must be positive and finite")
-    f = _load_signal(args, args.deriv + 1)
-    ch = channel(f, args.deriv)
+def cmd_tau(args) -> None:
+    ch = channel(_load_signal(args, args.deriv + 1), args.deriv)
     rows = []
-    for d in deltas:
-        try:
-            est = tau_modulus(ch, args.r, d, args.p, search_n=args.grid_n)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+    for d in args.delta:
+        est = tau_modulus(ch, args.r, d, args.p, search_n=args.grid_n)
         rows.append((d, est.value, math.log10(d),
                      math.log10(est.value) if est.value > 0 else -math.inf))
     footer = _fit_footer([(d, v) for d, v, _, _ in rows])
     _emit(args, "delta,tau,log10delta,log10tau", rows, footer)
-    return 0
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> None:
     rows = [
         (r.m, r.rho, r.a, r.is_cis, r.predicted, r.agree)
         for r in scan_assumption1(args.m_max, args.rho_max)
     ]
     _emit(args, "m,rho,a,is_cis,predicted_cis,agrees", rows)
-    return 0
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> None:
     kappa = _parse_kappa(args)
-    report = check_cis(kappa)
-    if not report.is_cis:
-        print(f"error: kappa is not completely interpolating", file=sys.stderr)
-        return 1
+    if not check_cis(kappa).is_cis:
+        raise NotCISError(kappa)
     b = frame_bounds(kappa, args.grid_n)
     rows = [
         ("m", kappa.m),
@@ -322,13 +236,17 @@ def cmd_bounds(args) -> int:
         ("upper_frame", b.upper_frame),
     ]
     _emit(args, "key,value", rows)
-    return 0
 
 
 def _add_kappa_flags(p) -> None:
     p.add_argument("--m", type=int, required=True, help="spline order")
     p.add_argument("--a", default="0", help="sample-set shift, rational 'p/q'")
     p.add_argument("--rho", type=int, required=True, help="derivative multiplicity")
+
+
+def _add_signal_flags(p) -> None:
+    p.add_argument("--signal", default="f1", choices=[s.id for s in catalog()])
+    p.add_argument("--signal-csv", dest="signal_csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,35 +263,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="certify a configuration (det, circle certificate, bounds)")
     _add_kappa_flags(p)
-    p.add_argument("--grid-n", type=int, default=1024)
+    p.add_argument("--grid-n", type=_GRID_N_64, default=1024)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("kernel-dump", help="reconstruction kernel coefficient table as CSV")
     _add_kappa_flags(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_TOL, default=1e-12)
     p.add_argument("--out")
     p.set_defaults(func=cmd_kernel_dump)
 
     p = sub.add_parser("approx", help="reconstruction error sweep over dilations W")
     _add_kappa_flags(p)
-    p.add_argument("--W", required=True, help="comma list; token N*sqrt(7) allowed")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--signal", default="f1")
-    p.add_argument("--signal-csv", dest="signal_csv")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--grid-n", type=int, default=2000)
+    p.add_argument("--W", type=parse_w_list, required=True,
+                   help="comma list; token N*sqrt(7) allowed")
+    p.add_argument("--p", type=_P, default=2.0)
+    _add_signal_flags(p)
+    p.add_argument("--tol", type=_TOL, default=1e-12)
+    p.add_argument("--grid-n", type=_checked(int, lambda n: n >= 1, "--grid-n must be at least 1"),
+                   default=2000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("tau", help="averaged smoothness modulus over a delta ladder")
-    p.add_argument("--signal", default="f1")
-    p.add_argument("--signal-csv", dest="signal_csv")
-    p.add_argument("--deriv", type=int, default=0, help="derivative channel of the signal")
-    p.add_argument("--r", type=int, default=2, help="difference order")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--delta", default="0.2,0.1,0.05,0.025", help="comma list")
-    p.add_argument("--grid-n", type=int, default=64,
+    _add_signal_flags(p)
+    p.add_argument("--deriv", type=_checked(int, lambda d: d >= 0, "--deriv must be at least 0"),
+                   default=0, help="derivative channel of the signal")
+    p.add_argument("--r", type=_checked(int, lambda r: r >= 1, "--r must be at least 1"),
+                   default=2, help="difference order")
+    p.add_argument("--p", type=_P, default=2.0)
+    p.add_argument("--delta", type=lambda text: _numbers(text, "--delta"),
+                   default="0.2,0.1,0.05,0.025", help="comma list")
+    p.add_argument("--grid-n", type=_GRID_N_64, default=64,
                    help="lattice steps per delta in each window (>= 64)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tau)
@@ -386,27 +307,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="frame constants of the sampling inequality")
     _add_kappa_flags(p)
-    p.add_argument("--grid-n", type=int, default=1024)
+    p.add_argument("--grid-n", type=_GRID_N_64, default=1024)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
     return ap
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    """Run one subcommand; the one place that turns a failure into an exit
+    code.  SampleNodeError and NotCISError are ValueErrors, so they are
+    matched before the numerical class."""
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        args.func(args)
+        return 0
+    except SystemExit as exc:  # argparse: --help, or its own usage error
         return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (_UsageError, SampleNodeError, OSError) as exc:
+        return _fail(exc, 2)
+    except NotCISError as exc:
+        return _fail(exc, 1)
+    except (ValueError, ArithmeticError) as exc:
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

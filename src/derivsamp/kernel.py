@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bspline import bspline_series, fourier_q_deriv
-from .symbol import Kappa, check_cis
+from .symbol import Kappa, NotCISError, check_cis
 
 __all__ = [
     "KernelTable",
@@ -115,13 +115,14 @@ def inv_symbol_coeffs(
 ) -> KernelTable:
     """Fourier coefficients of the inverse symbol, |coeff| resolved to tol.
 
-    Raises if kappa is not certified CIS (the inverse symbol would be
-    unbounded), if grid refinement fails to converge, or if the imaginary
-    part dropped from the real table exceeds 1e-10 + tail_bound.
+    Raises NotCISError if kappa is not certified CIS (the inverse symbol
+    would be unbounded), and ArithmeticError if grid refinement fails to
+    converge or the imaginary part dropped from the real table exceeds
+    1e-10 + tail_bound.
     """
     report = check_cis(kappa)
     if not report.is_cis:
-        raise ValueError(f"{kappa} is not a stable sampling configuration: det vanishes on |z|=1")
+        raise NotCISError(kappa)
     sym = report.symbol
     rho = kappa.rho
 

@@ -9,7 +9,7 @@ Internally the double sum collapses to a spline in the W-dilated space: the
 samples are convolved once with the (real) kernel coefficients, giving
 coefficients over the refined lattice (rho k + j), then evaluated as a single
 B-spline series by `bspline_series`.  For f already in the spline space and
-W=1 this returns f exactly.
+W=1 this returns f exactly.  `approx_error` measures ||S_W f - f||_p.
 
 On f = sum_k c_k Q_m(. - k) both sides of the sampling inequality are
 quadratic forms in c: ||f||^2 = c^T G c with the Gram matrix G, and the
@@ -37,6 +37,7 @@ __all__ = [
     "take_samples",
     "sw_spline_coeffs",
     "apply_sw",
+    "approx_error",
     "BoundsReport",
     "frame_bounds",
     "SamplingInequalityReport",
@@ -144,7 +145,7 @@ def take_samples(f, grid: SampleGrid) -> np.ndarray:
                 if d < 1e-12 * max(1.0, abs(pt)):
                     raise SampleNodeError(
                         f"sample node hits undefined point t={pt} of channel {i} "
-                        f"(W={grid.W}); choose W avoiding the lattice"
+                        f"(W={grid.W}); pick an irrational dilation such as W = 3*sqrt(7)"
                     )
             vals = np.asarray(f.eval(i, nodes), dtype=float)
             if np.any(~np.isfinite(vals)):
@@ -185,6 +186,35 @@ def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
         )
     n_lo, e = sw_spline_coeffs(samples, grid, table)
     return bspline_series(kappa.m, 0, e, n_lo, grid.W * x)
+
+
+# approx_error measures over the signal's support window widened by this
+# much on each side.
+_PAD = 1.0
+
+
+def approx_error(
+    kappa: Kappa,
+    table: KernelTable,
+    f,
+    w: float,
+    p: float = 2.0,
+    grid_n: int = 2000,
+) -> float:
+    """L^p distance between the reconstruction at dilation w and the signal,
+    over its support window padded by _PAD (full sample coverage inside),
+    by midpoint quadrature on grid_n points."""
+    if not (1 <= p < math.inf and grid_n >= 1):
+        raise ValueError(f"need finite p >= 1 and grid_n >= 1, got p={p}, grid_n={grid_n}")
+    lo, hi = f.support_hint
+    lo, hi = lo - _PAD, hi + _PAD
+    grid = grid_for_window(kappa, w, lo, hi, table)
+    samples = take_samples(f, grid)
+    step = (hi - lo) / grid_n
+    ts = lo + step * (np.arange(grid_n) + 0.5)
+    vals = apply_sw(samples, grid, table, ts)
+    ref = np.asarray(f.eval(0, ts), dtype=float)
+    return float((step * np.sum(np.abs(vals - ref) ** p)) ** (1.0 / p))
 
 
 @dataclass(frozen=True)

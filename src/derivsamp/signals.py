@@ -8,7 +8,8 @@ Three reference signals with progressively worse smoothness:
 
 plus constant/monomial probes.  Each signal knows its derivative channels,
 the points where a channel is undefined, and the expected decay exponent of
-the averaged smoothness modulus tau_r(f^{(i)}; delta)_p.
+the averaged smoothness modulus tau_r(f^{(i)}; delta)_p.  A TabulatedSignal
+reads its channels from a CSV table instead.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "get_signal",
     "constant_signal",
     "monomial_signal",
+    "TabulatedSignal",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -197,3 +199,51 @@ def get_signal(id: str) -> SignalSpec:
         if spec.id == id:
             return spec
     raise KeyError(f"unknown signal {id!r}")
+
+
+class TabulatedSignal:
+    """Signal given by a CSV table of derivative values.
+
+    Format: optional '#' comment lines, a header row t,f,f1,...,f<k>, then
+    numeric rows of the same width.  Sampling is nearest-node only; no
+    interpolation is done, so the sample grid must essentially match the
+    tabulated nodes.
+    """
+
+    special_points: tuple[float, ...] = ()
+
+    def __init__(self, ts: np.ndarray, cols: np.ndarray):
+        order = np.argsort(ts)
+        self.ts = np.asarray(ts, dtype=float)[order]
+        self.cols = np.asarray(cols, dtype=float)[order]
+        if len(self.ts) < 2:
+            raise ValueError("tabulated signal needs at least 2 rows")
+        self.max_deriv = self.cols.shape[1] - 1
+        self.support_hint = (float(self.ts[0]), float(self.ts[-1]))
+
+    @classmethod
+    def from_csv(cls, path: str) -> "TabulatedSignal":
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh]
+        rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")]
+        if not rows or rows[0][0].strip() != "t":
+            raise ValueError("expected header row starting with 't'")
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            raise ValueError(f"every row needs the header's {width} cells")
+        data = np.array([[float(c) for c in row] for row in rows[1:]]).reshape(-1, width)
+        return cls(data[:, 0], data[:, 1:])
+
+    def undefined_points(self, i: int) -> tuple[float, ...]:
+        return ()
+
+    def eval(self, i: int, t):
+        if not 0 <= i <= self.max_deriv:
+            raise ValueError(f"tabulated signal has no channel {i}")
+        x = np.atleast_1d(np.asarray(t, dtype=float))
+        idx = np.searchsorted(self.ts, x)
+        idx = np.clip(idx, 1, len(self.ts) - 1)
+        left_closer = (x - self.ts[idx - 1]) <= (self.ts[idx] - x)
+        nearest = np.where(left_closer, idx - 1, idx)
+        vals = self.cols[nearest, i]
+        return float(vals[0]) if np.ndim(t) == 0 else vals

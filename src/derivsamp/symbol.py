@@ -36,15 +36,11 @@ __all__ = [
     "CisReport",
     "ScanRow",
     "build_symbol",
-    "det_symbol",
+    "NotCISError",
     "check_cis",
     "table_polynomial",
     "scan_assumption1",
     "predicted_cis_shift",
-    "ruiz_sum",
-    "binom_convolution_sum",
-    "spline_pascal_sum",
-    "check_identity_lemmas",
 ]
 
 
@@ -115,10 +111,6 @@ def build_symbol(kappa: Kappa) -> SymbolMatrix:
     return SymbolMatrix(kappa, tuple(rows))
 
 
-def det_symbol(kappa: Kappa) -> LaurentPoly:
-    return laurent_det(build_symbol(kappa).entries)
-
-
 @dataclass(frozen=True)
 class CisReport:
     kappa: Kappa
@@ -126,6 +118,13 @@ class CisReport:
     det: LaurentPoly
     certificate: CircleCertificate
     is_cis: bool
+
+
+class NotCISError(ValueError):
+    """kappa is not CIS: det Psi vanishes on |z| = 1, an exact verdict."""
+
+    def __init__(self, kappa: Kappa):
+        super().__init__(f"{kappa} is not a stable sampling configuration: det vanishes on |z|=1")
 
 
 def check_cis(kappa: Kappa) -> CisReport:
@@ -164,7 +163,7 @@ def table_polynomial(kappa: Kappa) -> LaurentPoly:
     m, a, rho = kappa.m, kappa.a, kappa.rho
     if rho != 2 or a not in (Fraction(0), Fraction(1, 2)):
         raise ValueError(f"no table factorization for {kappa}")
-    det = det_symbol(kappa)
+    det = laurent_det(build_symbol(kappa).entries)
     if a == 0:
         pref = Fraction(2 ** (m - 2), math.factorial(m - 1) * math.factorial(m - 2))
         e = 2
@@ -218,62 +217,3 @@ def scan_assumption1(m_max: int, rho_max: int) -> list[ScanRow]:
                 rows.append(ScanRow(m, a, rho, is_cis, predicted, is_cis == predicted))
     return rows
 
-
-# --- exact identities behind the maximal-density case ----------------------
-
-
-def _binom(mu: int, j: int) -> int:
-    """C(mu, j), taken as 0 for j > mu >= 0, mu < 0 or j < 0."""
-    if mu < 0 or j < 0 or j > mu:
-        return 0
-    return math.comb(mu, j)
-
-
-def ruiz_sum(n: int, l: int, t) -> Fraction:
-    """sum_r (-1)^r C(n,r) (t-r)^l; equals 0 for l < n and n! for l = n."""
-    t = Fraction(t)
-    return sum((-1) ** r * math.comb(n, r) * (t - r) ** l for r in range(n + 1))
-
-
-def binom_convolution_sum(n: int, l: int, k: int) -> int:
-    """sum_r (-1)^r C(n,r) C(k-r,l) with C(mu,j) = 0 for j > mu >= 0 or mu < 0;
-    equals 0 for l < n and 1 for l = n, provided k >= n."""
-    return sum((-1) ** r * math.comb(n, r) * _binom(k - r, l) for r in range(n + 1))
-
-
-def spline_pascal_sum(m: int, i: int, l: int) -> Fraction:
-    """sum_j C(j,l) sum_r (-1)^r C(i,r) Q_{m-i}(m-1-j-r) over j = 0..m-2,
-    the inner sum being Q_m^{(i)}(m-1-j); equals 0 for l < i and 1 for l = i."""
-    vals = exact_lattice_values(m, 0, i)[i]
-    return sum((_binom(j, l) * vals[m - 1 - j] for j in range(m - 1)), Fraction(0))
-
-
-def check_identity_lemmas(n_max: int = 12, m_max: int = 10, seed: int = 7) -> bool:
-    """Exact verification of the three combinatorial identities over the
-    stated ranges (random rational t for the first)."""
-    rng = np.random.default_rng(seed)
-    for n in range(n_max + 1):
-        for l in range(n + 1):
-            t = Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 20)))
-            v = ruiz_sum(n, l, t)
-            if l < n and v != 0:
-                return False
-            if l == n and v != math.factorial(n):
-                return False
-    for n in range(n_max + 1):
-        for k in range(n, n_max + 3):
-            for l in range(n + 1):
-                v = binom_convolution_sum(n, l, k)
-                if l < n and v != 0:
-                    return False
-                if l == n and v != 1:
-                    return False
-    for m in range(2, m_max + 1):
-        for i in range(m - 1):
-            for l in range(i + 1):
-                v = spline_pascal_sum(m, i, l)
-                if l < i and v != 0:
-                    return False
-                if l == i and v != 1:
-                    return False
-    return True

@@ -7,9 +7,10 @@ has a Fraction reference, independent of the library's integer
 pseudo-remainders; the pp-form series evaluator has a per-piece Horner
 reference.  Point evaluations of Laurent polynomials, the local modulus at
 one x, the time-domain moment residual, random spline elements, the Fourier
-transform of Q_m, single finite differences and the maximal-density
-determinant check are test helpers here, built on the library's public
-API."""
+transform of Q_m, single finite differences, the maximal-density
+determinant check, one-coefficient B-spline series, the symbol determinant
+and the exact combinatorial identities behind the maximal-density case are
+test helpers here, built on the library's public API."""
 
 import cmath
 import math
@@ -18,12 +19,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derivsamp.bspline import _pieces, exact_lattice_values, fourier_q_deriv
+from derivsamp.bspline import _pieces, bspline_series, exact_lattice_values, fourier_q_deriv
 from derivsamp.kernel import inv_symbol_coeffs, theta_eval, theta_support
 from derivsamp.laurent import ONE, LaurentPoly, laurent_det
 from derivsamp.sampler import SplineElement
 from derivsamp.smoothness import _check_search, _moduli_batch, tau_modulus
-from derivsamp.symbol import Kappa
+from derivsamp.symbol import Kappa, build_symbol
 
 KAPPA_Q3 = Kappa(3, 0, 2)
 KAPPA_Q4 = Kappa(4, 0, 3)
@@ -74,6 +75,24 @@ def bspline_series_pieces(m: int, deriv: int, coeffs, k0: int, x) -> np.ndarray:
     return out
 
 
+def eval_q(m: int, t):
+    """Evaluate Q_m at t (scalar or ndarray).
+
+    Right-continuous at knots for m=1 (indicator of [0,1)); continuous for m>=2.
+    """
+    return bspline_series(m, 0, (1.0,), 0, t)
+
+
+def eval_q_deriv(m: int, k: int, t):
+    """k-th derivative of Q_m at t, for k <= m-2."""
+    return bspline_series(m, k, (1.0,), 0, t)
+
+
+def det_symbol(kappa: Kappa) -> LaurentPoly:
+    """Exact determinant of the symbol matrix of kappa."""
+    return laurent_det(build_symbol(kappa).entries)
+
+
 def fourier_q(m: int, xi: float) -> complex:
     """Fourier transform of Q_m at xi, the derivative of order 0."""
     return fourier_q_deriv(m, 0, xi)
@@ -99,6 +118,63 @@ def pascal_det_check(m: int) -> bool:
     vals = exact_lattice_values(m, 0, m - 2)
     mat = [[LaurentPoly.make(0, [row[m - 1 - j]]) for j in range(m - 1)] for row in vals]
     return laurent_det(mat) == ONE
+
+
+def _binom(mu: int, j: int) -> int:
+    """C(mu, j), taken as 0 for j > mu >= 0, mu < 0 or j < 0."""
+    if mu < 0 or j < 0 or j > mu:
+        return 0
+    return math.comb(mu, j)
+
+
+def ruiz_sum(n: int, l: int, t) -> Fraction:
+    """sum_r (-1)^r C(n,r) (t-r)^l; equals 0 for l < n and n! for l = n."""
+    t = Fraction(t)
+    return sum((-1) ** r * math.comb(n, r) * (t - r) ** l for r in range(n + 1))
+
+
+def binom_convolution_sum(n: int, l: int, k: int) -> int:
+    """sum_r (-1)^r C(n,r) C(k-r,l) with C(mu,j) = 0 for j > mu >= 0 or mu < 0;
+    equals 0 for l < n and 1 for l = n, provided k >= n."""
+    return sum((-1) ** r * math.comb(n, r) * _binom(k - r, l) for r in range(n + 1))
+
+
+def spline_pascal_sum(m: int, i: int, l: int) -> Fraction:
+    """sum_j C(j,l) sum_r (-1)^r C(i,r) Q_{m-i}(m-1-j-r) over j = 0..m-2,
+    the inner sum being Q_m^{(i)}(m-1-j); equals 0 for l < i and 1 for l = i."""
+    vals = exact_lattice_values(m, 0, i)[i]
+    return sum((_binom(j, l) * vals[m - 1 - j] for j in range(m - 1)), Fraction(0))
+
+
+def check_identity_lemmas(n_max: int = 12, m_max: int = 10, seed: int = 7) -> bool:
+    """Exact verification of the three combinatorial identities over the
+    stated ranges (random rational t for the first)."""
+    rng = np.random.default_rng(seed)
+    for n in range(n_max + 1):
+        for l in range(n + 1):
+            t = Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 20)))
+            v = ruiz_sum(n, l, t)
+            if l < n and v != 0:
+                return False
+            if l == n and v != math.factorial(n):
+                return False
+    for n in range(n_max + 1):
+        for k in range(n, n_max + 3):
+            for l in range(n + 1):
+                v = binom_convolution_sum(n, l, k)
+                if l < n and v != 0:
+                    return False
+                if l == n and v != 1:
+                    return False
+    for m in range(2, m_max + 1):
+        for i in range(m - 1):
+            for l in range(i + 1):
+                v = spline_pascal_sum(m, i, l)
+                if l < i and v != 0:
+                    return False
+                if l == i and v != 1:
+                    return False
+    return True
 
 
 def l2_norm_quadrature(f: SplineElement) -> float:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from derivsamp.cli import approx_error, main
+from derivsamp.cli import main
 from derivsamp.kernel import (
     moment_check_fourier,
     reproducing_order,
@@ -24,6 +24,7 @@ from derivsamp.laurent import LaurentPoly
 from derivsamp.sampler import (
     SplineElement,
     apply_sw,
+    approx_error,
     frame_bounds,
     grid_for_window,
     take_samples,
@@ -35,8 +36,6 @@ from derivsamp.symbol import (
     Kappa,
     build_symbol,
     check_cis,
-    check_identity_lemmas,
-    det_symbol,
     predicted_cis_shift,
     scan_assumption1,
     table_polynomial,
@@ -46,6 +45,8 @@ from conftest import (
     KAPPA_Q3,
     KAPPA_Q4,
     KAPPA_Q4H,
+    check_identity_lemmas,
+    det_symbol,
     eval_exact,
     moment_check_time,
     pascal_det_check,

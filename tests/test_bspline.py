@@ -10,15 +10,19 @@ import pytest
 
 from derivsamp.bspline import (
     bspline_series,
-    eval_q,
-    eval_q_deriv,
     exact_lattice_values,
     fourier_q_deriv,
     krein_favard,
     riesz_lower_bound,
 )
 
-from conftest import bspline_series_pieces, eval_q_deriv_exact, fourier_q
+from conftest import (
+    bspline_series_pieces,
+    eval_q,
+    eval_q_deriv,
+    eval_q_deriv_exact,
+    fourier_q,
+)
 
 
 def test_eval_matches_truncated_power_oracle():

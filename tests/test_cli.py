@@ -9,14 +9,10 @@ import numpy as np
 import pytest
 
 import derivsamp
-from derivsamp import cli
-from derivsamp.cli import (
-    TabulatedSignal,
-    _UsageError,
-    main,
-    parse_w_list,
-)
+from derivsamp import sampler
+from derivsamp.cli import _UsageError, main, parse_w_list
 from derivsamp.kernel import KernelTable
+from derivsamp.signals import TabulatedSignal
 
 
 def test_exit_codes(tmp_path):
@@ -82,7 +78,7 @@ def test_approx_internal_failure_is_numerical_exit(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("sample range insufficient for the requested window")
 
-    monkeypatch.setattr(cli, "apply_sw", broken)
+    monkeypatch.setattr(sampler, "apply_sw", broken)
     code = main(["approx", "--m", "3", "--rho", "2", "--signal", "f1",
                  "--W", "4", "--grid-n", "100"])
     assert code == 3
@@ -150,6 +146,37 @@ def test_tau_argument_contract(flags, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_APPROX = ["approx", "--m", "3", "--rho", "2"]
+_BAD_CELL = "t,f\n0.0,1.0\n0.5,abc\n1.0,2.0\n"
+_RAGGED = "t,f\n0.0,1.0\n0.5\n1.0,2.0\n"
+
+
+@pytest.mark.parametrize("argv, table", [
+    pytest.param(["check", "--m", "3", "--rho", "2", "--grid-n", "10"], None, id="check-grid-n"),
+    pytest.param(["bounds", "--m", "3", "--rho", "2", "--grid-n", "10"], None, id="bounds-grid-n"),
+    pytest.param(["tau"], _BAD_CELL, id="tau-csv-cell"),
+    pytest.param(["tau"], _RAGGED, id="tau-csv-ragged"),
+    pytest.param([*_APPROX, "--W", "4"], _BAD_CELL, id="approx-csv-cell"),
+    pytest.param([*_APPROX, "--W", "4"], _RAGGED, id="approx-csv-ragged"),
+    pytest.param([*_APPROX, "--W", "4", "--grid-n", "0"], None, id="approx-grid-n"),
+    pytest.param([*_APPROX, "--W", "4", "--p", "0"], None, id="approx-p"),
+    pytest.param([*_APPROX, "--W", "0"], None, id="approx-W-zero"),
+    pytest.param([*_APPROX, "--W", "-4"], None, id="approx-W-negative"),
+    pytest.param(["kernel-dump", "--m", "3", "--rho", "2", "--tol", "0"], None, id="tol-zero"),
+    pytest.param(["kernel-dump", "--m", "3", "--rho", "2", "--tol", "nan"], None, id="tol-nan"),
+])
+def test_bad_input_is_usage_error(argv, table, tmp_path, capsys):
+    if table is not None:
+        path = tmp_path / "sig.csv"
+        path.write_text(table)
+        argv = [*argv, "--signal-csv", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_tabulated_signal_eval(tmp_path):
     p = tmp_path / "sig.csv"
     ts = np.linspace(-2.0, 2.0, 81)
@@ -172,7 +199,7 @@ def test_tabulated_signal_eval(tmp_path):
 def test_tabulated_signal_missing_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("0.0,1.0\n0.5,2.0\n")
-    with pytest.raises(_UsageError):
+    with pytest.raises(ValueError):
         TabulatedSignal.from_csv(str(p))
     assert main(["tau", "--signal-csv", str(p)]) == 2
 

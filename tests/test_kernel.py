@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derivsamp.bspline import eval_q
 from derivsamp.kernel import (
     KernelTable,
     inv_symbol_coeffs,
@@ -16,13 +15,13 @@ from derivsamp.kernel import (
     theta_eval,
     theta_support,
 )
-from derivsamp.symbol import Kappa
+from derivsamp.symbol import Kappa, NotCISError
 
-from conftest import KAPPA_Q4H, moment_check_time
+from conftest import KAPPA_Q4H, eval_q, moment_check_time
 
 
 def test_rejects_unstable_configuration():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotCISError):
         inv_symbol_coeffs(Kappa(4, Fraction(0), 2))
 
 

@@ -16,9 +16,15 @@ from derivsamp.laurent import (
     laurent_det,
     roots_unit_circle,
 )
-from derivsamp.symbol import Kappa, build_symbol, det_symbol
+from derivsamp.symbol import Kappa, build_symbol
 
-from conftest import eval_complex, eval_exact, eval_unit, vanishes_on_circle_reference
+from conftest import (
+    det_symbol,
+    eval_complex,
+    eval_exact,
+    eval_unit,
+    vanishes_on_circle_reference,
+)
 
 
 def _random_poly(rng) -> LaurentPoly:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from derivsamp import sampler
-from derivsamp.bspline import bspline_series, eval_q_deriv
+from derivsamp.bspline import bspline_series
 from derivsamp.sampler import (
     _TRIAL_LEN,
     _gram,
@@ -33,6 +33,7 @@ from conftest import (
     KAPPA_Q4,
     KAPPA_Q4H,
     discrete_norm,
+    eval_q_deriv,
     l2_norm_quadrature,
     random_spline,
 )

@@ -10,15 +10,10 @@ import pytest
 from derivsamp.laurent import LaurentPoly
 from derivsamp.symbol import (
     Kappa,
-    binom_convolution_sum,
     build_symbol,
     check_cis,
-    check_identity_lemmas,
-    det_symbol,
     predicted_cis_shift,
-    ruiz_sum,
     scan_assumption1,
-    spline_pascal_sum,
     table_polynomial,
 )
 
@@ -26,10 +21,15 @@ from conftest import (
     KAPPA_Q3,
     KAPPA_Q4,
     KAPPA_Q4H,
+    binom_convolution_sum,
+    check_identity_lemmas,
+    det_symbol,
     eval_exact,
     eval_q_deriv_exact,
     eval_unit,
     pascal_det_check,
+    ruiz_sum,
+    spline_pascal_sum,
 )
 
 
