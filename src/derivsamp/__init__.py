@@ -22,7 +22,7 @@ from .kernel import (
     theta_eval,
     theta_support,
 )
-from .laurent import CircleCertificate, LaurentPoly, laurent_det, roots_unit_circle
+from .laurent import CircleCertificate, LaurentPoly, circle_values, laurent_det, roots_unit_circle
 from .sampler import (
     BoundsReport,
     SampleGrid,
@@ -64,6 +64,7 @@ __all__ = [
     "LaurentPoly",
     "CircleCertificate",
     "laurent_det",
+    "circle_values",
     "roots_unit_circle",
     "Kappa",
     "SymbolMatrix",

@@ -5,8 +5,9 @@ geometrically; the kernels are the finite-bandwidth combinations
 
     Theta_i(t) = sum_v sum_j c^{ji}(v) Q_m(t - rho v - j).
 
-Coefficients are extracted from a uniform grid of matrix inverses by FFT,
-with the grid refined until aliasing sits below the requested tolerance.
+Coefficients are extracted by FFT from matrix inverses on the full grid
+z = exp(2 pi i s / n), 0 <= s < n, of the circle (`circle_values`), with n
+doubled until aliasing sits below the requested tolerance.
 The symbol has rational coefficients, so Psi^{-1}(conj z) = conj Psi^{-1}(z)
 and every c^{ji}(v) is real: the table stores the real part, after checking
 once that the imaginary part dropped is below 1e-10 + tail_bound.  Each
@@ -25,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bspline import bspline_series, fourier_q_deriv
+from .laurent import circle_values
 from .symbol import Kappa, NotCISError, check_cis
 
 __all__ = [
@@ -129,8 +131,7 @@ def inv_symbol_coeffs(
     n = 128
     prev_slice = None
     while True:
-        ts = np.arange(n) / n
-        inv = np.linalg.inv(sym.eval_grid(ts))  # (n, rho, rho), entry [t, j, i]
+        inv = np.linalg.inv(circle_values(sym.entries, n))  # (n, rho, rho), entry [s, j, i]
         spec = np.fft.fft(inv, axis=0) / n  # index v mod n
         mags = np.max(np.abs(spec), axis=(1, 2))
         nyquist = float(mags[n // 2 - 2 : n // 2 + 3].max())

@@ -1,14 +1,16 @@
 """Laurent polynomials with exact rational coefficients.
 
 Used for symbol matrices of the sampling problem: ring arithmetic, exact
-determinants, and an exact certificate that a polynomial does or does not
+determinants, an exact certificate that a polynomial does or does not
 vanish on the unit circle, with float diagnostics of how close its zeros come
-to the circle.  Both exact algorithms run on Python integers and build one
-Fraction per output coefficient: the determinant is fraction-free Bareiss
-elimination over integer Laurent polynomials, on rows scaled to integer
-coefficients; the certificate takes a gcd with the reversed polynomial,
-substitutes x = z + 1/z and counts roots with a Sturm sequence, all by
-sign-correct primitive pseudo-remainders.
+to the circle, and `circle_values`, the one float evaluator of a Laurent
+polynomial or matrix on a uniform grid of the circle.  Both exact
+algorithms run on Python integers and build one Fraction per output
+coefficient: the determinant is fraction-free Bareiss elimination over
+integer Laurent polynomials, on rows scaled to integer coefficients; the
+certificate takes a gcd with the reversed polynomial, substitutes
+x = z + 1/z and counts roots with a Sturm sequence, all by sign-correct
+primitive pseudo-remainders.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "ONE",
     "Z",
     "laurent_det",
+    "circle_values",
     "CircleCertificate",
     "roots_unit_circle",
 ]
@@ -144,6 +147,28 @@ class LaurentPoly:
 ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (Fraction(1),))
 Z = LaurentPoly(1, (Fraction(1),))
+
+
+def circle_values(p, n: int) -> np.ndarray:
+    """Values at z_s = exp(2 pi i s / n), 0 <= s < n, of a LaurentPoly or a
+    nested sequence of them (a matrix); complex array of shape
+    (n,) + shape of p.
+
+    z_s^n = 1, so each coefficient c_k adds into slot k mod n and one inverse
+    FFT of the slots gives every value (the DFT identity behind the
+    trapezoidal rule; Trefethen & Weideman, SIAM Rev. 2014).  With real
+    coefficients p(z_{n-s}) = conj p(z_s), so rows 0..n//2 hold one point of
+    every conjugate pair.
+    """
+    polys = np.asarray(p, dtype=object)
+    size = polys.size
+    idx, vals = [], []
+    for col, q in enumerate(polys.flat):
+        # c_k goes to slots[k mod n, col] of the row-major (n, size) array
+        idx += [(k % n) * size + col for k in range(q.low, q.low + len(q.coeffs))]
+        vals += map(float, q.coeffs)
+    slots = np.bincount(np.array(idx, dtype=np.intp), vals, minlength=n * size)
+    return n * np.fft.ifft(slots.reshape(n, size), axis=0).reshape((n,) + polys.shape)
 
 
 # Integer Laurent polynomials for the determinant: (low, coefficients) pairs,
@@ -323,10 +348,12 @@ class CircleCertificate:
 
     verdict is "vanishing" or "nonvanishing", decided exactly over the
     rational coefficients.  min_modulus and argmin_t are the smallest
-    modulus on a uniform grid of the circle and its position t (z =
-    exp(2 pi i t)); root_margin is the smallest distance | |r| - 1 | over
-    the roots r computed by np.roots (inf for a monomial).  The diagnostics
-    do not enter the verdict.
+    modulus on the grid t = s/4096 of the circle (z = exp(2 pi i t)) and
+    its position.  The coefficients are real, so |p(z)| = |p(conj z)| and
+    only t in [0, 1/2] is searched: argmin_t is always the point of its
+    conjugate pair with t <= 1/2.  root_margin is the smallest distance
+    | |r| - 1 | over the roots r computed by np.roots (inf for a
+    monomial).  The diagnostics do not enter the verdict.
     """
 
     min_modulus: float
@@ -339,15 +366,15 @@ def roots_unit_circle(p: LaurentPoly) -> CircleCertificate:
     """Certify whether p vanishes somewhere on |z| = 1."""
     if p.is_zero:
         raise ValueError("zero polynomial vanishes identically")
-    c = [float(x) for x in p.coeffs]
-    ts = np.arange(_GRID_N) / _GRID_N
-    z = np.exp(2j * math.pi * ts)
-    vals = np.abs(np.polynomial.polynomial.polyval(z, np.asarray(c)))
+    # |z^low| = 1: dropping the shift leaves a monomial's slot at 0, so its
+    # modulus comes out exactly constant and argmin_t is 0
+    vals = np.abs(circle_values(p.shift(-p.low), _GRID_N)[: _GRID_N // 2 + 1])
     imin = int(np.argmin(vals))
+    c = [float(x) for x in p.coeffs]
     root_margin = math.inf
     if len(c) > 1:
         root_margin = float(np.min(np.abs(np.abs(np.roots(c[::-1])) - 1.0)))
     den = math.lcm(*(x.denominator for x in p.coeffs))
     q = [x.numerator * (den // x.denominator) for x in p.coeffs]
     verdict = "vanishing" if _vanishes_on_circle(q) else "nonvanishing"
-    return CircleCertificate(float(vals[imin]), float(ts[imin]), root_margin, verdict)
+    return CircleCertificate(float(vals[imin]), imin / _GRID_N, root_margin, verdict)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .bspline import bspline_series, exact_lattice_values, riesz_lower_bound
 from .kernel import KernelTable
+from .laurent import circle_values
 from .symbol import Kappa, SymbolMatrix, build_symbol
 
 __all__ = [
@@ -231,15 +232,17 @@ _FRAME_GRID_N = 1024
 
 def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     """Frame constants of the sampling inequality from the symbol's singular
-    values over a uniform grid in t."""
+    values on the grid t = s / grid_n of the circle.  The symbol is real, so
+    Psi(1 - t) = conj Psi(t) has the same singular values, and the points
+    with t in [0, 1/2] (s <= grid_n // 2, odd grid_n included) give the
+    extremes of the whole grid."""
     if grid_n < 64:
         raise ValueError("grid_n too small")
     return _frame_bounds(build_symbol(kappa), grid_n)
 
 
 def _frame_bounds(sym: SymbolMatrix, grid_n: int) -> BoundsReport:
-    ts = np.arange(grid_n) / grid_n
-    psi = sym.eval_grid(ts)
+    psi = circle_values(sym.entries, grid_n)[: grid_n // 2 + 1]
     gram = np.matmul(psi.conj().transpose(0, 2, 1), psi)
     lam = np.linalg.eigvalsh(gram)
     lower = float(lam[:, 0].min())

@@ -11,7 +11,9 @@ m values Q_m^{(i)}(u + p), 0 <= p < m, read off one exact Cox-de Boor
 triangle (`exact_lattice_values`).  Invertibility of Psi on the unit circle
 is equivalent to stable reconstruction from samples of f, f', ...,
 f^{(rho-1)} on (a + rho Z); `check_cis` decides it exactly from the
-determinant's rational coefficients.
+determinant's rational coefficients.  Float values of the symbol on the
+circle, for the frame constants and the inverse-symbol coefficients, come
+from `laurent.circle_values`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .bspline import exact_lattice_values
 from .laurent import (
@@ -75,22 +75,6 @@ class Kappa:
 class SymbolMatrix:
     kappa: Kappa
     entries: tuple[tuple[LaurentPoly, ...], ...]  # [i][j]
-
-    def eval_grid(self, t: np.ndarray) -> np.ndarray:
-        """Evaluate at z = exp(2 pi i t); returns array (len(t), rho, rho)."""
-        t = np.asarray(t, dtype=float)
-        rho = self.kappa.rho
-        z = np.exp(2j * math.pi * t)
-        out = np.empty(t.shape + (rho, rho), dtype=complex)
-        for i in range(rho):
-            for j in range(rho):
-                p = self.entries[i][j]
-                if p.is_zero:
-                    out[..., i, j] = 0.0
-                else:
-                    c = np.asarray([float(x) for x in p.coeffs])
-                    out[..., i, j] = np.polynomial.polynomial.polyval(z, c) * z ** p.low
-        return out
 
 
 def build_symbol(kappa: Kappa) -> SymbolMatrix:

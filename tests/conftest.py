@@ -5,7 +5,10 @@ the library's Cox-de Boor triangle; spline norms have a Gauss-Legendre
 reference, independent of the library's Gram matrix; the unit-circle verdict
 has a Fraction reference, independent of the library's integer
 pseudo-remainders; the pp-form series evaluator has a per-piece Horner
-reference.  Point evaluations of Laurent polynomials, the local modulus at
+reference; the symbol's frame extremes and the certificate's minimum
+modulus have full-circle references (pointwise `eval_unit` and `polyval`),
+independent of the library's half-circle FFT evaluator.  Point evaluations
+of Laurent polynomials, the local modulus at
 one x, the time-domain moment residual, random spline elements, the Fourier
 transform of Q_m, single finite differences, the maximal-density
 determinant check, one-coefficient B-spline series, the symbol determinant
@@ -207,6 +210,24 @@ def eval_complex(p, z: complex) -> complex:
 def eval_unit(p, t: float) -> complex:
     """Value of the LaurentPoly p at z = exp(2 pi i t)."""
     return eval_complex(p, cmath.exp(2j * math.pi * t))
+
+
+def frame_extremes_reference(sym, n: int) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of Psi* Psi over the full grid
+    t = s / n, 0 <= s < n, each entry of Psi(t) from eval_unit."""
+    psi = np.array([
+        [[eval_unit(p, s / n) for p in row] for row in sym.entries] for s in range(n)
+    ])
+    lam = np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
+    return float(lam[:, 0].min()), float(lam[:, -1].max())
+
+
+def circle_min_modulus_reference(p, n: int = 4096) -> float:
+    """Smallest |p| over the full grid z = exp(2 pi i s / n), 0 <= s < n,
+    by numpy polyval (|z^low| = 1 drops the Laurent shift)."""
+    z = np.exp(2j * math.pi * np.arange(n) / n)
+    c = np.asarray([float(x) for x in p.coeffs])
+    return float(np.abs(np.polynomial.polynomial.polyval(z, c)).min())
 
 
 def eval_exact(p, z) -> Fraction:

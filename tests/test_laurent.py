@@ -19,6 +19,7 @@ from derivsamp.laurent import (
 from derivsamp.symbol import Kappa, build_symbol
 
 from conftest import (
+    circle_min_modulus_reference,
     det_symbol,
     eval_complex,
     eval_exact,
@@ -238,6 +239,32 @@ def test_circle_certificate_monomial():
     cert = roots_unit_circle(Z * Z)
     assert cert.verdict == "nonvanishing"
     assert cert.min_modulus == pytest.approx(1.0, abs=1e-12)
+
+
+def test_circle_certificate_min_modulus_matches_full_grid():
+    # off-circle roots as above, random Laurent polynomials, and symbol
+    # determinants; the half-circle minimum equals the full 4096-point one
+    rng = np.random.default_rng(30)
+    polys = []
+    for _ in range(25):
+        roots = []
+        for _ in range(int(rng.integers(1, 4))):
+            rad = Fraction(9, 10) if rng.integers(2) else Fraction(11, 10)
+            roots.append((rad, Fraction(int(rng.integers(-9, 10)), 10)))
+        polys.append(_poly_from_roots(roots))
+    polys += [_random_poly(rng) for _ in range(25)]
+    polys += [det_symbol(kappa) for kappa in (
+        Kappa(4, Fraction(1, 2), 2), Kappa(7, Fraction(1, 3), 2),
+        Kappa(12, Fraction(1, 3), 2), Kappa(12, Fraction(2, 5), 5),
+    )]
+    for p in polys:
+        cert = roots_unit_circle(p)
+        assert cert.verdict == "nonvanishing", str(p)
+        want = circle_min_modulus_reference(p)
+        assert cert.min_modulus == pytest.approx(want, rel=1e-12, abs=0), str(p)
+        # one point of each conjugate pair, always the one with t <= 1/2
+        assert 0 <= cert.argmin_t <= 0.5
+        assert abs(eval_unit(p, cert.argmin_t)) == pytest.approx(cert.min_modulus, rel=1e-12)
 
 
 def test_dominant_coeff_sufficient_condition():

@@ -10,6 +10,7 @@ import pytest
 
 from derivsamp import sampler
 from derivsamp.bspline import bspline_series
+from derivsamp.laurent import circle_values
 from derivsamp.sampler import (
     _TRIAL_LEN,
     _gram,
@@ -34,6 +35,7 @@ from conftest import (
     KAPPA_Q4H,
     discrete_norm,
     eval_q_deriv,
+    frame_extremes_reference,
     l2_norm_quadrature,
     random_spline,
 )
@@ -259,15 +261,24 @@ def test_frame_bounds_q3_golden():
 
 
 def test_frame_bounds_q3_t_independent():
-    from derivsamp.symbol import build_symbol
-
     sym = build_symbol(KAPPA_Q3)
-    ts = np.arange(257) / 257
-    psi = sym.eval_grid(ts)
+    psi = circle_values(sym.entries, 257)
     gram = np.matmul(psi.conj().transpose(0, 2, 1), psi)
     lam = np.linalg.eigvalsh(gram)
     assert float(np.ptp(lam[:, 0])) <= 1e-12
     assert float(np.ptp(lam[:, 1])) <= 1e-12
+
+
+def test_frame_bounds_half_circle_matches_full_circle():
+    # rows 0..n//2 hold one point of every conjugate pair, odd n included
+    for kappa in (KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, Kappa(7, Fraction(1, 3), 2),
+                  Kappa(6, Fraction(1, 2), 4), Kappa(8, Fraction(0), 5)):
+        sym = build_symbol(kappa)
+        for n in (64, 1024, 1025):
+            b = frame_bounds(kappa, grid_n=n)
+            lo, hi = frame_extremes_reference(sym, n)
+            assert b.lower == pytest.approx(lo, rel=1e-12, abs=0), (kappa, n)
+            assert b.upper == pytest.approx(hi, rel=1e-12, abs=0), (kappa, n)
 
 
 def test_frame_bounds_q4_golden():

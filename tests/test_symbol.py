@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derivsamp.laurent import LaurentPoly
+from derivsamp.laurent import LaurentPoly, circle_values
 from derivsamp.symbol import (
     Kappa,
     build_symbol,
@@ -91,16 +91,27 @@ def test_symbol_entries_match_oracle():
                         assert sym.entries[i][j] == want, (m, a, rho, i, j)
 
 
-def test_symbol_eval_grid_matches_unit_eval():
-    for kappa in (KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H):
+def test_symbol_circle_values_matches_unit_eval():
+    # every point s of each grid, s > n/2 included; (12, 1/3, 2) has entries
+    # of 6 coefficients and a determinant of 11, so for n <= 5 the entries'
+    # coefficients wrap mod n, and for n <= 9 the determinant's
+    wide = Kappa(12, Fraction(1, 3), 2)
+    assert len(build_symbol(wide).entries[0][0].coeffs) == 6
+    assert len(det_symbol(wide).coeffs) == 11
+    for kappa in (KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, wide, Kappa(12, Fraction(2, 5), 5)):
         sym = build_symbol(kappa)
-        ts = np.asarray([0.0, 0.17, 0.5, 0.83])
-        grid = sym.eval_grid(ts)
-        for n, t in enumerate(ts):
-            for i in range(kappa.rho):
-                for j in range(kappa.rho):
-                    want = eval_unit(sym.entries[i][j], float(t))
-                    assert abs(grid[n, i, j] - want) <= 1e-12
+        det = det_symbol(kappa)
+        for n in (1, 2, 5, 9, 64):
+            grid = circle_values(sym.entries, n)
+            assert grid.shape == (n, kappa.rho, kappa.rho)
+            dvals = circle_values(det, n)
+            assert dvals.shape == (n,)
+            for s in range(n):
+                assert abs(dvals[s] - eval_unit(det, s / n)) <= 1e-12
+                for i in range(kappa.rho):
+                    for j in range(kappa.rho):
+                        want = eval_unit(sym.entries[i][j], s / n)
+                        assert abs(grid[s, i, j] - want) <= 1e-12
 
 
 def test_maximal_density_determinant_is_monomial():
