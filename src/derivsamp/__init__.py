@@ -10,7 +10,7 @@ of smoothness.
 
 from .bspline import (
     bspline_series,
-    fourier_q_deriv,
+    fourier_q_derivs,
     krein_favard,
     riesz_lower_bound,
 )
@@ -58,7 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "bspline_series",
-    "fourier_q_deriv",
+    "fourier_q_derivs",
     "krein_favard",
     "riesz_lower_bound",
     "LaurentPoly",

@@ -14,7 +14,11 @@ once that the imaginary part dropped is below 1e-10 + tail_bound.  Each
 Theta_i is then one B-spline series with coefficient c^{ji}(v) at knot
 rho v + j.
 The kernels reproduce polynomials up to the configuration's order; both the
-time-domain and Fourier-domain forms of that moment condition are provided.
+time-domain and Fourier-domain (Strang-Fix) forms of that moment condition
+are provided.  The Fourier form holds for every degree: it reads derivatives
+of any order of Theta_i^ = Q_m^ S, S the exponential sum of the series
+coefficients, by Leibniz from `fourier_q_derivs`.  `reproducing_order`
+decides the order in the time domain.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bspline import bspline_series, fourier_q_deriv
+from .bspline import bspline_series, fourier_q_derivs
 from .laurent import circle_values
 from .symbol import Kappa, NotCISError, check_cis
 
@@ -250,27 +254,34 @@ def reproducing_order(table: KernelTable, r_max: int = 6, tol: float = 1e-8) -> 
     return ReproducingReport(kappa, order, tuple(residuals), tol)
 
 
-def _theta_hat_deriv(table: KernelTable, i: int, d: int, xi: float) -> complex:
-    """d-th derivative of Theta_i^ at xi via the coefficient expansion
-    Theta_i^(xi) = Q_m^(xi) sum_n c[n] e^{-2 pi i w_n xi}, w_n = k0 + n."""
+def _theta_hat_derivs(table: KernelTable, i: int, q: np.ndarray, xi: float) -> list[complex]:
+    """Theta_i^ and its first d derivatives at xi, given q = [Q_m^, ...,
+    Q_m^(d)] at xi: Leibniz on the expansion Theta_i^(xi) = Q_m^(xi) S(xi),
+    S(xi) = sum_n c[n] e^{-2 pi i w_n xi}, w_n = k0 + n, whose k-th
+    derivative weights each term by (-2 pi i w_n)^k."""
     c, k0 = _theta_series(table, i)
-    w = k0 + np.arange(len(c))
-    q = [fourier_q_deriv(table.kappa.m, s, xi) for s in range(d + 1)]
-    inner = sum(math.comb(d, s) * q[s] * (-_TWO_PI_I * w) ** (d - s) for s in range(d + 1))
-    return complex(np.sum(c * inner * np.exp(-_TWO_PI_I * w * xi)))
+    z = -_TWO_PI_I * (k0 + np.arange(len(c)))  # -2 pi i w_n
+    s = (c * np.exp(z * xi)) @ np.vander(z, len(q), increasing=True)  # S^(k)
+    return [
+        complex(sum(math.comb(k, j) * q[j] * s[k - j] for j in range(k + 1)))
+        for k in range(len(q))
+    ]
 
 
 def moment_check_fourier(table: KernelTable, n: int, l: int) -> complex:
     """Residual of the degree-n moment condition in Fourier form at frequency
     l/rho: sum_i C(n,i) i! sum_u C(n-i,u) a^u (2 pi i)^{u+i-n}
-    Theta_i^[(n-i-u)](l/rho) - rho delta_{l0} delta_{n0}.  Supports n <= 3."""
-    if n > 3:
-        raise ValueError("Fourier moment residuals are supported for n <= 3 only")
+    Theta_i^[(n-i-u)](l/rho) - rho delta_{l0} delta_{n0}, for any degree
+    n >= 0."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"moment degree must be a nonnegative integer, got {n!r}")
     kappa = table.kappa
     rho, a = kappa.rho, float(kappa.a)
     xi = l / rho
+    q = fourier_q_derivs(kappa.m, n, xi)
     acc = 0j
     for i in range(min(n, rho - 1) + 1):
+        theta = _theta_hat_derivs(table, i, q[: n - i + 1], xi)
         for u in range(n - i + 1):
             acc += (
                 math.comb(n, i)
@@ -278,7 +289,7 @@ def moment_check_fourier(table: KernelTable, n: int, l: int) -> complex:
                 * math.comb(n - i, u)
                 * a ** u
                 * _TWO_PI_I ** (u + i - n)
-                * _theta_hat_deriv(table, i, n - i - u, xi)
+                * theta[n - i - u]
             )
     if n == 0 and l == 0:
         acc -= rho

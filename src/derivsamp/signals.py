@@ -1,4 +1,4 @@
-"""Catalog of test signals with analytic derivatives and smoothness metadata.
+"""Catalog of test signals with analytic derivatives and their singular points.
 
 Three reference signals with progressively worse smoothness:
 
@@ -7,9 +7,9 @@ Three reference signals with progressively worse smoothness:
   f3  -t^3/2 + 2 on (-1.5, 3)     discontinuous at the window ends
 
 plus constant/monomial probes.  Each signal knows its derivative channels,
-the points where a channel is undefined, and the expected decay exponent of
-the averaged smoothness modulus tau_r(f^{(i)}; delta)_p.  A TabulatedSignal
-reads its channels from a CSV table instead.
+the points where a channel is undefined, and its special points, the known
+discontinuities whose two sides the local-modulus search adds to its
+candidates.  A TabulatedSignal reads its channels from a CSV table instead.
 """
 
 from __future__ import annotations
@@ -39,15 +39,13 @@ class SignalSpec:
     values are returned arbitrarily close to them.
     """
 
-    def __init__(self, id, evals, support_hint, undefined=None,
-                 special_points=(), tau_rule=None):
+    def __init__(self, id, evals, support_hint, undefined=None, special_points=()):
         self.id = id
         self._evals = dict(evals)
         self.max_deriv = max(self._evals)
         self.support_hint = (float(support_hint[0]), float(support_hint[1]))
         self._undefined = {i: tuple(p) for i, p in (undefined or {}).items()}
         self.special_points = tuple(sorted(special_points))
-        self._tau_rule = tau_rule
 
     def __repr__(self):
         return f"SignalSpec({self.id!r}, max_deriv={self.max_deriv})"
@@ -64,18 +62,6 @@ class SignalSpec:
 
     def undefined_points(self, i) -> tuple[float, ...]:
         return self._undefined.get(i, ())
-
-    def tau_exponent(self, i: int, r: int, p: float):
-        """Expected alpha with tau_r(f^{(i)}; delta)_p = O(delta^alpha).
-
-        alpha is the leading exponent as delta -> 0.  A fit of the full tau
-        over a finite delta ladder may show a larger slope where a
-        higher-order term still dominates (for f2' with r = 2 the smooth
-        bulk's delta^2 outweighs the kink's delta^(3/2) until delta ~ 0.004).
-        """
-        if self._tau_rule is None:
-            return None
-        return self._tau_rule(i, r, p)
 
 
 @dataclass(frozen=True)
@@ -141,22 +127,6 @@ def _f3_evals():
     return evals
 
 
-def _tau_f1(i, r, p):
-    return float(r)
-
-
-def _tau_f2(i, r, p):
-    if i == 0:
-        return float(r) if r <= 2 else 2.0 + 1.0 / p
-    if i == 1:
-        return 1.0 if r == 1 else 1.0 + 1.0 / p
-    return 1.0 / p
-
-
-def _tau_f3(i, r, p):
-    return 1.0 / p
-
-
 def constant_signal(value: float = 1.0, half_width: float = 8.0) -> SignalSpec:
     evals = {0: lambda t: np.full_like(t, float(value))}
     for i in range(1, 4):
@@ -183,11 +153,11 @@ def catalog() -> list[SignalSpec]:
     jump23 = {i: (-3.0, 3.0) for i in (1, 2)}
     jump3 = {i: (-1.5, 3.0) for i in (1, 2, 3)}
     return [
-        SignalSpec("f1", _f1_evals(), (-12.0, 12.0), tau_rule=_tau_f1),
+        SignalSpec("f1", _f1_evals(), (-12.0, 12.0)),
         SignalSpec("f2", _f2_evals(), (-3.0, 3.0), undefined=jump23,
-                   special_points=(-3.0, 3.0), tau_rule=_tau_f2),
+                   special_points=(-3.0, 3.0)),
         SignalSpec("f3", _f3_evals(), (-1.5, 3.0), undefined=jump3,
-                   special_points=(-1.5, 3.0), tau_rule=_tau_f3),
+                   special_points=(-1.5, 3.0)),
         constant_signal(),
         monomial_signal(1),
         monomial_signal(2),

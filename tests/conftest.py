@@ -7,13 +7,15 @@ has a Fraction reference, independent of the library's integer
 pseudo-remainders; the pp-form series evaluator has a per-piece Horner
 reference; the symbol's frame extremes and the certificate's minimum
 modulus have full-circle references (pointwise `eval_unit` and `polyval`),
-independent of the library's half-circle FFT evaluator.  Point evaluations
-of Laurent polynomials, the local modulus at
-one x, the time-domain moment residual, random spline elements, the Fourier
-transform of Q_m, single finite differences, the maximal-density
-determinant check, one-coefficient B-spline series, the symbol determinant
-and the exact combinatorial identities behind the maximal-density case are
-test helpers here, built on the library's public API."""
+independent of the library's half-circle FFT evaluator; the derivatives of
+Q_m^ at 0 have exact Fraction moments of Q_m as reference, independent of
+the library's Taylor series.  Point evaluations of Laurent polynomials, the
+local modulus at one x, the time-domain moment residual, random spline
+elements, the Fourier transform of Q_m, single finite differences, the
+maximal-density determinant check, one-coefficient B-spline series, the
+symbol determinant and the exact combinatorial identities behind the
+maximal-density case are test helpers here, built on the library's public
+API."""
 
 import cmath
 import math
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derivsamp.bspline import _pieces, bspline_series, exact_lattice_values, fourier_q_deriv
+from derivsamp.bspline import _pieces, bspline_series, exact_lattice_values, fourier_q_derivs
 from derivsamp.kernel import inv_symbol_coeffs, theta_eval, theta_support
 from derivsamp.laurent import ONE, LaurentPoly, laurent_det
 from derivsamp.sampler import SplineElement
@@ -98,7 +100,21 @@ def det_symbol(kappa: Kappa) -> LaurentPoly:
 
 def fourier_q(m: int, xi: float) -> complex:
     """Fourier transform of Q_m at xi, the derivative of order 0."""
-    return fourier_q_deriv(m, 0, xi)
+    return fourier_q_derivs(m, 0, xi)[0]
+
+
+def uniform_sum_moments(m: int, k_max: int) -> list[Fraction]:
+    """E[(U_1 + ... + U_m)^k] for k <= k_max, U_j independent uniform on
+    [0, 1) (the density of the sum is Q_m), exact: binomial convolution of
+    E[U^j] = 1/(j+1), one factor at a time."""
+    unif = [Fraction(1, j + 1) for j in range(k_max + 1)]
+    mom = [Fraction(1)] + [Fraction(0)] * k_max
+    for _ in range(m):
+        mom = [
+            sum(math.comb(k, j) * mom[j] * unif[k - j] for j in range(k + 1))
+            for k in range(k_max + 1)
+        ]
+    return mom
 
 
 def finite_diff(f, r: int, h: float, t: float) -> float:

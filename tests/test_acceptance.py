@@ -224,7 +224,7 @@ def test_criterion_06_reproducing_orders(table_q3, table_q4, table_q4h):
         rep = reproducing_order(table)
         orders[str(table.kappa)] = rep.order
         margins_ok = margins_ok and rep.residuals[want + 1] >= 100 * rep.tol
-        for n in range(min(rep.order, 3) + 1):
+        for n in range(rep.order + 1):
             for t in (0.3, 1.1):
                 moment_worst = max(moment_worst, abs(moment_check_time(table, n, t)))
             for l in range(table.kappa.rho):

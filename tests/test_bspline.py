@@ -11,7 +11,7 @@ import pytest
 from derivsamp.bspline import (
     bspline_series,
     exact_lattice_values,
-    fourier_q_deriv,
+    fourier_q_derivs,
     krein_favard,
     riesz_lower_bound,
 )
@@ -22,6 +22,7 @@ from conftest import (
     eval_q_deriv,
     eval_q_deriv_exact,
     fourier_q,
+    uniform_sum_moments,
 )
 
 
@@ -169,13 +170,14 @@ def test_derivative_order_validation():
     assert eval_q_deriv(1, 0, 0.5) == 1.0
 
 
-def _fourier_oracle(m: int, xi: float) -> complex:
-    """Gauss-Legendre quadrature of the defining integral."""
+def _fourier_oracle(m: int, xi: float, r: int = 0) -> complex:
+    """Gauss-Legendre quadrature of the defining integral of the r-th
+    derivative, int Q_m(t) (-2 pi i t)^r e^{-2 pi i xi t} dt."""
     xs, ws = np.polynomial.legendre.leggauss(24)
     acc = 0j
     for k in range(m):
         t = k + (xs + 1.0) / 2.0
-        vals = eval_q(m, t) * np.exp(-2j * math.pi * xi * t)
+        vals = eval_q(m, t) * (-2j * math.pi * t) ** r * np.exp(-2j * math.pi * xi * t)
         acc += complex(np.sum(ws / 2.0 * vals))
     return acc
 
@@ -197,11 +199,12 @@ def test_fourier_at_zero_and_integers():
 
 def test_fourier_derivative_goldens():
     pi = math.pi
-    assert abs(fourier_q_deriv(3, 1, 0.0) - (-3j * pi)) < 1e-12
-    assert abs(fourier_q_deriv(3, 2, 0.0) - (-10 * pi**2)) < 1e-11
-    assert abs(fourier_q_deriv(4, 1, 0.0) - (-4j * pi)) < 1e-12
-    assert abs(fourier_q_deriv(4, 2, 0.0) - (-52 * pi**2 / 3)) < 1e-11
-    assert abs(fourier_q_deriv(4, 3, 0.0) - (80j * pi**3)) < 1e-10
+    q3, q4 = fourier_q_derivs(3, 2, 0.0), fourier_q_derivs(4, 3, 0.0)
+    assert abs(q3[1] - (-3j * pi)) < 1e-12
+    assert abs(q3[2] - (-10 * pi**2)) < 1e-11
+    assert abs(q4[1] - (-4j * pi)) < 1e-12
+    assert abs(q4[2] - (-52 * pi**2 / 3)) < 1e-11
+    assert abs(q4[3] - (80j * pi**3)) < 1e-10
 
 
 def test_fourier_derivative_against_differences():
@@ -209,7 +212,63 @@ def test_fourier_derivative_against_differences():
     for m in (3, 4):
         for xi in (0.37, -1.21):
             fd = (fourier_q(m, xi + h) - fourier_q(m, xi - h)) / (2 * h)
-            assert abs(fd - fourier_q_deriv(m, 1, xi)) < 1e-7
+            assert abs(fd - fourier_q_derivs(m, 1, xi)[1]) < 1e-7
+
+
+def test_fourier_derivatives_at_zero_are_moments():
+    # Q_m is the density of U_1 + ... + U_m, so the k-th derivative of its
+    # transform at 0 is (-2 pi i)^k E[(U_1 + ... + U_m)^k]
+    for m in range(1, 13):
+        got = fourier_q_derivs(m, 8, 0.0)
+        for k, mom in enumerate(uniform_sum_moments(m, 8)):
+            want = (-2j * math.pi) ** k * float(mom)
+            assert abs(got[k] - want) <= 1e-12 * abs(want), (m, k)
+
+
+def test_fourier_derivatives_against_quadrature():
+    # across the Taylor-series range |xi| < 1/pi, where the integration-by-
+    # parts recurrence would lose a factor k/|2 pi xi| per order, and just
+    # beyond it; the quadrature has no cancellation at these xi
+    for m in (1, 2, 4, 8):
+        for xi in (0.003, 0.02, 0.1, 0.2, 0.3, -0.31, 0.33, 0.5):
+            got = fourier_q_derivs(m, 8, xi)
+            for r in range(9):
+                want = _fourier_oracle(m, xi, r)
+                assert abs(got[r] - want) <= 1e-12 * abs(want), (m, xi, r)
+
+
+def test_fourier_derivatives_vanish_at_integers():
+    # Q_m^ = Phi^m and Phi has simple zeros at the nonzero integers, so every
+    # derivative below order m vanishes there, and order m does not
+    for m in range(1, 9):
+        for xi in (1.0, -1.0, 2.0):
+            got = fourier_q_derivs(m, m, xi)
+            for k in range(m):
+                assert abs(got[k]) <= 1e-14 * (2 * math.pi) ** k, (m, xi, k)
+            assert abs(got[m]) >= 1e-6 * (2 * math.pi) ** m
+
+
+def test_fourier_derivatives_across_series_switch():
+    # the series serves |xi| < 1/pi and the recurrence the rest: on each side
+    # a central difference of order r - 1 matches order r, and the two
+    # branches agree where they meet
+    h = 1e-5
+    for m in (1, 3, 6):
+        for xi in (1 / math.pi - 1e-3, 1 / math.pi + 1e-3):
+            mid = fourier_q_derivs(m, 6, xi)
+            lo, hi = fourier_q_derivs(m, 6, xi - h), fourier_q_derivs(m, 6, xi + h)
+            for r in range(1, 7):
+                fd = (hi[r - 1] - lo[r - 1]) / (2 * h)
+                assert abs(fd - mid[r]) <= 1e-7 * abs(mid[r]), (m, xi, r)
+        below = fourier_q_derivs(m, 6, 1 / math.pi - 1e-12)
+        above = fourier_q_derivs(m, 6, 1 / math.pi + 1e-12)
+        assert np.all(np.abs(below - above) <= 1e-9 * np.abs(above)), m
+
+
+def test_fourier_derivatives_reject_bad_order():
+    for r in (-1, 1.5):
+        with pytest.raises(ValueError):
+            fourier_q_derivs(3, r, 0.0)
 
 
 def _kf_oracle(m: int) -> float:

@@ -131,7 +131,7 @@ def test_moment_residuals_fourier_domain(table_q3, table_q4, table_q4h):
     for table in (table_q3, table_q4, table_q4h):
         order = reproducing_order(table).order
         rho = table.kappa.rho
-        for n in range(min(order, 3) + 1):
+        for n in range(order + 1):
             for l in range(rho):
                 assert abs(moment_check_fourier(table, n, l)) <= 1e-7, (
                     table.kappa,
@@ -144,6 +144,22 @@ def test_moment_fourier_detects_failure(table_q3):
     # degree 3 is beyond the reproducing order of the Q_3 kernel
     vals = [abs(moment_check_fourier(table_q3, 3, l)) for l in range(2)]
     assert max(vals) > 1e-3
+
+
+def test_moment_fourier_beyond_degree_three():
+    # (5, 0, 2) reproduces degree 4 = m - 1 and fails at degree 5
+    table = inv_symbol_coeffs(Kappa(5, Fraction(0), 2), tol=1e-12)
+    for n in range(5):
+        for l in range(2):
+            assert abs(moment_check_fourier(table, n, l)) <= 1e-7, (n, l)
+    assert max(abs(moment_check_fourier(table, 5, l)) for l in range(2)) > 1e-3
+
+
+def test_moment_fourier_rejects_bad_degree(table_q3):
+    # a negative degree has no moment condition; it must not read as a pass
+    for n, l in ((-1, 0), (-2, 1), (1.5, 0)):
+        with pytest.raises(ValueError):
+            moment_check_fourier(table_q3, n, l)
 
 
 def test_csv_roundtrip(tmp_path, table_q4h):

@@ -1,5 +1,5 @@
-"""Signal catalog: derivative consistency, undefined points, decay-exponent
-metadata, and the probe-signal constructors."""
+"""Signal catalog: derivative consistency, undefined and special points, and
+the probe-signal constructors."""
 
 import math
 
@@ -76,24 +76,6 @@ def test_undefined_points_metadata():
 def test_missing_channel_raises():
     with pytest.raises(ValueError):
         get_signal("f2").eval(3, 0.0)
-
-
-def test_tau_exponent_rules():
-    f1, f2, f3 = get_signal("f1"), get_signal("f2"), get_signal("f3")
-    for i in range(3):
-        for r in (1, 2, 3):
-            assert f1.tau_exponent(i, r, 2.0) == float(r)
-    assert f2.tau_exponent(0, 1, 2.0) == 1.0
-    assert f2.tau_exponent(0, 2, 2.0) == 2.0
-    assert f2.tau_exponent(0, 3, 2.0) == 2.5
-    assert f2.tau_exponent(1, 1, 2.0) == 1.0
-    assert f2.tau_exponent(1, 2, 2.0) == 1.5
-    assert f2.tau_exponent(2, 1, 2.0) == 0.5
-    assert f2.tau_exponent(2, 2, 1.0) == 1.0
-    for i in range(3):
-        assert f3.tau_exponent(i, 2, 2.0) == 0.5
-        assert f3.tau_exponent(i, 1, 1.0) == 1.0
-    assert constant_signal().tau_exponent(0, 2, 2.0) is None
 
 
 def test_catalog_and_lookup():
