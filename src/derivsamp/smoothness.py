@@ -8,6 +8,10 @@ is estimated on one lattice per window: step g = delta/(search_n - 1), with
 both window ends on the lattice.  f is evaluated once per lattice point; every
 difference Delta_{kg}^r f(t) with t and t + r k g on the lattice is then an
 index shift of those values, and the largest |difference| is the estimate.
+For r = 1 every pair of lattice points is such a difference, so the estimate
+is max F - min F, one pass over the window's values.  For r >= 2 each step k
+is summed into one reused buffer, in an order that rounds exactly as the
+left-to-right sum_j c_j F[i + j k] does, and folded into a running maximum.
 A lattice misses jump suprema, so points just either side of a signal's
 known discontinuities (its special_points) join the candidate t, paired with
 every h = k g; the reported value is still a lower estimate of the true sup.
@@ -49,8 +53,9 @@ def _jump_points(f, r: int, delta: float) -> np.ndarray:
     return np.array(sorted(set(jumps)))
 
 
-def _moduli_batch(f, r: int, xs: np.ndarray, delta: float, search_n: int) -> np.ndarray:
-    """omega_r(f; x; delta) for each x.
+def _moduli_batch(f, r: int, xs: np.ndarray, delta: float, search_n: int, jumps=None) -> np.ndarray:
+    """omega_r(f; x; delta) for each x; jumps is _jump_points(f, r, delta),
+    built here when not given.
 
     The window of x has r(search_n - 1) + 1 lattice points F[0..last], and
     Delta_{kg}^r f at point i is sum_j c_j F[i + j k] for i + r k <= last.
@@ -68,7 +73,8 @@ def _moduli_batch(f, r: int, xs: np.ndarray, delta: float, search_n: int) -> np.
     for start in range(0, len(xs), block):
         x = xs[start : start + block]
         out[start : start + block] = _lattice_moduli(f, signs, offsets, x, search_n)
-    jumps = _jump_points(f, r, delta)
+    if jumps is None:
+        jumps = _jump_points(f, r, delta)
     if len(jumps):
         hs = np.linspace(0.0, delta, search_n)
         # One (t, h) difference table per call; each x masks it by its window.
@@ -93,31 +99,58 @@ def _moduli_batch(f, r: int, xs: np.ndarray, delta: float, search_n: int) -> np.
 
 
 def _lattice_moduli(f, signs: np.ndarray, offsets: np.ndarray, xs: np.ndarray, search_n: int):
-    """Largest |Delta_{kg}^r f| on the lattice of each window, 1 <= k < search_n."""
+    """Largest |Delta_{kg}^r f| on the lattice of each window, 1 <= k < search_n.
+
+    Differences that touch an undefined value are skipped; a window with no
+    defined difference gets 0.  For r = 1 every pair of lattice points
+    (i, i + k) is searched, and rounding is monotone, so the largest
+    |F[i + k] - F[i]| is exactly fl(max F - min F) over the defined values:
+    one pass instead of one per k.  For r >= 2 each k's difference goes into
+    one reused buffer as term 1 plus term 0, then the other terms in order.
+    That rounds exactly as sum_j c_j F[i + j k] left to right: addition
+    commutes, a factor c_j = +-1 is exact, and a + (-c) is a - c.
+    """
     r = len(signs) - 1
     last = len(offsets) - 1
     # Row i holds lattice point i of every window, so each shift is a
     # contiguous block of rows.
-    lattice = offsets[:, None] + xs[None, :]
-    vals = np.asarray(f(lattice.ravel()), dtype=float).reshape(lattice.shape)
+    lattice = (offsets[:, None] + xs[None, :]).ravel()
+    vals = np.asarray(f(lattice), dtype=float).reshape(len(offsets), len(xs))
+    del lattice
     vals[~np.isfinite(vals)] = np.nan
-    out = np.zeros(len(xs))
+    # fmax/fmin skip NaN, so a difference touching an undefined value drops
+    # out; a window with none left is NaN here and 0 after the last fmax.
+    if r == 1:
+        spread = np.fmax.reduce(vals, axis=0) - np.fmin.reduce(vals, axis=0)
+        # |.| keeps +0.0 should fmax and fmin break a tie of signed zeros apart
+        return np.fmax(np.abs(spread, out=spread), 0.0)
+    # top[i] is the largest |difference| at point i so far; k = 1 fills it.
+    top = np.empty((last - r + 1, len(xs)))
+    buf = np.empty((last - 2 * r + 1, len(xs)))
+    term = np.empty_like(top) if r >= 3 else None  # c_j = +-1 needs none
     for k in range(1, search_n):  # h = 0 gives a zero difference
         n = last - r * k + 1
-        diff = signs[0] * vals[:n]
-        for j in range(1, r + 1):
-            diff += signs[j] * vals[j * k : j * k + n]
+        diff = top if k == 1 else buf[:n]
+        np.multiply(vals[k : k + n], signs[1], out=diff)
+        for j in (0, *range(2, r + 1)):
+            v, c = vals[j * k : j * k + n], signs[j]
+            if c == 1.0:
+                diff += v
+            elif c == -1.0:
+                diff -= v
+            else:
+                diff += np.multiply(v, c, out=term[:n])
         np.abs(diff, out=diff)
-        # fmax skips NaN, so a difference touching an undefined value drops out.
-        out = np.fmax(out, np.fmax.reduce(diff, axis=0))
-    return out
+        if k > 1:
+            np.fmax(top[:n], diff, out=top[:n])
+    return np.fmax(np.fmax.reduce(top, axis=0), 0.0)
 
 
 def _check_search(r: int, delta: float, search_n: int) -> None:
-    if r < 1:
-        raise ValueError("order must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not isinstance(r, (int, np.integer)) or r < 1:
+        raise ValueError(f"need an integer order r >= 1, got r={r!r}")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"need a finite delta >= 0, got delta={delta!r}")
     if search_n < 64:
         raise ValueError("search_n must be >= 64")
 
@@ -143,23 +176,27 @@ def tau_modulus(
     """Averaged modulus: midpoint L^p quadrature of the local modulus."""
     _check_search(r, delta, search_n)
     if delta <= 0:
-        raise ValueError("delta must be > 0")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+        raise ValueError(f"need delta > 0, got delta={delta!r}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"need finite p >= 1, got p={p!r}")
     if domain is None:
         lo, hi = getattr(f, "spec", f).support_hint
         domain = (lo - r * delta, hi + r * delta)
     if quad_step is None:
         quad_step = delta / 8.0
+    if not 0 < quad_step < math.inf:
+        raise ValueError(f"need a finite quad_step > 0, got quad_step={quad_step!r}")
     lo, hi = float(domain[0]), float(domain[1])
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need a finite domain with lo < hi, got domain={domain!r}")
     n = max(1, int(math.ceil((hi - lo) / quad_step)))
     step = (hi - lo) / n
     xs = lo + step * (np.arange(n) + 0.5)
-    om = _moduli_batch(f, r, xs, float(delta), search_n)
+    jumps = _jump_points(f, r, float(delta))
+    om = _moduli_batch(f, r, xs, float(delta), search_n, jumps)
     value = float((step * np.sum(om**p)) ** (1.0 / p))
     lattice_n = r * (search_n - 1) + 1
-    n_jump = len(_jump_points(f, r, delta))
-    f_evals = n * lattice_n + n_jump * search_n * (r + 1)
+    f_evals = n * lattice_n + len(jumps) * search_n * (r + 1)
     meta = {
         "search_n": search_n,
         "quad_step": step,

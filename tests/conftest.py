@@ -9,7 +9,9 @@ reference; the symbol's frame extremes and the certificate's minimum
 modulus have full-circle references (pointwise `eval_unit` and `polyval`),
 independent of the library's half-circle FFT evaluator; the derivatives of
 Q_m^ at 0 have exact Fraction moments of Q_m as reference, independent of
-the library's Taylor series.  Point evaluations of Laurent polynomials, the
+the library's Taylor series; the lattice search of the local modulus has a
+one-pass-per-k reference, independent of the library's single-pass r = 1
+identity and reused buffers.  Point evaluations of Laurent polynomials, the
 local modulus at one x, the time-domain moment residual, random spline
 elements, the Fourier transform of Q_m, single finite differences, the
 maximal-density determinant check, one-coefficient B-spline series, the
@@ -256,6 +258,26 @@ def local_modulus(f, r: int, x: float, delta: float, search_n: int = 64) -> floa
     """The library's lattice-search estimate of the local modulus at one x."""
     _check_search(r, delta, search_n)
     return float(_moduli_batch(f, r, np.array([float(x)]), float(delta), search_n)[0])
+
+
+def lattice_moduli_reference(f, signs, offsets, xs, search_n: int) -> np.ndarray:
+    """Largest |Delta_{kg}^r f| on the lattice of each window by one pass per
+    k: sum_j c_j F[i + j k] left to right in fresh arrays, |.| and a NaN-
+    skipping column maximum, folded into a running maximum from 0."""
+    r = len(signs) - 1
+    last = len(offsets) - 1
+    lattice = offsets[:, None] + xs[None, :]
+    vals = np.asarray(f(lattice.ravel()), dtype=float).reshape(lattice.shape)
+    vals[~np.isfinite(vals)] = np.nan
+    out = np.zeros(len(xs))
+    for k in range(1, search_n):
+        n = last - r * k + 1
+        diff = signs[0] * vals[:n]
+        for j in range(1, r + 1):
+            diff += signs[j] * vals[j * k : j * k + n]
+        np.abs(diff, out=diff)
+        out = np.fmax(out, np.fmax.reduce(diff, axis=0))
+    return out
 
 
 def moment_check_time(table, n: int, t: float) -> float:

@@ -13,7 +13,13 @@ from derivsamp.signals import channel, constant_signal, get_signal, monomial_sig
 from derivsamp.smoothness import fit_order, tau_modulus
 from derivsamp.symbol import Kappa
 
-from conftest import discrete_norm, finite_diff, local_modulus, tau_scaling_check
+from conftest import (
+    discrete_norm,
+    finite_diff,
+    lattice_moduli_reference,
+    local_modulus,
+    tau_scaling_check,
+)
 
 
 def test_finite_diff_basics():
@@ -139,6 +145,60 @@ def test_blocked_lattice_is_bytewise_unblocked(monkeypatch):
         assert tau_modulus(ch, r, 0.1, 2.0).value == value
 
 
+def _holed(t):
+    """A smooth signal with a hole wider than any window tested, an interval
+    of +inf values and scattered single undefined points."""
+    t = np.asarray(t, dtype=float)
+    out = np.sin(3.0 * t) + 0.5 * t
+    out[np.abs(t) < 0.6] = np.nan
+    out[np.abs(t - 1.3) < 0.02] = np.inf
+    out[np.round(t * 97.0) % 5 == 0] = np.nan
+    return out
+
+
+def _signed_zeros(t):
+    """+0.0 right of 0, -0.0 elsewhere: every difference is a signed zero."""
+    return np.where(np.asarray(t, dtype=float) > 0.0, 0.0, -0.0)
+
+
+def _search_cases(r):
+    """(f, xs, delta): catalog channels with xs that put lattice points on
+    their undefined points, the holed signal, the constant signal and the
+    signed zeros."""
+    cases = []
+    for sid, i in (("f1", 0), ("f2", 0), ("f2", 1), ("f2", 2), ("f3", 0), ("f3", 1)):
+        ch = channel(get_signal(sid), i)
+        lo, hi = ch.spec.support_hint
+        for delta in (0.1, 0.037):
+            half = r * delta / 2.0
+            near = [pt + s for pt in ch.spec.undefined_points(i) for s in (0.0, -half, half)]
+            cases.append((ch, np.array([*np.linspace(lo - 0.5, hi + 0.5, 97), *near]), delta))
+    cases.append((_holed, np.linspace(-2.0, 2.0, 301), 0.1))
+    cases.append((channel(constant_signal(), 0), np.linspace(-1.0, 1.0, 41), 0.1))
+    cases.append((_signed_zeros, np.linspace(-1.0, 1.0, 41), 0.1))
+    return cases
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_lattice_search_bytewise_reference(monkeypatch, r):
+    # the single r = 1 pass and the reused r >= 2 buffers give the bytes of
+    # one pass per k, signed zeros included, in any blocking of the windows
+    cases = _search_cases(r)
+
+    def run():
+        return [smoothness._moduli_batch(f, r, xs, delta, 64) for f, xs, delta in cases]
+
+    with monkeypatch.context() as m:
+        m.setattr(smoothness, "_lattice_moduli", lattice_moduli_reference)
+        want = run()
+    got = run()
+    monkeypatch.setattr(smoothness, "_BLOCK_ELEMENTS", 3000)
+    for w, g, b in zip(want, got, run()):
+        assert g.tobytes() == w.tobytes()
+        assert b.tobytes() == w.tobytes()
+        assert not np.signbit(g).any()
+
+
 def test_tau_modulus_zero_for_constant():
     ch = channel(constant_signal(), 0)
     est = tau_modulus(ch, 2, 0.1, 2.0)
@@ -168,6 +228,30 @@ def test_tau_modulus_validation():
         tau_modulus(ch, 2, 0.0, 2.0)
     with pytest.raises(ValueError):
         tau_modulus(ch, 2, 0.1, 2.0, search_n=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"p": math.inf},
+        {"p": math.nan},
+        {"domain": (1.0, 0.0)},
+        {"domain": (0.0, math.inf)},
+        {"domain": (math.nan, 1.0)},
+        {"quad_step": 0.0},
+        {"quad_step": -0.01},
+        {"quad_step": math.nan},
+        {"delta": math.nan},
+        {"delta": math.inf},
+        {"r": 1.5},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_tau_modulus_rejects_out_of_range(kwargs):
+    # the ranges the CLI enforces on its flags, raised by the library itself
+    args = {"r": 2, "delta": 0.1, "p": 2.0, **kwargs}
+    with pytest.raises(ValueError, match="^need"):
+        tau_modulus(channel(get_signal("f1"), 0), **args)
 
 
 def test_tau_modulus_counts_evaluations():
