@@ -7,7 +7,8 @@ geometrically; the kernels are the finite-bandwidth combinations
 
 Coefficients are extracted by FFT from matrix inverses on the full grid
 z = exp(2 pi i s / n), 0 <= s < n, of the circle (`circle_values`), with n
-doubled until aliasing sits below the requested tolerance.
+doubled until the coefficients that halving the grid would alias onto the
+kept ones sit below the requested tolerance.
 The symbol has rational coefficients, so Psi^{-1}(conj z) = conj Psi^{-1}(z)
 and every c^{ji}(v) is real: the table stores the real part, after checking
 once that the imaginary part dropped is below 1e-10 + tail_bound.  Each
@@ -31,7 +32,7 @@ import numpy as np
 
 from .bspline import bspline_series, fourier_q_derivs
 from .laurent import circle_values
-from .symbol import Kappa, NotCISError, check_cis
+from .symbol import Kappa, NotCISError, _cis_decision
 
 __all__ = [
     "KernelTable",
@@ -121,68 +122,66 @@ def inv_symbol_coeffs(
 ) -> KernelTable:
     """Fourier coefficients of the inverse symbol, |coeff| resolved to tol.
 
-    Raises NotCISError if kappa is not certified CIS (the inverse symbol
-    would be unbounded), and ArithmeticError if grid refinement fails to
-    converge or the imaginary part dropped from the real table exceeds
-    1e-10 + tail_bound.
+    One grid of n points: n = 256 or the least power of two with
+    n // 3 > min_radius, doubled up to 8192 until the coefficients within 32
+    of the Nyquist index n/2 are below tol.  They are what a grid of n/2
+    points, c_{n/2}(v) = c_n(v) + c_n(v + n/2), would alias onto |v| <= 32.
+
+    Raises ValueError if min_radius is not an integer in [0, 8192 // 3),
+    NotCISError if kappa is not certified CIS (the inverse symbol would be
+    unbounded), and ArithmeticError if n = 8192 does not converge or the
+    imaginary part dropped from the real table exceeds 1e-10 + tail_bound.
     """
-    report = check_cis(kappa)
-    if not report.is_cis:
+    if min_radius is None:
+        min_radius = 0
+    if not isinstance(min_radius, (int, np.integer)) or not 0 <= min_radius < 8192 // 3:
+        raise ValueError(f"min_radius must be an integer in [0, {8192 // 3}), got {min_radius!r}")
+    sym, _, is_cis = _cis_decision(kappa)
+    if not is_cis:
         raise NotCISError(kappa)
-    sym = report.symbol
     rho = kappa.rho
 
-    n = 128
-    prev_slice = None
+    n = 256
+    while n // 3 <= min_radius:
+        n *= 2
     while True:
         inv = np.linalg.inv(circle_values(sym.entries, n))  # (n, rho, rho), entry [s, j, i]
         spec = np.fft.fft(inv, axis=0) / n  # index v mod n
         mags = np.max(np.abs(spec), axis=(1, 2))
-        nyquist = float(mags[n // 2 - 2 : n // 2 + 3].max())
-        probe = min(32, n // 4)
-        cur_slice = np.stack([spec[v % n] for v in range(-probe, probe + 1)])
-        agree = (
-            prev_slice is not None
-            and prev_slice.shape == cur_slice.shape
-            and float(np.max(np.abs(cur_slice - prev_slice))) < tol
-        )
-        if nyquist < tol and agree:
+        alias = float(mags[n // 2 - 32 : n // 2 + 33].max())
+        if alias < tol:
             break
-        prev_slice = cur_slice
         if n >= 8192:
             raise ArithmeticError(
                 f"inverse-symbol coefficients did not converge for {kappa} "
-                f"(nyquist magnitude {nyquist:.3e} at n={n})"
+                f"(alias band magnitude {alias:.3e} at n={n})"
             )
         n *= 2
 
-    def mag(v: int) -> float:
-        return float(mags[v % n])
-
-    adaptive = 1
-    for v in range(1, n // 3):
-        if mag(v) >= tol or mag(-v) >= tol:
-            adaptive = v
-    radius = max(adaptive, min_radius or 1)
+    # fold[v] = max |c(+-v)|; the radius stays within cap + 1
+    cap = n // 3
+    fold = np.maximum(mags[: cap + 2], mags[-np.arange(cap + 2) % n])
+    above = np.flatnonzero(fold[1:cap] >= tol)
+    radius = max(int(above[-1]) + 1 if above.size else 1, min_radius)
 
     def tail_estimate(v0: int) -> float:
-        peak = max(mag(v0), mag(-v0))
-        back = max(mag(v0 - 3), mag(-(v0 - 3)), 1e-300)
+        peak = float(fold[v0])
+        back = max(float(fold[abs(v0 - 3)]), 1e-300)
         ratio = (max(peak, 1e-300) / back) ** (1.0 / 3.0)
         ratio = min(max(ratio, 1e-3), 0.95)
         return 10.0 * rho * peak * ratio / (1.0 - ratio)
 
-    while radius < n // 3 and tail_estimate(radius) >= tol and max(mag(radius), mag(-radius)) > 0:
+    while radius < cap and tail_estimate(radius) >= tol and fold[radius] > 0:
         radius += 2
     tail_bound = tail_estimate(radius)
 
-    stacked = np.stack([spec[v % n] for v in range(-radius, radius + 1)])  # (2V+1, j, i)
-    residue = float(np.max(np.abs(stacked.imag)))
+    window = spec[np.arange(-radius, radius + 1) % n]  # (2V+1, j, i)
+    residue = float(np.max(np.abs(window.imag)))
     if residue > 1e-10 + tail_bound:
         raise ArithmeticError(
             f"inverse-symbol coefficients of {kappa} not real: imaginary residue {residue:.3e}"
         )
-    coeffs = np.transpose(stacked.real, (1, 2, 0)).copy()
+    coeffs = np.transpose(window.real, (1, 2, 0)).copy()
     return KernelTable(kappa, radius, coeffs, tail_bound)
 
 

@@ -57,7 +57,7 @@ class LaurentPoly:
 
     @staticmethod
     def make(low: int, coeffs: Iterable) -> "LaurentPoly":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         lead = 0
         while cs and cs[-1] == 0:
             cs.pop()
@@ -323,8 +323,11 @@ def _sturm_roots(h: list[int], lo: int, hi: int) -> int:
     return _sign_changes(seq, lo) - _sign_changes(seq, hi)
 
 
-def _vanishes_on_circle(q: list[int]) -> bool:
-    """Exact test whether the polynomial q (q[0] != 0) has a zero on |z| = 1."""
+def _vanishes_on_circle(p: LaurentPoly) -> bool:
+    """Exact test whether the nonzero Laurent polynomial p has a zero on
+    |z| = 1, on its coefficients scaled to integers."""
+    den = math.lcm(*(x.denominator for x in p.coeffs))
+    q = [x.numerator * (den // x.denominator) for x in p.coeffs]
     g = _gcd(q, q[::-1])
     if len(g) == 1:
         return False
@@ -366,6 +369,12 @@ def roots_unit_circle(p: LaurentPoly) -> CircleCertificate:
     """Certify whether p vanishes somewhere on |z| = 1."""
     if p.is_zero:
         raise ValueError("zero polynomial vanishes identically")
+    verdict = "vanishing" if _vanishes_on_circle(p) else "nonvanishing"
+    return _certificate(p, verdict)
+
+
+def _certificate(p: LaurentPoly, verdict: str) -> CircleCertificate:
+    """The float diagnostics of the nonzero p around its exact verdict."""
     # |z^low| = 1: dropping the shift leaves a monomial's slot at 0, so its
     # modulus comes out exactly constant and argmin_t is 0
     vals = np.abs(circle_values(p.shift(-p.low), _GRID_N)[: _GRID_N // 2 + 1])
@@ -374,7 +383,4 @@ def roots_unit_circle(p: LaurentPoly) -> CircleCertificate:
     root_margin = math.inf
     if len(c) > 1:
         root_margin = float(np.min(np.abs(np.abs(np.roots(c[::-1])) - 1.0)))
-    den = math.lcm(*(x.denominator for x in p.coeffs))
-    q = [x.numerator * (den // x.denominator) for x in p.coeffs]
-    verdict = "vanishing" if _vanishes_on_circle(q) else "nonvanishing"
     return CircleCertificate(float(vals[imin]), imin / _GRID_N, root_margin, verdict)

@@ -26,8 +26,9 @@ from .bspline import exact_lattice_values
 from .laurent import (
     CircleCertificate,
     LaurentPoly,
+    _certificate,
+    _vanishes_on_circle,
     laurent_det,
-    roots_unit_circle,
 )
 
 __all__ = [
@@ -111,16 +112,23 @@ class NotCISError(ValueError):
         super().__init__(f"{kappa} is not a stable sampling configuration: det vanishes on |z|=1")
 
 
+def _cis_decision(kappa: Kappa) -> tuple[SymbolMatrix, LaurentPoly, bool]:
+    """The exact decision behind `check_cis`: the symbol, its Bareiss
+    determinant, and whether that determinant is nonzero on |z| = 1."""
+    sym = build_symbol(kappa)
+    det = laurent_det(sym.entries)
+    return sym, det, not det.is_zero and not _vanishes_on_circle(det)
+
+
 def check_cis(kappa: Kappa) -> CisReport:
     """Certify whether kappa admits stable reconstruction (det Psi nonzero on
     the circle); the report keeps the symbol it certified."""
-    sym = build_symbol(kappa)
-    det = laurent_det(sym.entries)
+    sym, det, is_cis = _cis_decision(kappa)
     if det.is_zero:
         cert = CircleCertificate(0.0, 0.0, 0.0, "vanishing")
     else:
-        cert = roots_unit_circle(det)
-    return CisReport(kappa, sym, det, cert, cert.verdict == "nonvanishing")
+        cert = _certificate(det, "nonvanishing" if is_cis else "vanishing")
+    return CisReport(kappa, sym, det, cert, is_cis)
 
 
 # --- factored determinant tables for rho = 2, a in {0, 1/2} ----------------

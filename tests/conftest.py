@@ -11,7 +11,9 @@ independent of the library's half-circle FFT evaluator; the derivatives of
 Q_m^ at 0 have exact Fraction moments of Q_m as reference, independent of
 the library's Taylor series; the lattice search of the local modulus has a
 one-pass-per-k reference, independent of the library's single-pass r = 1
-identity and reused buffers.  Point evaluations of Laurent polynomials, the
+identity and reused buffers; the inverse-symbol table has the two-grid
+reference that compares each grid with the one before it, against the
+library's alias band on one grid.  Point evaluations of Laurent polynomials, the
 local modulus at one x, the time-domain moment residual, random spline
 elements, the Fourier transform of Q_m, single finite differences, the
 maximal-density determinant check, one-coefficient B-spline series, the
@@ -27,11 +29,11 @@ import numpy as np
 import pytest
 
 from derivsamp.bspline import _pieces, bspline_series, exact_lattice_values, fourier_q_derivs
-from derivsamp.kernel import inv_symbol_coeffs, theta_eval, theta_support
-from derivsamp.laurent import ONE, LaurentPoly, laurent_det
+from derivsamp.kernel import KernelTable, inv_symbol_coeffs, theta_eval, theta_support
+from derivsamp.laurent import ONE, LaurentPoly, circle_values, laurent_det
 from derivsamp.sampler import SplineElement
 from derivsamp.smoothness import _check_search, _moduli_batch, tau_modulus
-from derivsamp.symbol import Kappa, build_symbol
+from derivsamp.symbol import Kappa, NotCISError, build_symbol, check_cis
 
 KAPPA_Q3 = Kappa(3, 0, 2)
 KAPPA_Q4 = Kappa(4, 0, 3)
@@ -278,6 +280,63 @@ def lattice_moduli_reference(f, signs, offsets, xs, search_n: int) -> np.ndarray
         np.abs(diff, out=diff)
         out = np.fmax(out, np.fmax.reduce(diff, axis=0))
     return out
+
+
+def inv_symbol_coeffs_reference(kappa: Kappa, tol: float = 1e-12, min_radius=None) -> KernelTable:
+    """Inverse-symbol table by two grids per step: n doubles from 128 until
+    the Nyquist coefficients n/2 +- 2 are below tol and the coefficients
+    |v| <= 32 agree with the previous grid's to tol; then the same radius
+    search and tail estimate as the library, one coefficient at a time."""
+    report = check_cis(kappa)
+    if not report.is_cis:
+        raise NotCISError(kappa)
+    sym = report.symbol
+    rho = kappa.rho
+
+    n = 128
+    prev_slice = None
+    while True:
+        inv = np.linalg.inv(circle_values(sym.entries, n))
+        spec = np.fft.fft(inv, axis=0) / n
+        mags = np.max(np.abs(spec), axis=(1, 2))
+        nyquist = float(mags[n // 2 - 2 : n // 2 + 3].max())
+        probe = min(32, n // 4)
+        cur_slice = np.stack([spec[v % n] for v in range(-probe, probe + 1)])
+        agree = (
+            prev_slice is not None
+            and prev_slice.shape == cur_slice.shape
+            and float(np.max(np.abs(cur_slice - prev_slice))) < tol
+        )
+        if nyquist < tol and agree:
+            break
+        prev_slice = cur_slice
+        if n >= 8192:
+            raise ArithmeticError(f"no convergence for {kappa} at n={n}")
+        n *= 2
+
+    def mag(v: int) -> float:
+        return float(mags[v % n])
+
+    adaptive = 1
+    for v in range(1, n // 3):
+        if mag(v) >= tol or mag(-v) >= tol:
+            adaptive = v
+    radius = max(adaptive, min_radius or 1)
+
+    def tail_estimate(v0: int) -> float:
+        peak = max(mag(v0), mag(-v0))
+        back = max(mag(v0 - 3), mag(-(v0 - 3)), 1e-300)
+        ratio = (max(peak, 1e-300) / back) ** (1.0 / 3.0)
+        ratio = min(max(ratio, 1e-3), 0.95)
+        return 10.0 * rho * peak * ratio / (1.0 - ratio)
+
+    while radius < n // 3 and tail_estimate(radius) >= tol and max(mag(radius), mag(-radius)) > 0:
+        radius += 2
+    tail_bound = tail_estimate(radius)
+
+    stacked = np.stack([spec[v % n] for v in range(-radius, radius + 1)])
+    coeffs = np.transpose(stacked.real, (1, 2, 0)).copy()
+    return KernelTable(kappa, radius, coeffs, tail_bound)
 
 
 def moment_check_time(table, n: int, t: float) -> float:
