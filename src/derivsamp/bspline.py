@@ -11,8 +11,8 @@ degree m-1-d per knot interval, so that each point costs one gather and one
 Horner pass (de Boor, A Practical Guide to Splines, ch. X).  Exact rational
 values on a shifted integer lattice, Q_m^(i)(u + p), come from one Cox-de
 Boor triangle on integer numerators over the common denominator
-(m-1)! q^(m-1) of u = s/q, with one Fraction built per returned value
-(`exact_lattice_values`).
+(m-1)! q^(m-1) of u = s/q, and are returned as integer numerators over one
+denominator per derivative order (`exact_lattice_values`).
 Fourier transforms use the convention f^(w) = int f(t) exp(-2 pi i w t) dt,
 so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m; `fourier_q_derivs` gives
 its derivatives of every order.
@@ -105,19 +105,22 @@ def bspline_series(m: int, deriv: int, coeffs, k0: int, x):
     return float(out) if arr.ndim == 0 else out
 
 
-def exact_lattice_values(m: int, u, d_max: int) -> list[list[Fraction]]:
-    """vals[i][p] = Q_m^(i)(u + p) exactly, for 0 <= p < m and i <= d_max.
+def exact_lattice_values(m: int, u, d_max: int) -> tuple[list[list[int]], list[int]]:
+    """(nums, dens) with Q_m^(i)(u + p) = nums[i][p] / dens[i] exactly, for
+    0 <= p < m and i <= d_max; dens[i] = (m-i-1)! q^(m-i-1).
 
     u = s/q is a rational in [0, 1).  One Cox-de Boor triangle on the integer
     numerators T_n(p) = (n-1)! q^(n-1) Q_n(u + p), n <= m: the recurrence
     Q_n(x) = (x Q_{n-1}(x) + (n-x) Q_{n-1}(x-1)) / (n-1) becomes
     T_n(p) = (s + qp) T_{n-1}(p) + (qn - s - qp) T_{n-1}(p-1), started at the
     right-continuous Q_1.  Then Q_m^(i) = Delta^i Q_{m-i}, the i-th backward
-    difference in p, taken on the integers and divided once per value.
+    difference in p, taken on the integers.  The numerators are not reduced
+    against their denominator.
     """
     _check_order(m)
     _check_deriv_order(m, d_max)
-    u = Fraction(u)
+    if not isinstance(u, Fraction):
+        u = Fraction(u)
     if not 0 <= u < 1:
         raise ValueError(f"lattice offset must lie in [0, 1), got {u}")
     s, q = u.numerator, u.denominator
@@ -130,14 +133,14 @@ def exact_lattice_values(m: int, u, d_max: int) -> list[list[Fraction]]:
             for x, t, t_left in zip(qx, row, [0] + row[:-1])
         ]
         rows[n] = row
-    vals = []
+    nums, dens = [], []
     for i in range(d_max + 1):
         diff = rows[m - i]
         for _ in range(i):
             diff = [t - t_left for t, t_left in zip(diff, [0] + diff[:-1])]
-        den = math.factorial(m - i - 1) * q ** (m - i - 1)
-        vals.append([Fraction(t, den) for t in diff])
-    return vals
+        nums.append(diff)
+        dens.append(math.factorial(m - i - 1) * q ** (m - i - 1))
+    return nums, dens
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +214,11 @@ def krein_favard(r: int) -> float:
     """Krein-Favard constant K_r."""
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise ValueError(f"index must be a nonnegative integer, got {r!r}")
-    return float(Fraction(_zigzag(r), 2 ** r * math.factorial(r))) * math.pi ** r
+    return _zigzag(r) / (2 ** r * math.factorial(r)) * math.pi ** r
 
 
 def riesz_lower_bound(m: int) -> float:
     """Lower Riesz bound A_{2m-1} / (2m-1)! of the shifted Q_m basis, rounded
     once from the exact rational (upper bound is 1 by partition of unity)."""
     _check_order(m)
-    return float(Fraction(_zigzag(2 * m - 1), math.factorial(2 * m - 1)))
+    return _zigzag(2 * m - 1) / math.factorial(2 * m - 1)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -78,41 +77,6 @@ class KernelTable:
             with open(path, "w", newline="") as fh:
                 fh.write(text)
         return text
-
-    @staticmethod
-    def from_csv(path) -> "KernelTable":
-        with open(path) as fh:
-            line = fh.readline()
-            if not line.startswith("# derivsamp v1,"):
-                raise ValueError(f"not a derivsamp kernel file: {path}")
-            # tolerate extra leading comment lines (CLI dumps prepend a config
-            # header); the metadata line is the one carrying the radius
-            meta = None
-            while line.startswith("#"):
-                if line.startswith("# derivsamp v1,"):
-                    fields = dict(
-                        kv.split("=", 1)
-                        for kv in line.strip()[2:].split(",")[1:]
-                        if "=" in kv
-                    )
-                    if "radius" in fields:
-                        meta = fields
-                line = fh.readline()
-            if meta is None:
-                raise ValueError(f"{path}: missing kernel metadata header")
-            cols = line.strip()
-            if cols != "j,i,v,re,im":
-                raise ValueError(f"unexpected column header {cols!r}")
-            kappa = Kappa(int(meta["m"]), Fraction(meta["a"]), int(meta["rho"]))
-            radius = int(meta["radius"])
-            tail_bound = float(meta["tail_bound"])
-            coeffs = np.zeros((kappa.rho, kappa.rho, 2 * radius + 1))
-            for line in fh:
-                j, i, v, re, im = line.strip().split(",")
-                if abs(float(im)) > 1e-10 + tail_bound:
-                    raise ValueError(f"{path}: coefficient ({j},{i},{v}) is not real: im={im}")
-                coeffs[int(j), int(i), radius + int(v)] = float(re)
-        return KernelTable(kappa, radius, coeffs, tail_bound)
 
 
 def inv_symbol_coeffs(

@@ -1,32 +1,29 @@
-"""Laurent polynomials with exact rational coefficients.
+"""Laurent polynomials with exact rational coefficients, stored as integer
+numerators over one denominator.
 
-Used for symbol matrices of the sampling problem: ring arithmetic, exact
-determinants, an exact certificate that a polynomial does or does not
-vanish on the unit circle, with float diagnostics of how close its zeros come
-to the circle, and `circle_values`, the one float evaluator of a Laurent
-polynomial or matrix on a uniform grid of the circle.  Both exact
-algorithms run on Python integers and build one Fraction per output
-coefficient: the determinant is fraction-free Bareiss elimination over
-integer Laurent polynomials, on rows scaled to integer coefficients; the
-certificate takes a gcd with the reversed polynomial, substitutes
-x = z + 1/z and counts roots with a Sturm sequence, all by sign-correct
-primitive pseudo-remainders.
+Used for symbol matrices of the sampling problem: exact determinants, an
+exact certificate that a polynomial does or does not vanish on the unit
+circle, with float diagnostics of how close its zeros come to the circle,
+and `circle_values`, the one float evaluator of a Laurent polynomial or
+matrix on a uniform grid of the circle.  Both exact algorithms run on the
+integer numerators alone: the determinant is fraction-free Bareiss
+elimination over integer Laurent polynomials, over the product of the row
+denominators; the certificate takes a gcd with the reversed polynomial,
+substitutes x = z + 1/z and counts roots with a Sturm sequence, all by
+sign-correct primitive pseudo-remainders.  Every float coefficient is
+numerator / den, which Python rounds correctly, as float(Fraction) does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "LaurentPoly",
-    "ZERO",
-    "ONE",
-    "Z",
     "laurent_det",
     "circle_values",
     "CircleCertificate",
@@ -44,29 +41,31 @@ def _eval(p: Sequence, x):
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaurentPoly:
-    """sum_k coeffs[k - low] * z^k, coefficients exact Fractions.
+    """sum_k (coeffs[k - low] / den) * z^k: integer numerators over one
+    positive integer denominator.
 
     Normalized: zero polynomial has low == 0 and empty coeffs; otherwise the
-    first and last stored coefficients are nonzero.
+    first and last stored numerators are nonzero.  Numerators and den are
+    not reduced by their common factor, so == and hash compare the exact
+    rational values.
     """
 
     low: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
-    def make(low: int, coeffs: Iterable) -> "LaurentPoly":
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        lead = 0
-        while cs and cs[-1] == 0:
-            cs.pop()
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lead += 1
-        if not cs:
-            return LaurentPoly(0, ())
-        return LaurentPoly(low + lead, tuple(cs))
+    def make(low: int, coeffs: Sequence[int], den: int = 1) -> "LaurentPoly":
+        start, stop = 0, len(coeffs)
+        while stop and coeffs[stop - 1] == 0:
+            stop -= 1
+        while start < stop and coeffs[start] == 0:
+            start += 1
+        if start == stop:
+            return LaurentPoly(0, (), den)
+        return LaurentPoly(low + start, tuple(coeffs[start:stop]), den)
 
     @property
     def is_zero(self) -> bool:
@@ -78,65 +77,38 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return self.low + len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> Fraction:
-        if self.is_zero or k < self.low or k > self.high:
-            return Fraction(0)
-        return self.coeffs[k - self.low]
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.low, other.low)
-        hi = max(self.high, other.high)
-        return LaurentPoly.make(
-            lo, [self.coeff(k) + other.coeff(k) for k in range(lo, hi + 1)]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return (self.low, len(self.coeffs)) == (other.low, len(other.coeffs)) and all(
+            a * other.den == b * self.den for a, b in zip(self.coeffs, other.coeffs)
         )
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.low, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero or other.is_zero:
-            return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LaurentPoly.make(self.low + other.low, out)
-
-    def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
-        if c == 0 or self.is_zero:
-            return ZERO
-        return LaurentPoly(self.low, tuple(c * a for a in self.coeffs))
+    def __hash__(self) -> int:
+        g = math.gcd(self.den, *self.coeffs)
+        return hash((self.low, self.den // g, tuple(c // g for c in self.coeffs)))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
         if self.is_zero:
-            return ZERO
-        return LaurentPoly(self.low + k, self.coeffs)
+            return self
+        return LaurentPoly(self.low + k, self.coeffs, self.den)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
         for k in range(self.high, self.low - 1, -1):
-            c = self.coeff(k)
+            c = self.coeffs[k - self.low]
             if c == 0:
                 continue
-            mag = abs(c)
+            g = math.gcd(c, self.den)
+            mag = str(abs(c) // g) if self.den == g else f"{abs(c) // g}/{self.den // g}"
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 zp = "z" if k == 1 else f"z^{k}"
-                body = zp if mag == 1 else f"{mag}{zp}"
+                body = zp if mag == "1" else f"{mag}{zp}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -144,15 +116,10 @@ class LaurentPoly:
         return " ".join(parts)
 
 
-ZERO = LaurentPoly(0, ())
-ONE = LaurentPoly(0, (Fraction(1),))
-Z = LaurentPoly(1, (Fraction(1),))
-
-
 def circle_values(p, n: int) -> np.ndarray:
     """Values at z_s = exp(2 pi i s / n), 0 <= s < n, of a LaurentPoly or a
     nested sequence of them (a matrix); complex array of shape
-    (n,) + shape of p.
+    (n,) + shape of p.  Raises ValueError unless n is a positive integer.
 
     z_s^n = 1, so each coefficient c_k adds into slot k mod n and one inverse
     FFT of the slots gives every value (the DFT identity behind the
@@ -160,13 +127,15 @@ def circle_values(p, n: int) -> np.ndarray:
     coefficients p(z_{n-s}) = conj p(z_s), so rows 0..n//2 hold one point of
     every conjugate pair.
     """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"grid size must be a positive integer, got {n!r}")
     polys = np.asarray(p, dtype=object)
     size = polys.size
     idx, vals = [], []
     for col, q in enumerate(polys.flat):
         # c_k goes to slots[k mod n, col] of the row-major (n, size) array
         idx += [(k % n) * size + col for k in range(q.low, q.low + len(q.coeffs))]
-        vals += map(float, q.coeffs)
+        vals += [c / q.den for c in q.coeffs]
     slots = np.bincount(np.array(idx, dtype=np.intp), vals, minlength=n * size)
     return n * np.fft.ifft(slots.reshape(n, size), axis=0).reshape((n,) + polys.shape)
 
@@ -227,29 +196,31 @@ def _idivexact(num: _IPoly, den: _IPoly) -> _IPoly:
 def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials.
 
-    Each row is multiplied by the lcm of its coefficients' denominators, so
-    fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) runs on
-    integer Laurent polynomials, its divisions exact over the integers; one
-    division by the product of the row scales per coefficient ends it.
+    Fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) runs on
+    the integer numerators, its divisions exact over the integers.  A row
+    whose entries share one denominator (every symbol row) enters as it is;
+    other entries are brought to the lcm of their row's denominators.  The
+    result is an integer polynomial over the product of the row
+    denominators.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix is not square")
     if n == 0:
-        return ONE
-    scale = 1
+        return LaurentPoly(0, (1,))
+    den = 1
     m = []
     for row in mat:
-        s = math.lcm(*(c.denominator for p in row for c in p.coeffs))
-        scale *= s
-        m.append([(p.low, [c.numerator * (s // c.denominator) for c in p.coeffs]) for p in row])
+        s = math.lcm(*(p.den for p in row))
+        den *= s
+        m.append([(p.low, [c * (s // p.den) for c in p.coeffs]) for p in row])
     sign = 1
     prev = _IONE
     for k in range(n - 1):
         if not m[k][k][1]:
             swap = next((i for i in range(k + 1, n) if m[i][k][1]), None)
             if swap is None:
-                return ZERO
+                return LaurentPoly(0, ())
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot = m[k][k]
@@ -258,7 +229,7 @@ def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
                 m[i][j] = _idivexact(_icross(m[i][j], pivot, m[i][k], m[k][j]), prev)
         prev = pivot
     low, coeffs = m[n - 1][n - 1]
-    return LaurentPoly(low, tuple(Fraction(sign * c, scale) for c in coeffs))
+    return LaurentPoly(low, tuple(sign * c for c in coeffs), den)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +296,8 @@ def _sturm_roots(h: list[int], lo: int, hi: int) -> int:
 
 def _vanishes_on_circle(p: LaurentPoly) -> bool:
     """Exact test whether the nonzero Laurent polynomial p has a zero on
-    |z| = 1, on its coefficients scaled to integers."""
-    den = math.lcm(*(x.denominator for x in p.coeffs))
-    q = [x.numerator * (den // x.denominator) for x in p.coeffs]
+    |z| = 1, on its integer numerators."""
+    q = list(p.coeffs)
     g = _gcd(q, q[::-1])
     if len(g) == 1:
         return False
@@ -350,7 +320,7 @@ class CircleCertificate:
     diagnostics.
 
     verdict is "vanishing" or "nonvanishing", decided exactly over the
-    rational coefficients.  min_modulus and argmin_t are the smallest
+    integer numerators.  min_modulus and argmin_t are the smallest
     modulus on the grid t = s/4096 of the circle (z = exp(2 pi i t)) and
     its position.  The coefficients are real, so |p(z)| = |p(conj z)| and
     only t in [0, 1/2] is searched: argmin_t is always the point of its
@@ -379,7 +349,7 @@ def _certificate(p: LaurentPoly, verdict: str) -> CircleCertificate:
     # modulus comes out exactly constant and argmin_t is 0
     vals = np.abs(circle_values(p.shift(-p.low), _GRID_N)[: _GRID_N // 2 + 1])
     imin = int(np.argmin(vals))
-    c = [float(x) for x in p.coeffs]
+    c = [x / p.den for x in p.coeffs]
     root_margin = math.inf
     if len(c) > 1:
         root_margin = float(np.min(np.abs(np.abs(np.roots(c[::-1])) - 1.0)))

@@ -73,7 +73,8 @@ class SplineElement:
 def _gram(m: int, n: int) -> np.ndarray:
     """G[j, k] = <Q_m(. - j), Q_m(. - k)> = Q_2m(m + j - k) for 0 <= j, k < n,
     the B-spline autocorrelation, each value rounded once from exact."""
-    q2m = [float(v) for v in exact_lattice_values(2 * m, 0, 0)[0]] + [0.0]
+    nums, dens = exact_lattice_values(2 * m, 0, 0)
+    q2m = [t / dens[0] for t in nums[0]] + [0.0]
     lag = m + np.subtract.outer(np.arange(n), np.arange(n))
     # Q_2m(p) for 0 <= p < 2m; clipping sends every lag outside onto a zero
     # (Q_2m(0) = 0 below, the appended 0 above)
@@ -235,9 +236,10 @@ def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     values on the grid t = s / grid_n of the circle.  The symbol is real, so
     Psi(1 - t) = conj Psi(t) has the same singular values, and the points
     with t in [0, 1/2] (s <= grid_n // 2, odd grid_n included) give the
-    extremes of the whole grid."""
-    if grid_n < 64:
-        raise ValueError("grid_n too small")
+    extremes of the whole grid.  Raises ValueError unless grid_n is an
+    integer >= 64."""
+    if not isinstance(grid_n, (int, np.integer)) or grid_n < 64:
+        raise ValueError(f"grid_n must be an integer >= 64, got {grid_n!r}")
     return _frame_bounds(build_symbol(kappa), grid_n)
 
 
@@ -269,7 +271,7 @@ def _sample_matrix(sym: SymbolMatrix, n: int) -> np.ndarray:
     for i in range(rho):
         for j in range(rho):
             p = sym.entries[i][j]
-            vals = [float(c) for c in p.coeffs]
+            vals = [c / p.den for c in p.coeffs]
             for k in range(j, n, rho):
                 top = p.low + k // rho - l_lo
                 b[i, top : top + len(vals), k] = vals
@@ -297,7 +299,10 @@ def verify_sampling_inequality(
     """Check lower ||f||^2 <= sum_{i,l} |f^(i)(a + rho l)|^2 <= upper_frame ||f||^2
     on n_trials random f = sum_k c_k Q_m(. - k), 0 <= k < 30, c_k uniform in
     [-1, 1], as ratios c^T M c / c^T G c with M = B^T B (`_sample_matrix`);
-    the generalized eigenvalues of (M, G) bound every such ratio."""
+    the generalized eigenvalues of (M, G) bound every such ratio.  Raises
+    ValueError unless n_trials is a positive integer."""
+    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
+        raise ValueError(f"n_trials must be a positive integer, got {n_trials!r}")
     sym = build_symbol(kappa)
     bounds = _frame_bounds(sym, _FRAME_GRID_N)
     gram = _gram(kappa.m, _TRIAL_LEN)
@@ -309,7 +314,7 @@ def verify_sampling_inequality(
     chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
     eig = np.linalg.eigvalsh(chol_inv @ energy @ chol_inv.T)
     return SamplingInequalityReport(
-        kappa, n_trials, float(ratios.min(initial=math.inf)), float(ratios.max(initial=-math.inf)),
+        kappa, n_trials, float(ratios.min()), float(ratios.max()),
         bounds.lower, bounds.upper_frame, int(np.count_nonzero(~inside)),
         float(eig[0]), float(eig[-1]),
     )

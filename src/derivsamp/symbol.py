@@ -8,10 +8,12 @@ Laurent polynomials
 built here with exact rational coefficients.  Every node a + rho k - j
 has the fractional part u = a - floor(a), so every coefficient is one of the
 m values Q_m^{(i)}(u + p), 0 <= p < m, read off one exact Cox-de Boor
-triangle (`exact_lattice_values`).  Invertibility of Psi on the unit circle
+triangle (`exact_lattice_values`) as an integer numerator over one
+denominator per derivative order i: row i of the symbol is integer Laurent
+polynomials over that denominator.  Invertibility of Psi on the unit circle
 is equivalent to stable reconstruction from samples of f, f', ...,
 f^{(rho-1)} on (a + rho Z); `check_cis` decides it exactly from the
-determinant's rational coefficients.  Float values of the symbol on the
+determinant's integer numerators.  Float values of the symbol on the
 circle, for the frame constants and the inverse-symbol coefficients, come
 from `laurent.circle_values`.
 """
@@ -75,14 +77,14 @@ class Kappa:
 @dataclass(frozen=True)
 class SymbolMatrix:
     kappa: Kappa
-    entries: tuple[tuple[LaurentPoly, ...], ...]  # [i][j]
+    entries: tuple[tuple[LaurentPoly, ...], ...]  # [i][j], one den per row i
 
 
 def build_symbol(kappa: Kappa) -> SymbolMatrix:
     """Exact symbol matrix of kappa."""
     m, a, rho = kappa.m, kappa.a, kappa.rho
     shift = math.floor(a)
-    vals = exact_lattice_values(m, a - shift, rho - 1)
+    nums, dens = exact_lattice_values(m, a - shift, rho - 1)
     rows = []
     for i in range(rho):
         row = []
@@ -91,7 +93,7 @@ def build_symbol(kappa: Kappa) -> SymbolMatrix:
             # support needs 0 <= p < m, and k_lo is the least k with p >= 0
             k_lo = -((shift - j) // rho)
             p0 = shift + rho * k_lo - j
-            row.append(LaurentPoly.make(k_lo, vals[i][p0::rho]))
+            row.append(LaurentPoly.make(k_lo, nums[i][p0::rho], dens[i]))
         rows.append(tuple(row))
     return SymbolMatrix(kappa, tuple(rows))
 
@@ -156,24 +158,25 @@ def table_polynomial(kappa: Kappa) -> LaurentPoly:
     if rho != 2 or a not in (Fraction(0), Fraction(1, 2)):
         raise ValueError(f"no table factorization for {kappa}")
     det = laurent_det(build_symbol(kappa).entries)
+    # prefactor = pref_num / pref_den
     if a == 0:
-        pref = Fraction(2 ** (m - 2), math.factorial(m - 1) * math.factorial(m - 2))
+        pref_num, pref_den = 2 ** (m - 2), math.factorial(m - 1) * math.factorial(m - 2)
         e = 2
     else:
-        pref = Fraction(6, math.factorial(m - 1) * math.factorial(m - 2) * 2 ** (2 * m - 3))
+        pref_num, pref_den = 6, math.factorial(m - 1) * math.factorial(m - 2) * 2 ** (2 * m - 3)
         e = 1
-    quotient = det.scale(1 / pref).shift(-e)
+    quotient = LaurentPoly(det.low - e, tuple(pref_den * c for c in det.coeffs), det.den * pref_num)
     if quotient.is_zero or quotient.low != 0:
         raise ValueError(
             f"determinant of {kappa} does not factor as prefactor * z^{e} * P(z): "
             f"det = {det}"
         )
-    if any(c.denominator != 1 for c in quotient.coeffs):
+    if any(c % quotient.den for c in quotient.coeffs):
         raise ValueError(
             f"factor polynomial for {kappa} has non-integer coefficients: {quotient}"
         )
     sign = _TABLE_SIGN.get((a == Fraction(1, 2), m), 1)
-    return quotient if sign == 1 else -quotient
+    return LaurentPoly(0, tuple(sign * c // quotient.den for c in quotient.coeffs))
 
 
 # --- shift-placement rule scan ---------------------------------------------

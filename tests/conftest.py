@@ -13,7 +13,11 @@ the library's Taylor series; the lattice search of the local modulus has a
 one-pass-per-k reference, independent of the library's single-pass r = 1
 identity and reused buffers; the inverse-symbol table has the two-grid
 reference that compares each grid with the one before it, against the
-library's alias band on one grid.  Point evaluations of Laurent polynomials, the
+library's alias band on one grid; the exact layer has the Fraction
+reference it replaced (`FracPoly`, with the ring arithmetic the library no
+longer carries, and `fraction_path`), against the library's integer
+numerators over one denominator per row.  Kernel tables are read back from
+CSV by `kernel_table_from_csv`.  Point evaluations of Laurent polynomials, the
 local modulus at one x, the time-domain moment residual, random spline
 elements, the Fourier transform of Q_m, single finite differences, the
 maximal-density determinant check, one-coefficient B-spline series, the
@@ -23,17 +27,30 @@ API."""
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from derivsamp.bspline import _pieces, bspline_series, exact_lattice_values, fourier_q_derivs
+from derivsamp import kernel, sampler
+from derivsamp.bspline import (
+    _pieces,
+    _zigzag,
+    bspline_series,
+    exact_lattice_values,
+    fourier_q_derivs,
+)
 from derivsamp.kernel import KernelTable, inv_symbol_coeffs, theta_eval, theta_support
-from derivsamp.laurent import ONE, LaurentPoly, circle_values, laurent_det
+from derivsamp.laurent import (
+    CircleCertificate,
+    LaurentPoly,
+    circle_values,
+    laurent_det,
+)
 from derivsamp.sampler import SplineElement
 from derivsamp.smoothness import _check_search, _moduli_batch, tau_modulus
-from derivsamp.symbol import Kappa, NotCISError, build_symbol, check_cis
+from derivsamp.symbol import Kappa, NotCISError, SymbolMatrix, build_symbol, check_cis
 
 KAPPA_Q3 = Kappa(3, 0, 2)
 KAPPA_Q4 = Kappa(4, 0, 3)
@@ -138,9 +155,10 @@ def pascal_det_check(m: int) -> bool:
     have determinant 1."""
     if m < 2:
         raise ValueError("need m >= 2")
-    vals = exact_lattice_values(m, 0, m - 2)
-    mat = [[LaurentPoly.make(0, [row[m - 1 - j]]) for j in range(m - 1)] for row in vals]
-    return laurent_det(mat) == ONE
+    nums, dens = exact_lattice_values(m, 0, m - 2)
+    mat = [[LaurentPoly.make(0, [row[m - 1 - j]], den) for j in range(m - 1)]
+           for row, den in zip(nums, dens)]
+    return laurent_det(mat) == LaurentPoly(0, (1,))
 
 
 def _binom(mu: int, j: int) -> int:
@@ -165,8 +183,8 @@ def binom_convolution_sum(n: int, l: int, k: int) -> int:
 def spline_pascal_sum(m: int, i: int, l: int) -> Fraction:
     """sum_j C(j,l) sum_r (-1)^r C(i,r) Q_{m-i}(m-1-j-r) over j = 0..m-2,
     the inner sum being Q_m^{(i)}(m-1-j); equals 0 for l < i and 1 for l = i."""
-    vals = exact_lattice_values(m, 0, i)[i]
-    return sum((_binom(j, l) * vals[m - 1 - j] for j in range(m - 1)), Fraction(0))
+    nums, dens = exact_lattice_values(m, 0, i)
+    return Fraction(sum(_binom(j, l) * nums[i][m - 1 - j] for j in range(m - 1)), dens[i])
 
 
 def check_identity_lemmas(n_max: int = 12, m_max: int = 10, seed: int = 7) -> bool:
@@ -223,7 +241,7 @@ def eval_complex(p, z: complex) -> complex:
     """Value of the LaurentPoly p at a complex z."""
     acc = 0j
     for c in reversed(p.coeffs):
-        acc = acc * z + complex(float(c))
+        acc = acc * z + c / p.den
     return acc * z ** p.low
 
 
@@ -246,14 +264,14 @@ def circle_min_modulus_reference(p, n: int = 4096) -> float:
     """Smallest |p| over the full grid z = exp(2 pi i s / n), 0 <= s < n,
     by numpy polyval (|z^low| = 1 drops the Laurent shift)."""
     z = np.exp(2j * math.pi * np.arange(n) / n)
-    c = np.asarray([float(x) for x in p.coeffs])
+    c = np.asarray([x / p.den for x in p.coeffs])
     return float(np.abs(np.polynomial.polynomial.polyval(z, c)).min())
 
 
 def eval_exact(p, z) -> Fraction:
     """Exact value of the LaurentPoly p at a rational z (z != 0 when low < 0)."""
     z = Fraction(z)
-    return _eval(p.coeffs, z) * z ** p.low
+    return _eval(p.coeffs, z) * z ** p.low / p.den
 
 
 def local_modulus(f, r: int, x: float, delta: float, search_n: int = 64) -> float:
@@ -466,3 +484,225 @@ def vanishes_on_circle_reference(q: list) -> bool:
             h[i] += g[k + j] * c
         d_prev, d = d, [x - y for x, y in zip([0] + d, d_prev + [0, 0])]
     return _sturm_roots(h, -2, 2) > 0
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the exact layer: Laurent polynomials with Fraction
+# coefficients and their ring, and the Fraction path the library's integer
+# form replaced, in which every symbol value is a Fraction and every float is
+# float(Fraction).  Its determinant is a cofactor expansion in the ring.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FracPoly:
+    """sum_k coeffs[k - low] * z^k over Fraction; normalized like
+    LaurentPoly, so == compares values."""
+
+    low: int
+    coeffs: tuple[Fraction, ...]
+
+    @staticmethod
+    def make(low: int, coeffs) -> "FracPoly":
+        cs = [Fraction(c) for c in coeffs]
+        lead = 0
+        while cs and cs[-1] == 0:
+            cs.pop()
+        while cs and cs[0] == 0:
+            cs.pop(0)
+            lead += 1
+        if not cs:
+            return FracPoly(0, ())
+        return FracPoly(low + lead, tuple(cs))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def high(self) -> int:
+        return self.low + len(self.coeffs) - 1
+
+    def coeff(self, k: int) -> Fraction:
+        if self.is_zero or k < self.low or k > self.high:
+            return Fraction(0)
+        return self.coeffs[k - self.low]
+
+    def __add__(self, other: "FracPoly") -> "FracPoly":
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        lo = min(self.low, other.low)
+        hi = max(self.high, other.high)
+        return FracPoly.make(lo, [self.coeff(k) + other.coeff(k) for k in range(lo, hi + 1)])
+
+    def __neg__(self) -> "FracPoly":
+        return FracPoly(self.low, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other: "FracPoly") -> "FracPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "FracPoly") -> "FracPoly":
+        if self.is_zero or other.is_zero:
+            return ZERO
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FracPoly.make(self.low + other.low, out)
+
+    def scale(self, c) -> "FracPoly":
+        return FracPoly.make(self.low, [Fraction(c) * a for a in self.coeffs])
+
+    def shift(self, k: int) -> "FracPoly":
+        """Multiply by z^k."""
+        return self if self.is_zero else FracPoly(self.low + k, self.coeffs)
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        for k in range(self.high, self.low - 1, -1):
+            c = self.coeff(k)
+            if c == 0:
+                continue
+            mag = abs(c)
+            if k == 0:
+                body = str(mag)
+            else:
+                zp = "z" if k == 1 else f"z^{k}"
+                body = zp if mag == 1 else f"{mag}{zp}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+
+ZERO = FracPoly(0, ())
+ONE = FracPoly(0, (Fraction(1),))
+Z = FracPoly(1, (Fraction(1),))
+
+
+def to_laurent(p: FracPoly) -> LaurentPoly:
+    """p as the library's integer numerators over the lcm of its
+    denominators."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return LaurentPoly(p.low, tuple(c.numerator * (den // c.denominator) for c in p.coeffs), den)
+
+
+def to_frac(p: LaurentPoly) -> FracPoly:
+    return FracPoly(p.low, tuple(Fraction(c, p.den) for c in p.coeffs))
+
+
+def lp(low: int, coeffs) -> LaurentPoly:
+    """The LaurentPoly sum_k coeffs[k - low] z^k of rational coefficients."""
+    return to_laurent(FracPoly.make(low, coeffs))
+
+
+def frac_symbol(kappa: Kappa) -> SymbolMatrix:
+    """The symbol with every entry a FracPoly: the same values, each held as
+    one Fraction."""
+    entries = build_symbol(kappa).entries
+    return SymbolMatrix(kappa, tuple(tuple(to_frac(p) for p in row) for row in entries))
+
+
+def frac_det(mat) -> FracPoly:
+    """Determinant of a square FracPoly matrix by cofactor expansion along
+    the first row, independent of the library's Bareiss elimination."""
+    n = len(mat)
+    if n == 0:
+        return ONE
+    acc = ZERO
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        term = mat[0][j] * frac_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def frac_circle_values(p, n: int) -> np.ndarray:
+    """circle_values of a FracPoly or a matrix of them, each coefficient
+    float(Fraction)."""
+    polys = np.asarray(p, dtype=object)
+    size = polys.size
+    idx, vals = [], []
+    for col, q in enumerate(polys.flat):
+        idx += [(k % n) * size + col for k in range(q.low, q.low + len(q.coeffs))]
+        vals += map(float, q.coeffs)
+    slots = np.bincount(np.array(idx, dtype=np.intp), vals, minlength=n * size)
+    return n * np.fft.ifft(slots.reshape(n, size), axis=0).reshape((n,) + polys.shape)
+
+
+def frac_certificate(p: FracPoly, verdict: str) -> CircleCertificate:
+    """The certificate's float diagnostics from float(Fraction)."""
+    grid_n = 4096
+    vals = np.abs(frac_circle_values(p.shift(-p.low), grid_n)[: grid_n // 2 + 1])
+    imin = int(np.argmin(vals))
+    c = [float(x) for x in p.coeffs]
+    root_margin = math.inf
+    if len(c) > 1:
+        root_margin = float(np.min(np.abs(np.abs(np.roots(c[::-1])) - 1.0)))
+    return CircleCertificate(float(vals[imin]), imin / grid_n, root_margin, verdict)
+
+
+def fraction_path(kappa: Kappa) -> dict:
+    """Everything the exact layer feeds, on the Fraction path: the symbol,
+    its determinant, the verdict and certificate, and the kernel table and
+    frame constants from the library's float code with the Fraction symbol
+    and float(Fraction) values patched in."""
+    sym = frac_symbol(kappa)
+    det = frac_det([list(row) for row in sym.entries])
+    is_cis = not det.is_zero and not vanishes_on_circle_reference(list(det.coeffs))
+    verdict = "nonvanishing" if is_cis else "vanishing"
+    cert = frac_certificate(det, verdict) if not det.is_zero else CircleCertificate(0.0, 0.0, 0.0, verdict)
+    out = {"symbol": sym, "det": det, "is_cis": is_cis, "certificate": cert}
+    if is_cis:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "_cis_decision", lambda k: (sym, det, is_cis))
+            mp.setattr(kernel, "circle_values", frac_circle_values)
+            mp.setattr(sampler, "build_symbol", lambda k: sym)
+            mp.setattr(sampler, "circle_values", frac_circle_values)
+            mp.setattr(sampler, "riesz_lower_bound",
+                       lambda m: float(Fraction(_zigzag(2 * m - 1), math.factorial(2 * m - 1))))
+            out["table"] = kernel.inv_symbol_coeffs(kappa)
+            out["bounds"] = sampler.frame_bounds(kappa)
+    return out
+
+
+def kernel_table_from_csv(path) -> KernelTable:
+    """Read a table written by `KernelTable.to_csv`, with or without the
+    CLI's leading comment lines."""
+    with open(path) as fh:
+        line = fh.readline()
+        if not line.startswith("# derivsamp v1,"):
+            raise ValueError(f"not a derivsamp kernel file: {path}")
+        # tolerate extra leading comment lines (CLI dumps prepend a config
+        # header); the metadata line is the one carrying the radius
+        meta = None
+        while line.startswith("#"):
+            if line.startswith("# derivsamp v1,"):
+                fields = dict(
+                    kv.split("=", 1)
+                    for kv in line.strip()[2:].split(",")[1:]
+                    if "=" in kv
+                )
+                if "radius" in fields:
+                    meta = fields
+            line = fh.readline()
+        if meta is None:
+            raise ValueError(f"{path}: missing kernel metadata header")
+        cols = line.strip()
+        if cols != "j,i,v,re,im":
+            raise ValueError(f"unexpected column header {cols!r}")
+        kappa = Kappa(int(meta["m"]), Fraction(meta["a"]), int(meta["rho"]))
+        radius = int(meta["radius"])
+        tail_bound = float(meta["tail_bound"])
+        coeffs = np.zeros((kappa.rho, kappa.rho, 2 * radius + 1))
+        for line in fh:
+            j, i, v, re, im = line.strip().split(",")
+            if abs(float(im)) > 1e-10 + tail_bound:
+                raise ValueError(f"{path}: coefficient ({j},{i},{v}) is not real: im={im}")
+            coeffs[int(j), int(i), radius + int(v)] = float(re)
+    return KernelTable(kappa, radius, coeffs, tail_bound)

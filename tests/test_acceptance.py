@@ -20,7 +20,6 @@ from derivsamp.kernel import (
     moment_check_fourier,
     reproducing_order,
 )
-from derivsamp.laurent import LaurentPoly
 from derivsamp.sampler import (
     SplineElement,
     apply_sw,
@@ -48,6 +47,7 @@ from conftest import (
     check_identity_lemmas,
     det_symbol,
     eval_exact,
+    lp,
     moment_check_time,
     pascal_det_check,
     tau_scaling_check,
@@ -107,7 +107,7 @@ def test_criterion_01_tables_cli(tmp_path):
 
 def test_criterion_02_symbols_and_kernels(table_q3, table_q4h):
     def L(low, *cs):
-        return LaurentPoly.make(low, [Fraction(c) for c in cs])
+        return lp(low, cs)
 
     sym = build_symbol(KAPPA_Q3)
     psi_ok = (
@@ -125,9 +125,7 @@ def test_criterion_02_symbols_and_kernels(table_q3, table_q4h):
     psi_ok = psi_ok and all(
         q4.entries[i][j] == L(1, want4[i][j]) for i in range(3) for j in range(3)
     )
-    det_ok = det_symbol(KAPPA_Q4H) == LaurentPoly.make(
-        1, [Fraction(-3, 64), Fraction(19, 32), Fraction(-3, 64)]
-    )
+    det_ok = det_symbol(KAPPA_Q4H) == lp(1, [Fraction(-3, 64), Fraction(19, 32), Fraction(-3, 64)])
 
     kern_err = max(
         abs(table_q3.coeff(0, 0, -1) - 1.0),
@@ -184,8 +182,7 @@ def test_criterion_03_frame_bounds_and_inequality():
 
 def test_criterion_04_maximal_density_exact():
     monomial_ok = all(
-        det_symbol(Kappa(m, Fraction(0), m - 1))
-        == LaurentPoly.make(m - 1, [Fraction(1)])
+        det_symbol(Kappa(m, Fraction(0), m - 1)) == lp(m - 1, [1])
         for m in range(2, 11)
     )
     pascal_ok = all(pascal_det_check(m) for m in range(2, 11))

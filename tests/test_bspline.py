@@ -96,10 +96,12 @@ def test_eval_exact_is_exact():
     for m in range(1, 13):
         d_max = max(0, m - 2)
         for u in shifts:
-            vals = exact_lattice_values(m, u, d_max)
-            assert len(vals) == d_max + 1
-            for i, row in enumerate(vals):
-                assert row == [eval_q_deriv_exact(m, i, u + p) for p in range(m)], (m, i, u)
+            nums, dens = exact_lattice_values(m, u, d_max)
+            assert len(nums) == len(dens) == d_max + 1
+            for i, (row, den) in enumerate(zip(nums, dens)):
+                assert den == math.factorial(m - i - 1) * u.denominator ** (m - i - 1)
+                got = [Fraction(t, den) for t in row]
+                assert got == [eval_q_deriv_exact(m, i, u + p) for p in range(m)], (m, i, u)
     with pytest.raises(ValueError):
         exact_lattice_values(4, Fraction(1), 0)
     with pytest.raises(ValueError):

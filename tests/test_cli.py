@@ -11,8 +11,9 @@ import pytest
 import derivsamp
 from derivsamp import sampler
 from derivsamp.cli import _UsageError, main, parse_w_list
-from derivsamp.kernel import KernelTable
 from derivsamp.signals import TabulatedSignal
+
+from conftest import kernel_table_from_csv
 
 
 def test_exit_codes(tmp_path):
@@ -114,7 +115,7 @@ def test_kernel_dump_roundtrip(tmp_path):
     assert main(["kernel-dump", "--m", "3", "--rho", "2", "--out", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("# derivsamp v1,")
-    table = KernelTable.from_csv(out)
+    table = kernel_table_from_csv(out)
     assert table.kappa.m == 3 and table.kappa.rho == 2
     assert table.coeff(0, 0, -1) == pytest.approx(1.0, abs=1e-12)
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from derivsamp.kernel import (
-    KernelTable,
     inv_symbol_coeffs,
     moment_check_fourier,
     reproducing_order,
@@ -17,7 +16,13 @@ from derivsamp.kernel import (
 )
 from derivsamp.symbol import Kappa, NotCISError, check_cis
 
-from conftest import KAPPA_Q4H, eval_q, inv_symbol_coeffs_reference, moment_check_time
+from conftest import (
+    KAPPA_Q4H,
+    eval_q,
+    inv_symbol_coeffs_reference,
+    kernel_table_from_csv,
+    moment_check_time,
+)
 
 
 def test_rejects_unstable_configuration():
@@ -228,7 +233,7 @@ def test_csv_roundtrip(tmp_path, table_q4h):
     path = tmp_path / "kernel.csv"
     text = table_q4h.to_csv(path)
     assert path.read_text() == text
-    back = KernelTable.from_csv(path)
+    back = kernel_table_from_csv(path)
     assert back.kappa == table_q4h.kappa
     assert back.radius == table_q4h.radius
     assert back.tail_bound == table_q4h.tail_bound
@@ -239,14 +244,14 @@ def test_csv_rejects_foreign_file(tmp_path, table_q3):
     p = tmp_path / "bad.csv"
     p.write_text("j,i,v,re,im\n0,0,0,1.0,0.0\n")
     with pytest.raises(ValueError):
-        KernelTable.from_csv(p)
+        kernel_table_from_csv(p)
     # a coefficient with an imaginary part past 1e-10 + tail_bound
     lines = table_q3.to_csv().splitlines()
     assert lines[2].endswith(",0.0")
     lines[2] = lines[2][: -len("0.0")] + "0.001"
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
-        KernelTable.from_csv(p)
+        kernel_table_from_csv(p)
 
 
 def test_theta_channel_range(table_q3):

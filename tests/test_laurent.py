@@ -1,5 +1,6 @@
-"""Exact Laurent polynomial arithmetic, determinants, and the unit-circle
-zero certificate."""
+"""Exact Laurent polynomials (integer numerators over one denominator),
+determinants, the unit-circle zero certificate, and the Fraction ring of the
+test reference."""
 
 import math
 from fractions import Fraction
@@ -8,34 +9,40 @@ import numpy as np
 import pytest
 
 from derivsamp.laurent import (
-    ONE,
-    ZERO,
-    Z,
     LaurentPoly,
     _idivexact,
+    circle_values,
     laurent_det,
     roots_unit_circle,
 )
 from derivsamp.symbol import Kappa, build_symbol
 
 from conftest import (
+    ONE,
+    ZERO,
+    Z,
+    FracPoly,
     circle_min_modulus_reference,
     det_symbol,
     eval_complex,
     eval_exact,
     eval_unit,
+    frac_det,
+    lp,
+    to_frac,
+    to_laurent,
     vanishes_on_circle_reference,
 )
 
 
-def _random_poly(rng) -> LaurentPoly:
+def _random_poly(rng) -> FracPoly:
     low = int(rng.integers(-4, 5))
     n = int(rng.integers(1, 7))
     coeffs = [
         Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
         for _ in range(n)
     ]
-    return LaurentPoly.make(low, coeffs)
+    return FracPoly.make(low, coeffs)
 
 
 def test_ring_axioms():
@@ -67,24 +74,24 @@ def test_evaluation_homomorphism():
         a, b = _random_poly(rng), _random_poly(rng)
         t = float(rng.uniform(0, 1))
         z = complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
-        lhs = eval_complex(a * b, z)
-        rhs = eval_complex(a, z) * eval_complex(b, z)
+        lhs = eval_complex(to_laurent(a * b), z)
+        rhs = eval_complex(to_laurent(a), z) * eval_complex(to_laurent(b), z)
         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
-        assert abs(eval_unit(a, t) - eval_complex(a, z)) <= 1e-10 * (1 + abs(lhs))
+        assert abs(eval_unit(to_laurent(a), t) - eval_complex(to_laurent(a), z)) <= 1e-10 * (1 + abs(lhs))
 
 
 def test_eval_exact_rational():
-    p = LaurentPoly.make(-1, [Fraction(1, 2), Fraction(0), Fraction(3)])
+    p = lp(-1, [Fraction(1, 2), Fraction(0), Fraction(3)])
     z = Fraction(2, 3)
     # (1/2) z^-1 + 3 z = 3/4 + 2
     assert eval_exact(p, z) == Fraction(3, 4) + Fraction(2)
 
 
-def _int_pair(p: LaurentPoly) -> tuple[int, list[int]]:
-    """p scaled to integer coefficients, as the (low, coefficients) pair of
-    the determinant's integer arithmetic."""
-    s = math.lcm(*(c.denominator for c in p.coeffs))
-    return (p.low, [int(c * s) for c in p.coeffs])
+def _int_pair(p: FracPoly) -> tuple[int, list[int]]:
+    """p's integer numerators, as the (low, coefficients) pair of the
+    determinant's integer arithmetic."""
+    q = to_laurent(p)
+    return (q.low, list(q.coeffs))
 
 
 def test_divexact_roundtrip_and_failure():
@@ -93,7 +100,7 @@ def test_divexact_roundtrip_and_failure():
         a, b = _random_poly(rng), _random_poly(rng)
         if b.is_zero:
             continue
-        a, b = (LaurentPoly.make(*_int_pair(p)) for p in (a, b))
+        a, b = (FracPoly.make(*_int_pair(p)) for p in (a, b))
         assert _idivexact(_int_pair(a * b), _int_pair(b)) == _int_pair(a)
     with pytest.raises(ValueError):
         _idivexact(_int_pair(Z + ONE), _int_pair(Z - ONE))
@@ -106,18 +113,40 @@ def test_divexact_roundtrip_and_failure():
 
 
 def test_coeff_accessors():
-    p = LaurentPoly.make(-2, [Fraction(5), Fraction(0), Fraction(-1)])
+    p = LaurentPoly.make(-2, [10, 0, -2], 2)
     assert p.low == -2 and p.high == 0
-    assert p.coeff(-2) == 5 and p.coeff(0) == -1 and p.coeff(7) == 0
+    assert p.coeffs == (10, 0, -2) and p.den == 2
     # normalization strips zero fringes
-    q = LaurentPoly.make(0, [Fraction(0), Fraction(1), Fraction(0)])
-    assert q.low == 1 and len(q.coeffs) == 1
+    q = LaurentPoly.make(0, [0, 1, 0])
+    assert q.low == 1 and q.coeffs == (1,) and q.den == 1
+    assert LaurentPoly.make(3, [0, 0], 5).is_zero
+    # == and hash compare values: 10/2 z^-2 - 2/2 = 5 z^-2 - 1
+    same = LaurentPoly(-2, (5, 0, -1))
+    assert p == same and hash(p) == hash(same)
+    assert p != LaurentPoly(-2, (5, 0, 1)) and p != p.shift(1)
+    assert LaurentPoly(0, (), 3) == LaurentPoly(0, ())
+    assert str(p) == "-1 + 5z^-2" and str(LaurentPoly(1, (-3, 4), 6)) == "2/3z^2 - 1/2z"
+
+
+def test_circle_values_rejects_bad_grid():
+    p = LaurentPoly(0, (1, 2))
+    for n in (0, -4, 2.5):
+        with pytest.raises(ValueError, match="grid size"):
+            circle_values(p, n)
+
+
+def test_coefficient_floats_are_rounded_once():
+    # int / int rounds correctly, so each value is the float(Fraction) of
+    # the parent's Fraction coefficients, numerators past 2^53 included
+    for c, den in ((1, 3), (-(7**25), 6), (3**40 + 1, 3**33 * 2**7), (2**80 + 1, 5**30)):
+        got = circle_values(LaurentPoly(0, (c,), den), 1)
+        assert got.real.tobytes() == np.array([float(Fraction(c, den))]).tobytes()
 
 
 def _frac_matrix(rng, n):
     return [
         [
-            LaurentPoly.make(
+            FracPoly.make(
                 int(rng.integers(-1, 2)),
                 [Fraction(int(rng.integers(-4, 5))) for _ in range(int(rng.integers(1, 3)))],
             )
@@ -127,16 +156,9 @@ def _frac_matrix(rng, n):
     ]
 
 
-def _det_cofactor_oracle(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = ZERO
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _det_cofactor_oracle(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def _det(mat) -> FracPoly:
+    """laurent_det of a FracPoly matrix, back in the ring."""
+    return to_frac(laurent_det([[to_laurent(p) for p in row] for row in mat]))
 
 
 def test_determinant_against_cofactor_oracle():
@@ -144,40 +166,44 @@ def test_determinant_against_cofactor_oracle():
     for n in (1, 2, 3, 4, 5):
         for _ in range(8):
             mat = _frac_matrix(rng, n)
-            assert laurent_det(mat) == _det_cofactor_oracle(mat)
+            assert _det(mat) == frac_det(mat)
         # rational coefficients with unlike denominators in every row
         mat = [[_random_poly(rng) for _ in range(n)] for _ in range(n)]
-        assert laurent_det(mat) == _det_cofactor_oracle(mat)
-    # symbol matrices: rows with fractional coefficients, rho = 2..5
+        assert _det(mat) == frac_det(mat)
+    # symbol matrices: one denominator per row, rho = 2..5
     for m, a, rho in ((5, Fraction(1, 3), 2), (6, Fraction(5, 6), 3),
                       (7, Fraction(2, 5), 4), (8, Fraction(7, 4), 5)):
         mat = [list(row) for row in build_symbol(Kappa(m, a, rho)).entries]
-        want = _det_cofactor_oracle(mat)
+        want = frac_det([[to_frac(p) for p in row] for row in mat])
         assert not want.is_zero
-        assert laurent_det(mat) == want
+        det = laurent_det(mat)
+        assert to_frac(det) == want
+        # the product of the row denominators, with no rescale
+        assert det.den == math.prod(row[0].den for row in mat)
         # a zero pivot forces a row swap
-        mat[0][0] = ZERO
-        assert laurent_det(mat) == _det_cofactor_oracle(mat)
-        # an all-zero row has no denominators to scale by
-        mat[1] = [ZERO] * rho
-        assert laurent_det(mat) == ZERO == _det_cofactor_oracle(mat)
+        mat[0][0] = LaurentPoly(0, (), mat[0][0].den)
+        assert to_frac(laurent_det(mat)) == frac_det([[to_frac(p) for p in row] for row in mat])
+        # an all-zero row
+        mat[1] = [LaurentPoly(0, ())] * rho
+        assert laurent_det(mat).is_zero
+    assert laurent_det([]) == LaurentPoly(0, (1,))
 
 
 def test_determinant_row_swap_flips_sign():
     rng = np.random.default_rng(26)
     mat = _frac_matrix(rng, 4)
     swapped = [mat[1], mat[0]] + mat[2:]
-    assert laurent_det(swapped) == -laurent_det(mat)
+    assert _det(swapped) == -_det(mat)
 
 
 def test_determinant_triangular():
-    d = [LaurentPoly.make(1, [Fraction(k + 2)]) for k in range(3)]
+    d = [FracPoly.make(1, [Fraction(k + 2)]) for k in range(3)]
     mat = [
         [d[0], Z, ONE],
         [ZERO, d[1], Z],
         [ZERO, ZERO, d[2]],
     ]
-    assert laurent_det(mat) == d[0] * d[1] * d[2]
+    assert _det(mat) == d[0] * d[1] * d[2]
 
 
 def _poly_from_roots(roots, scale=Fraction(1)) -> LaurentPoly:
@@ -185,13 +211,13 @@ def _poly_from_roots(roots, scale=Fraction(1)) -> LaurentPoly:
     for r in roots:
         if isinstance(r, tuple):  # conjugate pair r = (radius, cos_angle)
             rad, c = r
-            p = p * LaurentPoly.make(
+            p = p * FracPoly.make(
                 0,
                 [Fraction(rad) ** 2, -2 * Fraction(c) * Fraction(rad), Fraction(1)],
             )
         else:
-            p = p * LaurentPoly.make(0, [-Fraction(r), Fraction(1)])
-    return p
+            p = p * FracPoly.make(0, [-Fraction(r), Fraction(1)])
+    return to_laurent(p)
 
 
 def test_circle_certificate_detects_on_circle_roots():
@@ -207,7 +233,7 @@ def test_circle_certificate_detects_on_circle_roots():
     # conjugate pair exactly on the circle (float cosine, still machine-close)
     for k in (1, 7, 100):
         c = Fraction(math.cos(2 * math.pi * k / 4096))
-        p = LaurentPoly.make(0, [Fraction(1), -2 * c, Fraction(1)])
+        p = lp(0, [Fraction(1), -2 * c, Fraction(1)])
         cert = roots_unit_circle(p)
         assert cert.verdict == "vanishing"
     # double conjugate pair on the circle, (z^2 - 6/5 z + 1)^2
@@ -236,7 +262,7 @@ def test_circle_certificate_clears_off_circle_roots():
 
 def test_circle_certificate_monomial():
     # z^k never vanishes on the circle
-    cert = roots_unit_circle(Z * Z)
+    cert = roots_unit_circle(to_laurent(Z * Z))
     assert cert.verdict == "nonvanishing"
     assert cert.min_modulus == pytest.approx(1.0, abs=1e-12)
 
@@ -252,7 +278,7 @@ def test_circle_certificate_min_modulus_matches_full_grid():
             rad = Fraction(9, 10) if rng.integers(2) else Fraction(11, 10)
             roots.append((rad, Fraction(int(rng.integers(-9, 10)), 10)))
         polys.append(_poly_from_roots(roots))
-    polys += [_random_poly(rng) for _ in range(25)]
+    polys += [to_laurent(_random_poly(rng)) for _ in range(25)]
     polys += [det_symbol(kappa) for kappa in (
         Kappa(4, Fraction(1, 2), 2), Kappa(7, Fraction(1, 3), 2),
         Kappa(12, Fraction(1, 3), 2), Kappa(12, Fraction(2, 5), 5),
@@ -268,15 +294,15 @@ def test_circle_certificate_min_modulus_matches_full_grid():
 
 
 def test_dominant_coeff_sufficient_condition():
-    strong = LaurentPoly.make(0, [Fraction(1), Fraction(-10), Fraction(1)])
+    strong = lp(0, [Fraction(1), Fraction(-10), Fraction(1)])
     assert roots_unit_circle(strong).verdict == "nonvanishing"
 
 
 def _reference_verdict(p: LaurentPoly) -> str:
-    return "vanishing" if vanishes_on_circle_reference(list(p.coeffs)) else "nonvanishing"
+    return "vanishing" if vanishes_on_circle_reference(list(to_frac(p).coeffs)) else "nonvanishing"
 
 
-def _random_rational(rng, deg: int, gap: bool = False) -> LaurentPoly:
+def _random_rational(rng, deg: int, gap: bool = False) -> FracPoly:
     """Degree-deg polynomial with random nonzero rational coefficients, the
     leading one of random sign; with gap, the two coefficients below the
     leading one are zero (deg >= 3)."""
@@ -286,7 +312,7 @@ def _random_rational(rng, deg: int, gap: bool = False) -> LaurentPoly:
         coeffs.append(Fraction(num, int(rng.integers(1, 8))))
     if gap:
         coeffs[deg - 2 : deg] = [Fraction(0), Fraction(0)]
-    return LaurentPoly.make(0, coeffs)
+    return FracPoly.make(0, coeffs)
 
 
 def test_circle_certificate_matches_fraction_oracle():
@@ -308,7 +334,7 @@ def test_circle_certificate_matches_fraction_oracle():
     # the Sturm sequence of h drops two degrees from h' to the next remainder
     # (an odd pseudo-remainder exponent); and that times an on-circle factor
     # z^2 - 2cz + 1 with |c| < 1
-    x = LaurentPoly.make(-1, [Fraction(1), Fraction(0), Fraction(1)])
+    x = FracPoly.make(-1, [Fraction(1), Fraction(0), Fraction(1)])
     counts = {"vanishing": 0, "nonvanishing": 0}
     for trial in range(300):
         p = _random_rational(rng, int(rng.integers(0, 6)))
@@ -322,8 +348,8 @@ def test_circle_certificate_matches_fraction_oracle():
         if kind == 2:
             den = int(rng.integers(2, 12))
             c = Fraction(int(rng.integers(1 - den, den)), den)
-            p = p * LaurentPoly.make(0, [Fraction(1), -2 * c, Fraction(1)])
-        p = p.shift(int(rng.integers(-3, 4)))
+            p = p * FracPoly.make(0, [Fraction(1), -2 * c, Fraction(1)])
+        p = to_laurent(p.shift(int(rng.integers(-3, 4))))
         want = _reference_verdict(p)
         assert roots_unit_circle(p).verdict == want, str(p)
         counts[want] += 1

@@ -290,6 +290,14 @@ def test_frame_bounds_q4_golden():
 def test_frame_bounds_validation():
     with pytest.raises(ValueError):
         frame_bounds(KAPPA_Q3, grid_n=16)
+    with pytest.raises(ValueError, match="integer"):
+        frame_bounds(KAPPA_Q3, 100.5)
+
+
+def test_sampling_inequality_rejects_no_trials():
+    for n_trials in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="n_trials"):
+            verify_sampling_inequality(KAPPA_Q3, n_trials=n_trials)
 
 
 def test_sampling_inequality_no_violations():

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derivsamp.laurent import LaurentPoly, circle_values
+from derivsamp.kernel import inv_symbol_coeffs
+from derivsamp.laurent import circle_values
+from derivsamp.sampler import frame_bounds
 from derivsamp.symbol import (
     Kappa,
     build_symbol,
@@ -27,14 +29,18 @@ from conftest import (
     eval_exact,
     eval_q_deriv_exact,
     eval_unit,
+    frac_circle_values,
+    fraction_path,
+    lp,
     pascal_det_check,
     ruiz_sum,
     spline_pascal_sum,
+    to_frac,
 )
 
 
 def L(low, *cs):
-    return LaurentPoly.make(low, [Fraction(c) for c in cs])
+    return lp(low, cs)
 
 
 def test_kappa_validation():
@@ -84,7 +90,7 @@ def test_symbol_entries_match_oracle():
                 sym = build_symbol(Kappa(m, a, rho))
                 for i in range(rho):
                     for j in range(rho):
-                        want = LaurentPoly.make(
+                        want = lp(
                             -1,
                             [eval_q_deriv_exact(m, i, a + rho * k - j) for k in range(-1, m + 1)],
                         )
@@ -181,13 +187,13 @@ def test_table_factorization_reconstructs_determinant():
     for m in (3, 4, 5, 6, 7):
         det = det_symbol(Kappa(m, Fraction(0), 2))
         pref = Fraction(2 ** (m - 2), math.factorial(m - 1) * math.factorial(m - 2))
-        p = table_polynomial(Kappa(m, Fraction(0), 2))
-        assert det in (p.scale(pref).shift(2), (-p).scale(pref).shift(2))
+        p = to_frac(table_polynomial(Kappa(m, Fraction(0), 2)))
+        assert to_frac(det) in (p.scale(pref).shift(2), (-p).scale(pref).shift(2))
     for m in (3, 4, 5, 6):
         det = det_symbol(Kappa(m, Fraction(1, 2), 2))
         pref = Fraction(6, math.factorial(m - 1) * math.factorial(m - 2) * 2 ** (2 * m - 3))
-        p = table_polynomial(Kappa(m, Fraction(1, 2), 2))
-        assert det in (p.scale(pref).shift(1), (-p).scale(pref).shift(1))
+        p = to_frac(table_polynomial(Kappa(m, Fraction(1, 2), 2)))
+        assert to_frac(det) in (p.scale(pref).shift(1), (-p).scale(pref).shift(1))
 
 
 def test_cis_verdicts():
@@ -279,3 +285,41 @@ def test_spline_pascal_sum_delta():
 
 def test_identity_lemmas_sweep():
     assert check_identity_lemmas()
+
+
+# The configurations whose tables stop above tol (bench/workloads.py
+# CERTIFY_FAILING), and Q17, the widest table the tests build.
+_FAILING_TABLES = ((9, "1/3", 2), (10, "5/6", 2), (12, "1/3", 3),
+                   (8, "2/5", 3), (11, "2/5", 4), (12, "2/5", 5))
+
+
+def test_exact_layer_matches_fraction_path():
+    # integer numerators over one denominator per row give the bytes of the
+    # Fraction path on a seeded sample of the certify grid (rho 2-5, m <= 12,
+    # q <= 6), both verdicts included
+    rng = np.random.default_rng(47)
+    kappas = []
+    for rho in (2, 3, 4, 5):
+        shifts = sorted({Fraction(p, q) for q in range(1, 7) for p in range(rho * q)})
+        for m in rng.choice(np.arange(rho + 1, 13), size=3, replace=False):
+            kappas.append(Kappa(int(m), shifts[rng.integers(len(shifts))], rho))
+    kappas += [Kappa(m, Fraction(a), rho) for m, a, rho in _FAILING_TABLES]
+    kappas.append(Kappa(17, Fraction(0), 2))
+    verdicts = set()
+    for kappa in kappas:
+        want = fraction_path(kappa)
+        got = check_cis(kappa)
+        assert got.is_cis == want["is_cis"], kappa
+        assert str(got.det) == str(want["det"]), kappa
+        assert got.certificate == want["certificate"], kappa
+        for n in (256, 1024):
+            assert (circle_values(got.symbol.entries, n).tobytes()
+                    == frac_circle_values(want["symbol"].entries, n).tobytes()), kappa
+        verdicts.add(got.is_cis)
+        if not got.is_cis:
+            continue
+        table, ref = inv_symbol_coeffs(kappa), want["table"]
+        assert (table.radius, table.tail_bound) == (ref.radius, ref.tail_bound), kappa
+        assert table.coeffs.tobytes() == ref.coeffs.tobytes(), kappa
+        assert frame_bounds(kappa) == want["bounds"], kappa
+    assert verdicts == {True, False}
