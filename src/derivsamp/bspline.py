@@ -4,15 +4,15 @@ Q_m denotes the B-spline of order m with knots 0, 1, ..., m (support [0, m]).
 Every float evaluation goes through one primitive, `bspline_series`, which
 sums a finite series sum_n c_n Q_m^(d)(x - k0 - n).  On each knot interval
 [p, p+1) the function Q_m^(d) is a polynomial in the local variable
-u = x - floor(x); the m pieces are expanded exactly over Fraction from the
-truncated-power form and converted to float once per (m, d).  A series is
-folded into its piecewise-polynomial (pp) form first, one polynomial of
+u = x - floor(x).  Exact rational values on a shifted integer lattice,
+Q_m^(i)(u + p), come from one Cox-de Boor triangle on integer numerators
+over the common denominator (m-1)! q^(m-1) of u = s/q, and are returned as
+integer numerators over one denominator per derivative order
+(`exact_lattice_values`).  The same triangle at u = 0 gives the m pieces:
+their Taylor coefficients at the knots, rounded once per (m, d).  A series
+is folded into its piecewise-polynomial (pp) form first, one polynomial of
 degree m-1-d per knot interval, so that each point costs one gather and one
-Horner pass (de Boor, A Practical Guide to Splines, ch. X).  Exact rational
-values on a shifted integer lattice, Q_m^(i)(u + p), come from one Cox-de
-Boor triangle on integer numerators over the common denominator
-(m-1)! q^(m-1) of u = s/q, and are returned as integer numerators over one
-denominator per derivative order (`exact_lattice_values`).
+Horner pass (de Boor, A Practical Guide to Splines, ch. X).
 Fourier transforms use the convention f^(w) = int f(t) exp(-2 pi i w t) dt,
 so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m; `fourier_q_derivs` gives
 its derivatives of every order.
@@ -57,20 +57,16 @@ def _check_deriv_order(m: int, k: int) -> None:
 def _pieces(m: int, deriv: int) -> np.ndarray:
     """pieces[p, k]: coefficient of u^k in Q_m^(deriv)(p + u), 0 <= u < 1.
 
-    From the truncated-power form Q_m^(d)(t) = sum_j (-1)^j C(m,j)
-    (t-j)_+^e / e!, e = m-1-d, expanded exactly and rounded once.  For m=1
-    the single piece is 1, so Q_1 is right-continuous at its knots.
+    The Taylor coefficient Q_m^(deriv+k)(p) / k! at the knot, read off the
+    Cox-de Boor triangle at u = 0 and rounded once (int / int).  The top
+    order m-1 is the right-continuous step Delta^(m-1) Q_1, so for m=1 the
+    single piece is 1 and Q_1 is right-continuous at its knots.
     """
-    e = m - 1 - deriv
-    rows = []
-    for p in range(m):
-        row = [Fraction(0)] * (e + 1)
-        for j in range(p + 1):
-            w = (-1) ** j * math.comb(m, j)
-            for k in range(e + 1):
-                row[k] += w * math.comb(e, k) * Fraction(p - j) ** (e - k)
-        rows.append([float(c / math.factorial(e)) for c in row])
-    out = np.array(rows)
+    nums, dens = _triangle(m, 0, 1, m - 1)
+    out = np.array([
+        [nums[deriv + k][p] / (dens[deriv + k] * math.factorial(k)) for k in range(m - deriv)]
+        for p in range(m)
+    ])
     out.flags.writeable = False
     return out
 
@@ -109,13 +105,8 @@ def exact_lattice_values(m: int, u, d_max: int) -> tuple[list[list[int]], list[i
     """(nums, dens) with Q_m^(i)(u + p) = nums[i][p] / dens[i] exactly, for
     0 <= p < m and i <= d_max; dens[i] = (m-i-1)! q^(m-i-1).
 
-    u = s/q is a rational in [0, 1).  One Cox-de Boor triangle on the integer
-    numerators T_n(p) = (n-1)! q^(n-1) Q_n(u + p), n <= m: the recurrence
-    Q_n(x) = (x Q_{n-1}(x) + (n-x) Q_{n-1}(x-1)) / (n-1) becomes
-    T_n(p) = (s + qp) T_{n-1}(p) + (qn - s - qp) T_{n-1}(p-1), started at the
-    right-continuous Q_1.  Then Q_m^(i) = Delta^i Q_{m-i}, the i-th backward
-    difference in p, taken on the integers.  The numerators are not reduced
-    against their denominator.
+    u = s/q is a rational in [0, 1).  The numerators are not reduced against
+    their denominator.
     """
     _check_order(m)
     _check_deriv_order(m, d_max)
@@ -123,7 +114,20 @@ def exact_lattice_values(m: int, u, d_max: int) -> tuple[list[list[int]], list[i
         u = Fraction(u)
     if not 0 <= u < 1:
         raise ValueError(f"lattice offset must lie in [0, 1), got {u}")
-    s, q = u.numerator, u.denominator
+    return _triangle(m, u.numerator, u.denominator, d_max)
+
+
+def _triangle(m: int, s: int, q: int, d_max: int) -> tuple[list[list[int]], list[int]]:
+    """`exact_lattice_values` at u = s/q, unchecked; d_max may be m-1.
+
+    One Cox-de Boor triangle on the integer numerators
+    T_n(p) = (n-1)! q^(n-1) Q_n(u + p), n <= m: the recurrence
+    Q_n(x) = (x Q_{n-1}(x) + (n-x) Q_{n-1}(x-1)) / (n-1) becomes
+    T_n(p) = (s + qp) T_{n-1}(p) + (qn - s - qp) T_{n-1}(p-1), started at the
+    right-continuous Q_1.  Then Q_m^(i) = Delta^i Q_{m-i}, the i-th backward
+    difference in p, taken on the integers; for i = m-1 that is the
+    right-continuous step.
+    """
     qx = [s + q * p for p in range(m)]  # q (u + p)
     row = [1] + [0] * (m - 1)  # T_1
     rows = {1: row}

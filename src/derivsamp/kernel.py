@@ -79,35 +79,25 @@ class KernelTable:
         return text
 
 
-def inv_symbol_coeffs(
-    kappa: Kappa,
-    tol: float = 1e-12,
-    min_radius: int | None = None,
-) -> KernelTable:
+def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
     """Fourier coefficients of the inverse symbol, |coeff| resolved to tol.
 
-    One grid of n points: n = 256 or the least power of two with
-    n // 3 > min_radius, doubled up to 8192 until the coefficients within 32
-    of the Nyquist index n/2 are below tol.  They are what a grid of n/2
-    points, c_{n/2}(v) = c_n(v) + c_n(v + n/2), would alias onto |v| <= 32.
+    One grid of n points, n = 256 doubled up to 8192 until the coefficients
+    within 32 of the Nyquist index n/2 are below tol.  They are what a grid
+    of n/2 points, c_{n/2}(v) = c_n(v) + c_n(v + n/2), would alias onto
+    |v| <= 32.
 
-    Raises ValueError if min_radius is not an integer in [0, 8192 // 3),
-    NotCISError if kappa is not certified CIS (the inverse symbol would be
-    unbounded), and ArithmeticError if n = 8192 does not converge or the
-    imaginary part dropped from the real table exceeds 1e-10 + tail_bound.
+    Raises NotCISError if kappa is not certified CIS (the inverse symbol
+    would be unbounded), and ArithmeticError if n = 8192 does not converge
+    or the imaginary part dropped from the real table exceeds
+    1e-10 + tail_bound.
     """
-    if min_radius is None:
-        min_radius = 0
-    if not isinstance(min_radius, (int, np.integer)) or not 0 <= min_radius < 8192 // 3:
-        raise ValueError(f"min_radius must be an integer in [0, {8192 // 3}), got {min_radius!r}")
     sym, _, is_cis = _cis_decision(kappa)
     if not is_cis:
         raise NotCISError(kappa)
     rho = kappa.rho
 
     n = 256
-    while n // 3 <= min_radius:
-        n *= 2
     while True:
         inv = np.linalg.inv(circle_values(sym.entries, n))  # (n, rho, rho), entry [s, j, i]
         spec = np.fft.fft(inv, axis=0) / n  # index v mod n
@@ -126,7 +116,7 @@ def inv_symbol_coeffs(
     cap = n // 3
     fold = np.maximum(mags[: cap + 2], mags[-np.arange(cap + 2) % n])
     above = np.flatnonzero(fold[1:cap] >= tol)
-    radius = max(int(above[-1]) + 1 if above.size else 1, min_radius)
+    radius = int(above[-1]) + 1 if above.size else 1
 
     def tail_estimate(v0: int) -> float:
         peak = float(fold[v0])

@@ -6,11 +6,12 @@ exact certificate that a polynomial does or does not vanish on the unit
 circle, with float diagnostics of how close its zeros come to the circle,
 and `circle_values`, the one float evaluator of a Laurent polynomial or
 matrix on a uniform grid of the circle.  Both exact algorithms run on the
-integer numerators alone: the determinant is fraction-free Bareiss
-elimination over integer Laurent polynomials, over the product of the row
-denominators; the certificate takes a gcd with the reversed polynomial,
-substitutes x = z + 1/z and counts roots with a Sturm sequence, all by
-sign-correct primitive pseudo-remainders.  Every float coefficient is
+integer numerators alone, as lists of ints, constant term first: the
+determinant shifts each column to nonnegative exponents and runs
+fraction-free Bareiss elimination over integer polynomials, over the
+product of the row denominators; the certificate takes a gcd with the
+reversed polynomial, substitutes x = z + 1/z and counts roots with a Sturm
+sequence, all by sign-correct primitive pseudo-remainders.  Every float coefficient is
 numerator / den, which Python rounds correctly, as float(Fraction) does.
 """
 
@@ -140,67 +141,54 @@ def circle_values(p, n: int) -> np.ndarray:
     return n * np.fft.ifft(slots.reshape(n, size), axis=0).reshape((n,) + polys.shape)
 
 
-# Integer Laurent polynomials for the determinant: (low, coefficients) pairs,
-# normalized like LaurentPoly (both end coefficients nonzero; zero is (0, [])).
-_IPoly = tuple[int, list[int]]
-_IZERO: _IPoly = (0, [])
-_IONE: _IPoly = (0, [1])
-
-
-def _icross(a: _IPoly, b: _IPoly, c: _IPoly, d: _IPoly) -> _IPoly:
-    """a b - c d for integer Laurent polynomials."""
-    terms = [(x, y, sign) for x, y, sign in ((a, b, 1), (c, d, -1)) if x[1] and y[1]]
-    if not terms:
-        return _IZERO
-    lo = min(x[0] + y[0] for x, y, _ in terms)
-    out = [0] * max(x[0] + y[0] + len(x[1]) + len(y[1]) - 1 - lo for x, y, _ in terms)
-    for (lx, cx), (ly, cy), sign in terms:
-        off = lx + ly - lo
-        for i, u in enumerate(cx):
+def _icross(a: list[int], b: list[int], c: list[int], d: list[int]) -> list[int]:
+    """a b - c d for integer polynomials (coefficient lists, constant term
+    first, no zero top coefficient)."""
+    out = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
+    for x, y, sign in ((a, b, 1), (c, d, -1)):
+        for i, u in enumerate(x):
             if u:
                 u *= sign
-                for j, v in enumerate(cy):
-                    out[off + i + j] += u * v
-    start, stop = 0, len(out)
-    while stop and out[stop - 1] == 0:
-        stop -= 1
-    while start < stop and out[start] == 0:
-        start += 1
-    return (lo + start, out[start:stop]) if start < stop else _IZERO
+                for k, v in enumerate(y, i):
+                    out[k] += u * v
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _idivexact(num: _IPoly, den: _IPoly) -> _IPoly:
-    """Exact quotient num / den over the integers; raises ValueError if den
-    does not divide num with an integer quotient."""
-    (ln, a), (ld, b) = num, den
+def _idivexact(a: list[int], b: list[int]) -> list[int]:
+    """Exact quotient a / b of integer polynomials, divided from the top as
+    `_prem` does; raises ValueError if b does not divide a with an integer
+    quotient."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    if not a or den == _IONE:
-        return num
-    # ascending-order synthetic division; b[0] != 0 after normalization
-    a = list(a)
-    quot = []
-    for i in range(len(a) - len(b) + 1):
-        c, r = divmod(a[i], b[0])
+    if not a or b == [1]:
+        return a
+    a, lb, rest = list(a), b[-1], b[:-1]
+    quot = [0] * (len(a) - len(b) + 1)
+    for off in range(len(quot) - 1, -1, -1):
+        c, r = divmod(a.pop(), lb)
         if r:
             raise ValueError("divisor does not divide the dividend")
-        quot.append(c)
+        quot[off] = c
         if c:
-            for j, bc in enumerate(b):
-                a[i + j] -= c * bc
-    if any(a[len(quot):]):
+            for k, v in enumerate(rest, off):
+                a[k] -= c * v
+    if any(a):
         raise ValueError("divisor does not divide the dividend")
-    return (ln - ld, quot)
+    return quot
 
 
 def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant of a square matrix of Laurent polynomials.
 
-    Fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) runs on
-    the integer numerators, its divisions exact over the integers.  A row
-    whose entries share one denominator (every symbol row) enters as it is;
-    other entries are brought to the lcm of their row's denominators.  The
-    result is an integer polynomial over the product of the row
+    Column j is multiplied by z^-l_j, l_j its least exponent, so that every
+    entry is an integer polynomial; the determinant is z^(sum l_j) times
+    theirs.  Fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968)
+    runs on the integer numerators, its divisions exact over the integers.
+    A row whose entries share one denominator (every symbol row) enters as
+    it is; other entries are brought to the lcm of their row's denominators.
+    The result is an integer polynomial over the product of the row
     denominators.
     """
     n = len(mat)
@@ -208,17 +196,21 @@ def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         raise ValueError("matrix is not square")
     if n == 0:
         return LaurentPoly(0, (1,))
+    lows = [min((p.low for p in col if p.coeffs), default=0) for col in zip(*mat)]
     den = 1
     m = []
     for row in mat:
         s = math.lcm(*(p.den for p in row))
         den *= s
-        m.append([(p.low, [c * (s // p.den) for c in p.coeffs]) for p in row])
+        m.append([
+            [0] * (p.low - l) + [c * (s // p.den) for c in p.coeffs] if p.coeffs else []
+            for p, l in zip(row, lows)
+        ])
     sign = 1
-    prev = _IONE
+    prev = [1]
     for k in range(n - 1):
-        if not m[k][k][1]:
-            swap = next((i for i in range(k + 1, n) if m[i][k][1]), None)
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
                 return LaurentPoly(0, ())
             m[k], m[swap] = m[swap], m[k]
@@ -228,8 +220,7 @@ def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
             for j in range(k + 1, n):
                 m[i][j] = _idivexact(_icross(m[i][j], pivot, m[i][k], m[k][j]), prev)
         prev = pivot
-    low, coeffs = m[n - 1][n - 1]
-    return LaurentPoly(low, tuple(sign * c for c in coeffs), den)
+    return LaurentPoly.make(sum(lows), [sign * c for c in m[n - 1][n - 1]], den)
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,13 @@ def sw_spline_coeffs(
     samples: np.ndarray, grid: SampleGrid, table: KernelTable
 ) -> tuple[int, np.ndarray]:
     """Collapse samples to coefficients over the refined lattice: returns
-    (n_lo, e) with S_W f(t) = sum_n e[n - n_lo] Q_m(W t - n)."""
+    (n_lo, e) with S_W f(t) = sum_n e[n - n_lo] Q_m(W t - n).  Raises
+    ValueError if the grid and the table are for different configurations."""
     kappa = grid.kappa
+    if table.kappa != kappa:
+        raise ValueError(
+            f"kernel table for {table.kappa} does not match the sample grid's {kappa}"
+        )
     rho, v = kappa.rho, table.radius
     n_samples = samples.shape[0]
     if samples.shape != (n_samples, rho):
@@ -175,8 +180,10 @@ def sw_spline_coeffs(
 
 
 def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
-    """Evaluate S_W at t; raises if the sample range cannot reach some t."""
+    """Evaluate S_W at t; raises if the table is for another configuration
+    or the sample range cannot reach some t."""
     kappa = grid.kappa
+    n_lo, e = sw_spline_coeffs(samples, grid, table)
     x = np.asarray(t, dtype=float)
     need_lo, need_hi = required_l_range(
         kappa, grid.W, float(np.min(x)), float(np.max(x)), table.radius
@@ -186,7 +193,6 @@ def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
             f"sample range l in [{grid.l_lo}, {grid.l_hi}] insufficient for the "
             f"requested window: need l in [{need_lo}, {need_hi}]"
         )
-    n_lo, e = sw_spline_coeffs(samples, grid, table)
     return bspline_series(kappa.m, 0, e, n_lo, grid.W * x)
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures, oracles and checks: kernel tables are comparatively
 expensive to build, so the three worked configurations are session-scoped;
-exact B-spline values come from the truncated-power formula, independent of
-the library's Cox-de Boor triangle; spline norms have a Gauss-Legendre
-reference, independent of the library's Gram matrix; the unit-circle verdict
+exact B-spline values and the pp-form pieces come from the truncated-power
+formula, independent of the library's Cox-de Boor triangle; spline norms
+have a Gauss-Legendre reference, independent of the library's Gram matrix;
+the unit-circle verdict
 has a Fraction reference, independent of the library's integer
 pseudo-remainders; the pp-form series evaluator has a per-piece Horner
 reference; the symbol's frame extremes and the certificate's minimum
@@ -78,6 +79,23 @@ def eval_q_deriv_exact(m: int, k: int, t) -> Fraction:
         ((-1) ** r * math.comb(k, r) * eval_q_exact(m - k, t - r) for r in range(k + 1)),
         Fraction(0),
     )
+
+
+def pieces_reference(m: int, deriv: int) -> np.ndarray:
+    """The library's `_pieces` from the truncated-power form
+    Q_m^(d)(t) = sum_j (-1)^j C(m,j) (t-j)_+^e / e!, e = m-1-d, expanded
+    exactly over Fraction and rounded once, independent of the Cox-de Boor
+    triangle."""
+    e = m - 1 - deriv
+    rows = []
+    for p in range(m):
+        row = [Fraction(0)] * (e + 1)
+        for j in range(p + 1):
+            w = (-1) ** j * math.comb(m, j)
+            for k in range(e + 1):
+                row[k] += w * math.comb(e, k) * Fraction(p - j) ** (e - k)
+        rows.append([float(c / math.factorial(e)) for c in row])
+    return np.array(rows)
 
 
 def bspline_series_pieces(m: int, deriv: int, coeffs, k0: int, x) -> np.ndarray:
@@ -300,7 +318,7 @@ def lattice_moduli_reference(f, signs, offsets, xs, search_n: int) -> np.ndarray
     return out
 
 
-def inv_symbol_coeffs_reference(kappa: Kappa, tol: float = 1e-12, min_radius=None) -> KernelTable:
+def inv_symbol_coeffs_reference(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
     """Inverse-symbol table by two grids per step: n doubles from 128 until
     the Nyquist coefficients n/2 +- 2 are below tol and the coefficients
     |v| <= 32 agree with the previous grid's to tol; then the same radius
@@ -335,11 +353,10 @@ def inv_symbol_coeffs_reference(kappa: Kappa, tol: float = 1e-12, min_radius=Non
     def mag(v: int) -> float:
         return float(mags[v % n])
 
-    adaptive = 1
+    radius = 1
     for v in range(1, n // 3):
         if mag(v) >= tol or mag(-v) >= tol:
-            adaptive = v
-    radius = max(adaptive, min_radius or 1)
+            radius = v
 
     def tail_estimate(v0: int) -> float:
         peak = max(mag(v0), mag(-v0))
@@ -384,8 +401,9 @@ def table_q4():
 
 @pytest.fixture(scope="session")
 def table_q4h():
-    # Wider radius keeps the slowly decaying coefficients testable to 1e-10.
-    return inv_symbol_coeffs(KAPPA_Q4H, tol=1e-13, min_radius=24)
+    # tol = 1e-13 keeps the slowly decaying coefficients testable to 1e-10
+    # out to |v| = 13 (radius 15)
+    return inv_symbol_coeffs(KAPPA_Q4H, tol=1e-13)
 
 
 def tau_scaling_check(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from derivsamp.bspline import (
+    _pieces,
     bspline_series,
     exact_lattice_values,
     fourier_q_derivs,
@@ -22,6 +23,7 @@ from conftest import (
     eval_q_deriv,
     eval_q_deriv_exact,
     fourier_q,
+    pieces_reference,
     uniform_sum_moments,
 )
 
@@ -87,6 +89,17 @@ def test_series_matches_per_piece_reference():
             worst = max(worst, float(np.max(np.abs(got - want))) / float(np.sum(np.abs(c))))
     print(f"pp-form vs per-piece: max |difference| / sum|c| = {worst:.3e}")
     assert worst <= 1e-13, worst
+
+
+def test_pieces_match_truncated_power_expansion():
+    # one rounding of the same exact rational: byte-identical, signed zeros
+    # included, for every order and derivative
+    for m in range(1, 21):
+        for deriv in range(max(1, m - 1)):
+            got, want = _pieces(m, deriv), pieces_reference(m, deriv)
+            assert got.shape == want.shape == (m, m - deriv), (m, deriv)
+            assert got.tobytes() == want.tobytes(), (m, deriv)
+    assert _pieces(1, 0).tolist() == [[1.0]]
 
 
 def test_eval_exact_is_exact():

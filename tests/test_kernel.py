@@ -47,7 +47,7 @@ def test_kernel_decision_is_check_cis():
 
 
 @pytest.mark.parametrize(
-    "m, a, rho, tol, min_radius",
+    "m, a, rho, tol, radius",
     [
         # every round of the certify benchmark runs these six; tail_bound > tol
         (9, Fraction(1, 3), 2, 1e-12, None),
@@ -59,37 +59,18 @@ def test_kernel_decision_is_check_cis():
         # stops at n = 512
         (12, Fraction(7, 5), 3, 1e-12, None),
         (17, Fraction(0), 2, 1e-12, None),
-        # the table_q4h fixture, and the largest min_radius the first grid holds
-        (4, Fraction(1, 2), 2, 1e-13, 24),
-        (4, Fraction(1, 2), 2, 1e-12, 84),
+        # the table_q4h fixture, whose tests read |v| <= 13
+        (4, Fraction(1, 2), 2, 1e-13, 15),
     ],
 )
-def test_one_grid_matches_two_grid_reference(m, a, rho, tol, min_radius):
+def test_one_grid_matches_two_grid_reference(m, a, rho, tol, radius):
     kappa = Kappa(m, a, rho)
-    got = inv_symbol_coeffs(kappa, tol=tol, min_radius=min_radius)
-    want = inv_symbol_coeffs_reference(kappa, tol=tol, min_radius=min_radius)
+    got = inv_symbol_coeffs(kappa, tol=tol)
+    want = inv_symbol_coeffs_reference(kappa, tol=tol)
     assert got.radius == want.radius
+    assert radius is None or got.radius == radius
     assert got.tail_bound == want.tail_bound
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
-
-
-def test_min_radius_beyond_first_grid():
-    # indices mod a 256-point grid would read c(-254) as c(2)
-    kappa = Kappa(4, Fraction(1, 2), 2)
-    base = inv_symbol_coeffs(kappa, tol=1e-12)
-    wide = inv_symbol_coeffs(kappa, tol=1e-12, min_radius=254)
-    assert wide.radius == 254
-    v = base.radius
-    assert np.max(np.abs(wide.coeffs[:, :, 254 - v : 255 + v] - base.coeffs)) <= 1e-14
-    assert np.max(np.abs(wide.coeffs[:, :, : 254 - v])) <= 1e-15
-    assert np.max(np.abs(wide.coeffs[:, :, 255 + v :])) <= 1e-15
-    assert reproducing_order(wide).order == 3
-
-
-@pytest.mark.parametrize("min_radius", [-1, 2.5, "3", 2730])
-def test_min_radius_rejects_bad_values(min_radius):
-    with pytest.raises(ValueError):
-        inv_symbol_coeffs(Kappa(4, Fraction(1, 2), 2), min_radius=min_radius)
 
 
 def test_q3_coefficients_golden(table_q3):

@@ -87,29 +87,55 @@ def test_eval_exact_rational():
     assert eval_exact(p, z) == Fraction(3, 4) + Fraction(2)
 
 
-def _int_pair(p: FracPoly) -> tuple[int, list[int]]:
-    """p's integer numerators, as the (low, coefficients) pair of the
-    determinant's integer arithmetic."""
-    q = to_laurent(p)
-    return (q.low, list(q.coeffs))
+def _int_list(p: FracPoly) -> list[int]:
+    """The integer polynomial p (low >= 0) as the coefficient list of the
+    determinant's integer arithmetic, constant term first."""
+    return [0] * p.low + [int(c) for c in p.coeffs]
+
+
+def _random_int_poly(rng) -> FracPoly:
+    """Integer polynomial of degree < 6, zero constant terms included."""
+    return FracPoly.make(0, [int(c) for c in rng.integers(-9, 10, int(rng.integers(1, 7)))])
 
 
 def test_divexact_roundtrip_and_failure():
     rng = np.random.default_rng(24)
     for _ in range(60):
-        a, b = _random_poly(rng), _random_poly(rng)
+        a, b = _random_int_poly(rng), _random_int_poly(rng)
         if b.is_zero:
             continue
-        a, b = (FracPoly.make(*_int_pair(p)) for p in (a, b))
-        assert _idivexact(_int_pair(a * b), _int_pair(b)) == _int_pair(a)
+        assert _idivexact(_int_list(a * b), _int_list(b)) == _int_list(a)
     with pytest.raises(ValueError):
-        _idivexact(_int_pair(Z + ONE), _int_pair(Z - ONE))
+        _idivexact([1, 1], [-1, 1])
     # divisible over the rationals but not over the integers
     with pytest.raises(ValueError):
-        _idivexact(_int_pair(Z + ONE), (0, [2, 2]))
+        _idivexact([1, 1], [2, 2])
     # a dividend shorter than the divisor
     with pytest.raises(ValueError):
-        _idivexact(_int_pair(ONE), _int_pair(Z + ONE))
+        _idivexact([1], [1, 1])
+    with pytest.raises(ZeroDivisionError):
+        _idivexact([1], [])
+
+
+def test_divexact_divisor_without_constant_term():
+    # z + z^2 has constant term 0, which a division from the bottom cannot use
+    b = [0, 1, 1]
+    for a in ([3], [5, -2], [0, 0, 7], [-1, 4, 0, 2]):
+        prod = _int_list(FracPoly.make(0, a) * FracPoly.make(0, b))
+        assert _idivexact(prod, b) == a
+    assert _idivexact([0, 0, 2, 2], b) == [0, 2]
+    # remainder 1: z^2 + z + 1 = 1 (z^2 + z) + 1
+    with pytest.raises(ValueError):
+        _idivexact([1, 1, 1], b)
+    # rational quotients: 3 z^2 + 3 z = 3/2 (2 z^2 + 2 z) and 3 z^2 = 3/2 z (2 z),
+    # the second with no remainder left below the top
+    with pytest.raises(ValueError):
+        _idivexact([0, 3, 3], [0, 2, 2])
+    with pytest.raises(ValueError):
+        _idivexact([0, 0, 3], [0, 2])
+    # 2 z^3 + z^2 + z = (2 z - 1)(z^2 + z) + 2 z
+    with pytest.raises(ValueError):
+        _idivexact([0, 1, 1, 2], b)
 
 
 def test_coeff_accessors():
@@ -187,6 +213,36 @@ def test_determinant_against_cofactor_oracle():
         mat[1] = [LaurentPoly(0, ())] * rho
         assert laurent_det(mat).is_zero
     assert laurent_det([]) == LaurentPoly(0, (1,))
+
+
+def test_determinant_columns_with_unlike_least_exponents():
+    # column 0 spans z^-3..z^1, column 1 z^2..z^5, column 2 z^-1..z^0
+    p = FracPoly.make
+    mat = [
+        [p(-3, [1, 0, Fraction(1, 2)]), p(2, [3, 1]), p(-1, [2, -1])],
+        [p(1, [Fraction(-1, 3)]), p(4, [1, 0, 2]), p(0, [Fraction(5, 7)])],
+        [p(-2, [4, 1, 0, 0, 1]), p(5, [-2]), p(-1, [1])],
+    ]
+    want = frac_det(mat)
+    assert not want.is_zero
+    assert _det(mat) == want
+    rng = np.random.default_rng(27)
+    for n in (2, 3, 4):
+        for _ in range(6):
+            mat = [[_random_poly(rng).shift(int(rng.integers(-6, 7))) for _ in range(n)]
+                   for _ in range(n)]
+            assert _det(mat) == frac_det(mat)
+
+
+def test_determinant_all_zero_column():
+    rng = np.random.default_rng(28)
+    for n in (1, 2, 3, 4):
+        for col in range(n):
+            mat = _frac_matrix(rng, n)
+            for row in mat:
+                row[col] = ZERO
+            det = laurent_det([[to_laurent(p) for p in row] for row in mat])
+            assert det.is_zero and det == LaurentPoly(0, ())
 
 
 def test_determinant_row_swap_flips_sign():

@@ -19,6 +19,7 @@ from derivsamp.sampler import (
     SampleNodeError,
     SplineElement,
     apply_sw,
+    approx_error,
     frame_bounds,
     grid_for_window,
     required_l_range,
@@ -223,6 +224,18 @@ def test_apply_sw_coverage_error(table_q3):
     samples = take_samples(f, grid)
     with pytest.raises(ValueError, match="insufficient"):
         apply_sw(samples, grid, table_q3, np.asarray([0.0, 40.0]))
+
+
+def test_table_for_another_kappa_is_rejected(table_q4h):
+    # same rho, so the sample shapes alone cannot tell the tables apart
+    grid = grid_for_window(KAPPA_Q3, 1.0, 0.0, 5.0, table_q4h)
+    samples = take_samples(SplineElement(3, 0, np.ones(6)), grid)
+    with pytest.raises(ValueError, match="does not match"):
+        sw_spline_coeffs(samples, grid, table_q4h)
+    with pytest.raises(ValueError, match="does not match"):
+        apply_sw(samples, grid, table_q4h, np.linspace(0.0, 5.0, 11))
+    with pytest.raises(ValueError, match="does not match"):
+        approx_error(KAPPA_Q3, table_q4h, get_signal("f1"), 4.0)
 
 
 def test_required_l_range_brackets_support(table_q3):
