@@ -31,7 +31,6 @@ from .sampler import (
     apply_sw,
     frame_bounds,
     grid_for_window,
-    required_l_range,
     sw_spline_coeffs,
     take_samples,
     verify_sampling_inequality,
@@ -85,7 +84,6 @@ __all__ = [
     "SampleGrid",
     "SampleNodeError",
     "BoundsReport",
-    "required_l_range",
     "grid_for_window",
     "take_samples",
     "sw_spline_coeffs",

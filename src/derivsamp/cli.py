@@ -197,7 +197,7 @@ def cmd_approx(args) -> None:
     table = inv_symbol_coeffs(kappa, tol=args.tol)
     rows = []
     for w in args.W:
-        err = approx_error(kappa, table, f, w, p=args.p, grid_n=args.grid_n)
+        err = approx_error(table, f, w, p=args.p, grid_n=args.grid_n)
         rows.append((w, err, math.log10(w), math.log10(err) if err > 0 else -math.inf))
     footer = _fit_footer([(w, e) for w, e, _, _ in rows], negate=True)
     _emit(args, "W,error,log10W,log10err", rows, footer)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bspline import bspline_series, fourier_q_derivs
 from .laurent import circle_values
-from .symbol import Kappa, NotCISError, _cis_decision
+from .symbol import Kappa, NotCISError, check_cis
 
 __all__ = [
     "KernelTable",
@@ -92,14 +92,14 @@ def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
     or the imaginary part dropped from the real table exceeds
     1e-10 + tail_bound.
     """
-    sym, _, is_cis = _cis_decision(kappa)
-    if not is_cis:
+    report = check_cis(kappa)
+    if not report.is_cis:
         raise NotCISError(kappa)
-    rho = kappa.rho
+    rho, entries = kappa.rho, report.symbol.entries
 
     n = 256
     while True:
-        inv = np.linalg.inv(circle_values(sym.entries, n))  # (n, rho, rho), entry [s, j, i]
+        inv = np.linalg.inv(circle_values(entries, n))  # (n, rho, rho), entry [s, j, i]
         spec = np.fft.fft(inv, axis=0) / n  # index v mod n
         mags = np.max(np.abs(spec), axis=(1, 2))
         alias = float(mags[n // 2 - 32 : n // 2 + 33].max())

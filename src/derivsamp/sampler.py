@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import bspline_series, exact_lattice_values, riesz_lower_bound
-from .kernel import KernelTable
+from .kernel import KernelTable, theta_support
 from .laurent import circle_values
 from .symbol import Kappa, SymbolMatrix, build_symbol
 
@@ -33,7 +33,6 @@ __all__ = [
     "SplineElement",
     "SampleGrid",
     "SampleNodeError",
-    "required_l_range",
     "grid_for_window",
     "take_samples",
     "sw_spline_coeffs",
@@ -105,22 +104,17 @@ class SampleGrid:
         return (float(k.a) + k.rho * self.ls) / self.W
 
 
-def required_l_range(
-    kappa: Kappa, W: float, t_lo: float, t_hi: float, radius: int
-) -> tuple[int, int]:
+def _l_range(table: KernelTable, W: float, t_lo: float, t_hi: float) -> tuple[int, int]:
     """Smallest l-range whose kernels reach every t in [t_lo, t_hi]."""
-    lo, hi = -kappa.rho * radius, kappa.rho * radius + kappa.rho - 1 + kappa.m
-    return (
-        math.floor((W * t_lo - hi) / kappa.rho),
-        math.ceil((W * t_hi - lo) / kappa.rho),
-    )
+    lo, hi = theta_support(table)
+    rho = table.kappa.rho
+    return math.floor((W * t_lo - hi) / rho), math.ceil((W * t_hi - lo) / rho)
 
 
 def grid_for_window(
     kappa: Kappa, W: float, t_lo: float, t_hi: float, table: KernelTable
 ) -> SampleGrid:
-    l_lo, l_hi = required_l_range(kappa, W, t_lo, t_hi, table.radius)
-    return SampleGrid(kappa, W, l_lo, l_hi)
+    return SampleGrid(kappa, W, *_l_range(table, W, t_lo, t_hi))
 
 
 class SampleNodeError(ValueError):
@@ -185,9 +179,7 @@ def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
     kappa = grid.kappa
     n_lo, e = sw_spline_coeffs(samples, grid, table)
     x = np.asarray(t, dtype=float)
-    need_lo, need_hi = required_l_range(
-        kappa, grid.W, float(np.min(x)), float(np.max(x)), table.radius
-    )
+    need_lo, need_hi = _l_range(table, grid.W, float(np.min(x)), float(np.max(x)))
     if need_lo < grid.l_lo or need_hi > grid.l_hi:
         raise ValueError(
             f"sample range l in [{grid.l_lo}, {grid.l_hi}] insufficient for the "
@@ -201,22 +193,16 @@ def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
 _PAD = 1.0
 
 
-def approx_error(
-    kappa: Kappa,
-    table: KernelTable,
-    f,
-    w: float,
-    p: float = 2.0,
-    grid_n: int = 2000,
-) -> float:
-    """L^p distance between the reconstruction at dilation w and the signal,
-    over its support window padded by _PAD (full sample coverage inside),
-    by midpoint quadrature on grid_n points."""
+def approx_error(table: KernelTable, f, w: float, p: float = 2.0, grid_n: int = 2000) -> float:
+    """L^p distance between the reconstruction at dilation w, with the
+    table's configuration, and the signal over its support window padded by
+    _PAD (full sample coverage inside), by midpoint quadrature on grid_n
+    points."""
     if not (1 <= p < math.inf and grid_n >= 1):
         raise ValueError(f"need finite p >= 1 and grid_n >= 1, got p={p}, grid_n={grid_n}")
     lo, hi = f.support_hint
     lo, hi = lo - _PAD, hi + _PAD
-    grid = grid_for_window(kappa, w, lo, hi, table)
+    grid = grid_for_window(table.kappa, w, lo, hi, table)
     samples = take_samples(f, grid)
     step = (hi - lo) / grid_n
     ts = lo + step * (np.arange(grid_n) + 0.5)

@@ -151,8 +151,8 @@ def _check_search(r: int, delta: float, search_n: int) -> None:
         raise ValueError(f"need an integer order r >= 1, got r={r!r}")
     if not 0 <= delta < math.inf:
         raise ValueError(f"need a finite delta >= 0, got delta={delta!r}")
-    if search_n < 64:
-        raise ValueError("search_n must be >= 64")
+    if not isinstance(search_n, (int, np.integer)) or search_n < 64:
+        raise ValueError(f"need an integer search_n >= 64, got search_n={search_n!r}")
 
 
 @dataclass(frozen=True)

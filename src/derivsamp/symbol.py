@@ -13,9 +13,13 @@ denominator per derivative order i: row i of the symbol is integer Laurent
 polynomials over that denominator.  Invertibility of Psi on the unit circle
 is equivalent to stable reconstruction from samples of f, f', ...,
 f^{(rho-1)} on (a + rho Z); `check_cis` decides it exactly from the
-determinant's integer numerators.  Float values of the symbol on the
-circle, for the frame constants and the inverse-symbol coefficients, come
-from `laurent.circle_values`.
+determinant's integer numerators.  It is the one place that builds the
+symbol and its determinant for a verdict: the kernel build and the
+factored tables call it too.  The certificate's float diagnostics (grid
+minimum of |det| and root margin) are computed only when a report's
+`certificate` is read.  Float values of the symbol on the circle, for the
+frame constants and the inverse-symbol coefficients, come from
+`laurent.circle_values`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bspline import exact_lattice_values
 from .laurent import (
@@ -103,8 +108,14 @@ class CisReport:
     kappa: Kappa
     symbol: SymbolMatrix
     det: LaurentPoly
-    certificate: CircleCertificate
     is_cis: bool
+
+    @cached_property
+    def certificate(self) -> CircleCertificate:
+        """The verdict with its float diagnostics, computed when first read."""
+        if self.det.is_zero:
+            return CircleCertificate(0.0, 0.0, 0.0, "vanishing")
+        return _certificate(self.det, "nonvanishing" if self.is_cis else "vanishing")
 
 
 class NotCISError(ValueError):
@@ -114,23 +125,12 @@ class NotCISError(ValueError):
         super().__init__(f"{kappa} is not a stable sampling configuration: det vanishes on |z|=1")
 
 
-def _cis_decision(kappa: Kappa) -> tuple[SymbolMatrix, LaurentPoly, bool]:
-    """The exact decision behind `check_cis`: the symbol, its Bareiss
-    determinant, and whether that determinant is nonzero on |z| = 1."""
+def check_cis(kappa: Kappa) -> CisReport:
+    """Decide exactly whether kappa admits stable reconstruction (det Psi
+    nonzero on the circle); the report keeps the symbol it decided on."""
     sym = build_symbol(kappa)
     det = laurent_det(sym.entries)
-    return sym, det, not det.is_zero and not _vanishes_on_circle(det)
-
-
-def check_cis(kappa: Kappa) -> CisReport:
-    """Certify whether kappa admits stable reconstruction (det Psi nonzero on
-    the circle); the report keeps the symbol it certified."""
-    sym, det, is_cis = _cis_decision(kappa)
-    if det.is_zero:
-        cert = CircleCertificate(0.0, 0.0, 0.0, "vanishing")
-    else:
-        cert = _certificate(det, "nonvanishing" if is_cis else "vanishing")
-    return CisReport(kappa, sym, det, cert, is_cis)
+    return CisReport(kappa, sym, det, not det.is_zero and not _vanishes_on_circle(det))
 
 
 # --- factored determinant tables for rho = 2, a in {0, 1/2} ----------------
@@ -157,7 +157,7 @@ def table_polynomial(kappa: Kappa) -> LaurentPoly:
     m, a, rho = kappa.m, kappa.a, kappa.rho
     if rho != 2 or a not in (Fraction(0), Fraction(1, 2)):
         raise ValueError(f"no table factorization for {kappa}")
-    det = laurent_det(build_symbol(kappa).entries)
+    det = check_cis(kappa).det
     # prefactor = pref_num / pref_den
     if a == 0:
         pref_num, pref_den = 2 ** (m - 2), math.factorial(m - 1) * math.factorial(m - 2)

@@ -51,7 +51,7 @@ from derivsamp.laurent import (
 )
 from derivsamp.sampler import SplineElement
 from derivsamp.smoothness import _check_search, _moduli_batch, tau_modulus
-from derivsamp.symbol import Kappa, NotCISError, SymbolMatrix, build_symbol, check_cis
+from derivsamp.symbol import CisReport, Kappa, NotCISError, SymbolMatrix, build_symbol, check_cis
 
 KAPPA_Q3 = Kappa(3, 0, 2)
 KAPPA_Q4 = Kappa(4, 0, 3)
@@ -678,7 +678,7 @@ def fraction_path(kappa: Kappa) -> dict:
     out = {"symbol": sym, "det": det, "is_cis": is_cis, "certificate": cert}
     if is_cis:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernel, "_cis_decision", lambda k: (sym, det, is_cis))
+            mp.setattr(kernel, "check_cis", lambda k: CisReport(k, sym, det, is_cis))
             mp.setattr(kernel, "circle_values", frac_circle_values)
             mp.setattr(sampler, "build_symbol", lambda k: sym)
             mp.setattr(sampler, "circle_values", frac_circle_values)

@@ -243,7 +243,7 @@ def test_criterion_07_approximation_rates(table_q3, table_q4):
     ok = True
     for table, floor in ((table_q3, 1.7), (table_q4, 2.7)):
         kappa = table.kappa
-        errs = [approx_error(kappa, table, f1, w) for w in ws]
+        errs = [approx_error(table, f1, w) for w in ws]
         slope, r2 = fit_order(zip(ws, errs))
         order = -slope
         details.append(f"f1/{kappa}: order={order:.3f} (>= {floor}), r2={r2:.4f}")
@@ -261,7 +261,7 @@ def test_criterion_07_approximation_rates(table_q3, table_q4):
     )
     ks = (1, 3, 6, 8)
     ws3 = [math.sqrt(7.0) + period * k for k in ks]
-    errs3 = [approx_error(KAPPA_Q3, table_q3, f3, w) for w in ws3]
+    errs3 = [approx_error(table_q3, f3, w) for w in ws3]
     slope3, r23 = fit_order(zip(ws3, errs3))
     order3 = -slope3
     scaled = ", ".join(f"{e * math.sqrt(w):.3f}" for w, e in zip(ws3, errs3))

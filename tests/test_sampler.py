@@ -19,10 +19,8 @@ from derivsamp.sampler import (
     SampleNodeError,
     SplineElement,
     apply_sw,
-    approx_error,
     frame_bounds,
     grid_for_window,
-    required_l_range,
     sw_spline_coeffs,
     take_samples,
     verify_sampling_inequality,
@@ -234,12 +232,11 @@ def test_table_for_another_kappa_is_rejected(table_q4h):
         sw_spline_coeffs(samples, grid, table_q4h)
     with pytest.raises(ValueError, match="does not match"):
         apply_sw(samples, grid, table_q4h, np.linspace(0.0, 5.0, 11))
-    with pytest.raises(ValueError, match="does not match"):
-        approx_error(KAPPA_Q3, table_q4h, get_signal("f1"), 4.0)
 
 
 def test_required_l_range_brackets_support(table_q3):
-    l_lo, l_hi = required_l_range(KAPPA_Q3, 2.0, -1.0, 1.0, table_q3.radius)
+    grid = grid_for_window(KAPPA_Q3, 2.0, -1.0, 1.0, table_q3)
+    l_lo, l_hi = grid.l_lo, grid.l_hi
     # kernels reaching [-1, 1] under W = 2 need l covering [W t - hi, W t - lo]
     assert l_lo <= (2.0 * -1.0 - (2 * 3 + 2 - 1 + 3)) / 2
     assert l_hi >= (2.0 * 1.0 + 2 * 3) / 2

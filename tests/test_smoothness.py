@@ -228,6 +228,10 @@ def test_tau_modulus_validation():
         tau_modulus(ch, 2, 0.0, 2.0)
     with pytest.raises(ValueError):
         tau_modulus(ch, 2, 0.1, 2.0, search_n=1)
+    # a non-integer search_n is refused before numpy sees it, even when whole
+    for search_n in (64.5, 64.0):
+        with pytest.raises(ValueError, match="integer search_n"):
+            tau_modulus(ch, 2, 0.1, 2.0, search_n=search_n)
 
 
 @pytest.mark.parametrize(

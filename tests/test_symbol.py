@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from derivsamp import laurent, symbol
+from derivsamp.cli import main
 from derivsamp.kernel import inv_symbol_coeffs
 from derivsamp.laurent import circle_values
 from derivsamp.sampler import frame_bounds
@@ -291,6 +293,29 @@ def test_identity_lemmas_sweep():
 # CERTIFY_FAILING), and Q17, the widest table the tests build.
 _FAILING_TABLES = ((9, "1/3", 2), (10, "5/6", 2), (12, "1/3", 3),
                    (8, "2/5", 3), (11, "2/5", 4), (12, "2/5", 5))
+
+
+def test_certificate_is_computed_only_when_read(monkeypatch, tmp_path):
+    # the verdict needs no float diagnostics: with them refused, the kernel
+    # build, the scan and `bounds` still run
+    def refuse(det, verdict):
+        raise AssertionError("certificate computed but never read")
+
+    monkeypatch.setattr(symbol, "_certificate", refuse)
+    inv_symbol_coeffs(KAPPA_Q3)
+    scan_assumption1(6, 3)
+    assert main(["bounds", "--m", "3", "--rho", "2", "--out", str(tmp_path / "b.csv")]) == 0
+    # `check` prints the certificate rows: one computation per report
+    calls = []
+
+    def counted(det, verdict):
+        calls.append(verdict)
+        return laurent._certificate(det, verdict)
+
+    monkeypatch.setattr(symbol, "_certificate", counted)
+    assert main(["check", "--m", "3", "--rho", "2", "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(["check", "--m", "4", "--rho", "2", "--out", str(tmp_path / "n.csv")]) == 1
+    assert calls == ["nonvanishing", "vanishing"]
 
 
 def test_exact_layer_matches_fraction_path():
