@@ -197,9 +197,12 @@ def approx_error(table: KernelTable, f, w: float, p: float = 2.0, grid_n: int = 
     """L^p distance between the reconstruction at dilation w, with the
     table's configuration, and the signal over its support window padded by
     _PAD (full sample coverage inside), by midpoint quadrature on grid_n
-    points."""
-    if not (1 <= p < math.inf and grid_n >= 1):
-        raise ValueError(f"need finite p >= 1 and grid_n >= 1, got p={p}, grid_n={grid_n}")
+    points.  Raises ValueError unless p is finite and >= 1 and grid_n is an
+    integer >= 1."""
+    if not (1 <= p < math.inf):
+        raise ValueError(f"need finite p >= 1, got p={p}")
+    if not isinstance(grid_n, (int, np.integer)) or grid_n < 1:
+        raise ValueError(f"grid_n must be an integer >= 1, got {grid_n!r}")
     lo, hi = f.support_hint
     lo, hi = lo - _PAD, hi + _PAD
     grid = grid_for_window(table.kappa, w, lo, hi, table)
@@ -221,6 +224,9 @@ class BoundsReport:
 
 # Grid size in t of the frame constants, unless a caller asks for another.
 _FRAME_GRID_N = 1024
+# The frame constants solve eigenvalues exactly on every this-many-th point
+# of the half circle (and its last point) before screening the rest.
+_FRAME_COARSE_STEP = 16
 
 
 def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
@@ -228,17 +234,59 @@ def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     values on the grid t = s / grid_n of the circle.  The symbol is real, so
     Psi(1 - t) = conj Psi(t) has the same singular values, and the points
     with t in [0, 1/2] (s <= grid_n // 2, odd grid_n included) give the
-    extremes of the whole grid.  Raises ValueError unless grid_n is an
-    integer >= 64."""
+    extremes of the whole grid.
+
+    Eigenvalues of G = Psi* Psi are solved on every 16th of those points
+    and the last one, giving lo >= A and hi <= B.  An LDL^H test that
+    G - (lo + s) I and (hi - s) I - G are positive definite, s = 1e-12 hi,
+    rules out most other points, and only the rest are solved.  A ruled-out
+    point cannot hold an extreme, so A and B are the same floats as from
+    every point's eigenvalues.
+
+    Raises ValueError unless grid_n is an integer >= 64."""
     if not isinstance(grid_n, (int, np.integer)) or grid_n < 64:
         raise ValueError(f"grid_n must be an integer >= 64, got {grid_n!r}")
     return _frame_bounds(build_symbol(kappa), grid_n)
 
 
+def _positive_definite(h: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack h (N, r, r) is positive definite:
+    LDL^H elimination without pivoting, all r pivots > 0 (Sylvester).  Reads
+    the lower triangle and real diagonal, as eigvalsh does; overwrites h."""
+    ok = np.ones(h.shape[0], dtype=bool)
+    for k in range(h.shape[1]):
+        pivot = h[:, k, k].real
+        ok &= pivot > 0
+        col = h[:, k + 1 :, k]
+        # a failed matrix is decided: divide it by 1, never by a pivot <= 0
+        row = col.conj() / np.where(ok, pivot, 1.0)[:, None]
+        h[:, k + 1 :, k + 1 :] -= col[:, :, None] * row[:, None, :]
+    return ok
+
+
 def _frame_bounds(sym: SymbolMatrix, grid_n: int) -> BoundsReport:
     psi = circle_values(sym.entries, grid_n)[: grid_n // 2 + 1]
     gram = np.matmul(psi.conj().transpose(0, 2, 1), psi)
-    lam = np.linalg.eigvalsh(gram)
+    coarse = np.zeros(len(gram), dtype=bool)
+    coarse[::_FRAME_COARSE_STEP] = coarse[-1] = True
+    lam = np.linalg.eigvalsh(gram[coarse])
+    lo, hi = lam[:, 0].min(), lam[:, -1].max()
+    # eigvalsh solves each matrix of a stack on its own, so a point's
+    # eigenvalues are the same floats in any subset.  A point passing both
+    # tests has lambda_min >= lo + s - O(r^2 u |G|) > lo and lambda_max <=
+    # hi - s + O(r^2 u |G|) < hi, also as eigvalsh rounds them, so it can hold
+    # neither extreme and A, B equal the full stack's.  A flat spectrum (Q3)
+    # passes nowhere and every point is solved.
+    s = 1e-12 * hi
+    eye = np.eye(gram.shape[1])
+    # one buffer for both shifted stacks, points on the last axis so that
+    # every elimination step runs along contiguous memory
+    shifted = np.empty(gram.shape[1:] + gram.shape[:1], dtype=gram.dtype).transpose(2, 0, 1)
+    inside = _positive_definite(np.subtract(gram, (lo + s) * eye, out=shifted))
+    inside &= _positive_definite(np.subtract((hi - s) * eye, gram, out=shifted))
+    rest = ~(inside | coarse)
+    if rest.any():
+        lam = np.concatenate([lam, np.linalg.eigvalsh(gram[rest])])
     lower = float(lam[:, 0].min())
     upper = float(lam[:, -1].max())
     return BoundsReport(sym.kappa, lower, upper, upper / riesz_lower_bound(sym.kappa.m))

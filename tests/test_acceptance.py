@@ -34,8 +34,6 @@ from derivsamp.smoothness import fit_order, tau_modulus
 from derivsamp.symbol import (
     Kappa,
     build_symbol,
-    check_cis,
-    predicted_cis_shift,
     scan_assumption1,
     table_polynomial,
 )

@@ -17,7 +17,6 @@ from derivsamp.kernel import (
 from derivsamp.symbol import Kappa, NotCISError, check_cis
 
 from conftest import (
-    KAPPA_Q4H,
     eval_q,
     inv_symbol_coeffs_reference,
     kernel_table_from_csv,

@@ -18,7 +18,9 @@ from derivsamp.sampler import (
     SampleGrid,
     SampleNodeError,
     SplineElement,
+    _positive_definite,
     apply_sw,
+    approx_error,
     frame_bounds,
     grid_for_window,
     sw_spline_coeffs,
@@ -26,7 +28,7 @@ from derivsamp.sampler import (
     verify_sampling_inequality,
 )
 from derivsamp.signals import get_signal, monomial_signal
-from derivsamp.symbol import Kappa, build_symbol
+from derivsamp.symbol import Kappa, build_symbol, check_cis
 
 from conftest import (
     KAPPA_Q3,
@@ -291,6 +293,69 @@ def test_frame_bounds_half_circle_matches_full_circle():
             assert b.upper == pytest.approx(hi, rel=1e-12, abs=0), (kappa, n)
 
 
+def _full_stack_extremes(sym, n: int) -> tuple[float, float]:
+    """Extreme eigenvalues of Psi* Psi with eigvalsh on every half-circle
+    point of circle_values, the frame constants' input without a screen."""
+    psi = circle_values(sym.entries, n)[: n // 2 + 1]
+    lam = np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
+    return float(lam[:, 0].min()), float(lam[:, -1].max())
+
+
+def test_frame_bounds_screen_keeps_full_stack_extremes():
+    # a seeded sample of the benchmark's certify grid (rho 2-5, m <= 12,
+    # shifts p/q with q <= 6), plus Q3 (flat spectrum), Q4, the non-CIS
+    # (4, 0, 2), Q4H (minimum between the screen's coarse points) and
+    # (12, 2/5, 5) (both extremes on the last half-circle point)
+    grid = sorted({
+        (m, Fraction(p, q), rho)
+        for rho in range(2, 6)
+        for m in range(rho + 1, 13)
+        for q in range(1, 7)
+        for p in range(rho * q)
+    })
+    rng = np.random.default_rng(19)
+    kappas = [Kappa(*grid[i]) for i in rng.choice(len(grid), 12, replace=False)]
+    kappas += [KAPPA_Q3, KAPPA_Q4, Kappa(4, Fraction(0), 2), KAPPA_Q4H,
+               Kappa(12, Fraction(2, 5), 5)]
+    assert any(not check_cis(k).is_cis for k in kappas)
+    for kappa in kappas:
+        sym = build_symbol(kappa)
+        for n in (64, 65, 1000, 1024, 1025, 4096):
+            b = frame_bounds(kappa, grid_n=n)
+            assert (b.lower, b.upper) == _full_stack_extremes(sym, n), (kappa, n)
+
+
+def test_frame_bounds_solves_few_points(monkeypatch):
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(h):
+        rows.append(len(h))
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    frame_bounds(Kappa(12, Fraction(2, 5), 5), grid_n=1024)
+    assert sum(rows) <= 64, rows  # of the 513 half-circle points
+
+
+def test_positive_definite_matches_eigvalsh():
+    rng = np.random.default_rng(7)
+    for r in (1, 2, 3, 5):
+        x = rng.standard_normal((200, r, r)) + 1j * rng.standard_normal((200, r, r))
+        h = np.matmul(x, x.conj().transpose(0, 2, 1))
+        # shifts around the spectrum make about half of the stack indefinite
+        h -= rng.uniform(0.0, 2.0, (200, 1, 1)) * np.linalg.eigvalsh(h)[:, :1, None] * np.eye(r)
+        expected = np.linalg.eigvalsh(h)[:, 0] > 0
+        assert 0 < expected.sum() < len(h)
+        assert (_positive_definite(h.copy()) == expected).all(), r
+    special = np.array([
+        [[1, 1j, 0], [-1j, 1, 0], [0, 0, 1]],  # singular: the second pivot is 0
+        [[2, 1j, 0], [-1j, 2, 1], [0, 1, -1]],  # pivots 2, 3/2, -5/3
+        [[2, 1j, 0], [-1j, 2, 1], [0, 1, 1]],  # pivots 2, 3/2, 1/3
+    ])
+    assert _positive_definite(special).tolist() == [False, False, True]
+
+
 def test_frame_bounds_q4_golden():
     b = frame_bounds(KAPPA_Q4)
     assert b.lower == pytest.approx(0.32382502232009336, abs=1e-10)
@@ -302,6 +367,13 @@ def test_frame_bounds_validation():
         frame_bounds(KAPPA_Q3, grid_n=16)
     with pytest.raises(ValueError, match="integer"):
         frame_bounds(KAPPA_Q3, 100.5)
+
+
+def test_approx_error_rejects_non_integer_grid(table_q3):
+    f1 = get_signal("f1")
+    for grid_n in (10.5, 0):
+        with pytest.raises(ValueError, match="grid_n"):
+            approx_error(table_q3, f1, 8.0, grid_n=grid_n)
 
 
 def test_sampling_inequality_rejects_no_trials():
@@ -319,6 +391,8 @@ def test_sampling_inequality_no_violations():
             rep.lower - 1e-9 <= rep.eig_min <= rep.min_ratio
             <= rep.max_ratio <= rep.eig_max <= rep.upper_frame + 1e-9
         ), kappa
+        bounds = frame_bounds(kappa)
+        assert (rep.lower, rep.upper_frame) == (bounds.lower, bounds.upper_frame), kappa
     rep = verify_sampling_inequality(KAPPA_Q3)
     assert round(rep.eig_min, 3) == 0.502 and round(rep.eig_max, 2) == 14.77
 
