@@ -5,15 +5,14 @@ geometrically; the kernels are the finite-bandwidth combinations
 
     Theta_i(t) = sum_v sum_j c^{ji}(v) Q_m(t - rho v - j).
 
-Coefficients are extracted by FFT from matrix inverses on the full grid
-z = exp(2 pi i s / n), 0 <= s < n, of the circle (`circle_values`), with n
-doubled until the coefficients that halving the grid would alias onto the
-kept ones sit below the requested tolerance.
 The symbol has rational coefficients, so Psi^{-1}(conj z) = conj Psi^{-1}(z)
-and every c^{ji}(v) is real: the table stores the real part, after checking
-once that the imaginary part dropped is below 1e-10 + tail_bound.  Each
-Theta_i is then one B-spline series with coefficient c^{ji}(v) at knot
-rho v + j.
+and every c^{ji}(v) is real.  Coefficients are extracted by one inverse
+real FFT from matrix inverses on the half grid z = exp(2 pi i s / n),
+0 <= s <= n/2, of the circle (`circle_values`), which determines the rest,
+so the table is real by construction; n is doubled until the coefficients
+that halving the grid would alias onto the kept ones sit below the
+requested tolerance.  Each Theta_i is then one B-spline series with
+coefficient c^{ji}(v) at knot rho v + j.
 The kernels reproduce polynomials up to the configuration's order; both the
 time-domain and Fourier-domain (Strang-Fix) forms of that moment condition
 are provided.  The Fourier form holds for every degree: it reads derivatives
@@ -85,12 +84,12 @@ def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
     One grid of n points, n = 256 doubled up to 8192 until the coefficients
     within 32 of the Nyquist index n/2 are below tol.  They are what a grid
     of n/2 points, c_{n/2}(v) = c_n(v) + c_n(v + n/2), would alias onto
-    |v| <= 32.
+    |v| <= 32.  Psi is inverted on the n/2 + 1 points s <= n/2 only, and
+    np.fft.irfft of the conjugated inverses gives the real c(v) of the
+    whole grid.
 
     Raises NotCISError if kappa is not certified CIS (the inverse symbol
-    would be unbounded), and ArithmeticError if n = 8192 does not converge
-    or the imaginary part dropped from the real table exceeds
-    1e-10 + tail_bound.
+    would be unbounded), and ArithmeticError if n = 8192 does not converge.
     """
     report = check_cis(kappa)
     if not report.is_cis:
@@ -99,8 +98,10 @@ def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
 
     n = 256
     while True:
-        inv = np.linalg.inv(circle_values(entries, n))  # (n, rho, rho), entry [s, j, i]
-        spec = np.fft.fft(inv, axis=0) / n  # index v mod n
+        inv = np.linalg.inv(circle_values(entries, n))  # (n//2 + 1, rho, rho), entry [s, j, i]
+        # c(v) = (1/n) sum_s inv_s z_s^-v over the whole grid, which is real
+        # and, inv on s > n/2 being the conjugate, the irfft of conj(inv)
+        spec = np.fft.irfft(inv.conj(), n, axis=0)  # index v mod n
         mags = np.max(np.abs(spec), axis=(1, 2))
         alias = float(mags[n // 2 - 32 : n // 2 + 33].max())
         if alias < tol:
@@ -130,12 +131,7 @@ def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
     tail_bound = tail_estimate(radius)
 
     window = spec[np.arange(-radius, radius + 1) % n]  # (2V+1, j, i)
-    residue = float(np.max(np.abs(window.imag)))
-    if residue > 1e-10 + tail_bound:
-        raise ArithmeticError(
-            f"inverse-symbol coefficients of {kappa} not real: imaginary residue {residue:.3e}"
-        )
-    coeffs = np.transpose(window.real, (1, 2, 0)).copy()
+    coeffs = np.transpose(window, (1, 2, 0)).copy()
     return KernelTable(kappa, radius, coeffs, tail_bound)
 
 

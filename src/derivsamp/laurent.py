@@ -5,13 +5,15 @@ Used for symbol matrices of the sampling problem: exact determinants, an
 exact certificate that a polynomial does or does not vanish on the unit
 circle, with float diagnostics of how close its zeros come to the circle,
 and `circle_values`, the one float evaluator of a Laurent polynomial or
-matrix on a uniform grid of the circle.  Both exact algorithms run on the
-integer numerators alone, as lists of ints, constant term first: the
-determinant shifts each column to nonnegative exponents and runs
-fraction-free Bareiss elimination over integer polynomials, over the
-product of the row denominators; the certificate takes a gcd with the
-reversed polynomial, substitutes x = z + 1/z and counts roots with a Sturm
-sequence, all by sign-correct primitive pseudo-remainders.  Every float coefficient is
+matrix on the half s <= n/2 of a uniform grid of the circle (real
+coefficients make it determine the rest).  Both exact algorithms run
+on the integer numerators alone, as lists of ints, constant term first:
+the determinant shifts each column to nonnegative exponents, packs each
+integer polynomial into one integer by Kronecker substitution and runs
+fraction-free Bareiss elimination on those, over the product of the row
+denominators; the certificate takes a gcd with the reversed polynomial,
+substitutes x = z + 1/z and counts roots with a Sturm sequence, all by
+sign-correct primitive pseudo-remainders.  Every float coefficient is
 numerator / den, which Python rounds correctly, as float(Fraction) does.
 """
 
@@ -118,15 +120,17 @@ class LaurentPoly:
 
 
 def circle_values(p, n: int) -> np.ndarray:
-    """Values at z_s = exp(2 pi i s / n), 0 <= s < n, of a LaurentPoly or a
-    nested sequence of them (a matrix); complex array of shape
-    (n,) + shape of p.  Raises ValueError unless n is a positive integer.
+    """Values at z_s = exp(2 pi i s / n), 0 <= s <= n//2, of a LaurentPoly or
+    a nested sequence of them (a matrix); complex array of shape
+    (n//2 + 1,) + shape of p.  Raises ValueError unless n is a positive
+    integer.
 
-    z_s^n = 1, so each coefficient c_k adds into slot k mod n and one inverse
-    FFT of the slots gives every value (the DFT identity behind the
-    trapezoidal rule; Trefethen & Weideman, SIAM Rev. 2014).  With real
-    coefficients p(z_{n-s}) = conj p(z_s), so rows 0..n//2 hold one point of
-    every conjugate pair.
+    z_s^n = 1, so each coefficient c_k adds into slot k mod n, and one DFT of
+    the real slots gives every value (the DFT identity behind the
+    trapezoidal rule; Trefethen & Weideman, SIAM Rev. 2014): p(z_s) is the
+    conjugate of the slots' forward DFT at s.  The coefficients are real, so
+    p(z_{n-s}) = conj p(z_s): these rows, one point of every conjugate pair,
+    determine the whole grid, and a real FFT gives just them.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"grid size must be a positive integer, got {n!r}")
@@ -138,45 +142,8 @@ def circle_values(p, n: int) -> np.ndarray:
         idx += [(k % n) * size + col for k in range(q.low, q.low + len(q.coeffs))]
         vals += [c / q.den for c in q.coeffs]
     slots = np.bincount(np.array(idx, dtype=np.intp), vals, minlength=n * size)
-    return n * np.fft.ifft(slots.reshape(n, size), axis=0).reshape((n,) + polys.shape)
-
-
-def _icross(a: list[int], b: list[int], c: list[int], d: list[int]) -> list[int]:
-    """a b - c d for integer polynomials (coefficient lists, constant term
-    first, no zero top coefficient)."""
-    out = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
-    for x, y, sign in ((a, b, 1), (c, d, -1)):
-        for i, u in enumerate(x):
-            if u:
-                u *= sign
-                for k, v in enumerate(y, i):
-                    out[k] += u * v
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _idivexact(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient a / b of integer polynomials, divided from the top as
-    `_prem` does; raises ValueError if b does not divide a with an integer
-    quotient."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not a or b == [1]:
-        return a
-    a, lb, rest = list(a), b[-1], b[:-1]
-    quot = [0] * (len(a) - len(b) + 1)
-    for off in range(len(quot) - 1, -1, -1):
-        c, r = divmod(a.pop(), lb)
-        if r:
-            raise ValueError("divisor does not divide the dividend")
-        quot[off] = c
-        if c:
-            for k, v in enumerate(rest, off):
-                a[k] -= c * v
-    if any(a):
-        raise ValueError("divisor does not divide the dividend")
-    return quot
+    values = np.fft.rfft(slots.reshape(n, size), axis=0).conj()
+    return values.reshape((n // 2 + 1,) + polys.shape)
 
 
 def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
@@ -184,12 +151,14 @@ def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
 
     Column j is multiplied by z^-l_j, l_j its least exponent, so that every
     entry is an integer polynomial; the determinant is z^(sum l_j) times
-    theirs.  Fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968)
-    runs on the integer numerators, its divisions exact over the integers.
-    A row whose entries share one denominator (every symbol row) enters as
-    it is; other entries are brought to the lcm of their row's denominators.
-    The result is an integer polynomial over the product of the row
-    denominators.
+    theirs.  A row whose entries share one denominator (every symbol row)
+    enters as it is; other entries are brought to the lcm of their row's
+    denominators.  Kronecker substitution (Harvey, J. Symbolic Comput. 2009)
+    packs each integer polynomial into its value at x = 2^K, fraction-free
+    Bareiss elimination (Bareiss, Math. Comp. 1968) runs on those integers,
+    its divisions exact, and the determinant's coefficients are the
+    balanced base-2^K digits of its value.  The result is an integer
+    polynomial over the product of the row denominators.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
@@ -198,16 +167,28 @@ def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         return LaurentPoly(0, (1,))
     lows = [min((p.low for p in col if p.coeffs), default=0) for col in zip(*mat)]
     den = 1
-    m = []
+    polys = []
     for row in mat:
         s = math.lcm(*(p.den for p in row))
         den *= s
-        m.append([
+        polys.append([
             [0] * (p.low - l) + [c * (s // p.den) for c in p.coeffs] if p.coeffs else []
             for p, l in zip(row, lows)
         ])
+    # A minor is a sum over permutations of one entry per row, so each of
+    # its coefficients is at most bound, the product over rows of the row's
+    # summed absolute coefficients (each at least 1, so K >= 2), and
+    # bound < 2^(K-1).  With digits in [-2^(K-1), 2^(K-1)) an integer has
+    # one base-2^K expansion only: the determinant's value at x = 2^K gives
+    # back its coefficients, and every value Bareiss meets, a minor, is zero
+    # only if its polynomial is, so pivots and row swaps are those of the
+    # polynomials.
+    bound = math.prod(max(1, sum(abs(c) for p in row for c in p)) for row in polys)
+    K = bound.bit_length() + 1
+    x = 1 << K
+    m = [[_eval(p, x) for p in row] for row in polys]
     sign = 1
-    prev = [1]
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
@@ -218,9 +199,15 @@ def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = _idivexact(_icross(m[i][j], pivot, m[i][k], m[k][j]), prev)
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
         prev = pivot
-    return LaurentPoly.make(sum(lows), [sign * c for c in m[n - 1][n - 1]], den)
+    value = sign * m[n - 1][n - 1]
+    coeffs = []
+    while value:
+        digit = (value + x // 2) % x - x // 2
+        coeffs.append(digit)
+        value = (value - digit) >> K
+    return LaurentPoly.make(sum(lows), coeffs, den)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +325,7 @@ def _certificate(p: LaurentPoly, verdict: str) -> CircleCertificate:
     """The float diagnostics of the nonzero p around its exact verdict."""
     # |z^low| = 1: dropping the shift leaves a monomial's slot at 0, so its
     # modulus comes out exactly constant and argmin_t is 0
-    vals = np.abs(circle_values(p.shift(-p.low), _GRID_N)[: _GRID_N // 2 + 1])
+    vals = np.abs(circle_values(p.shift(-p.low), _GRID_N))
     imin = int(np.argmin(vals))
     c = [x / p.den for x in p.coeffs]
     root_margin = math.inf

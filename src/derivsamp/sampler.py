@@ -265,7 +265,7 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
 
 
 def _frame_bounds(sym: SymbolMatrix, grid_n: int) -> BoundsReport:
-    psi = circle_values(sym.entries, grid_n)[: grid_n // 2 + 1]
+    psi = circle_values(sym.entries, grid_n)
     gram = np.matmul(psi.conj().transpose(0, 2, 1), psi)
     coarse = np.zeros(len(gram), dtype=bool)
     coarse[::_FRAME_COARSE_STEP] = coarse[-1] = True

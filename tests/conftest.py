@@ -322,7 +322,9 @@ def inv_symbol_coeffs_reference(kappa: Kappa, tol: float = 1e-12) -> KernelTable
     """Inverse-symbol table by two grids per step: n doubles from 128 until
     the Nyquist coefficients n/2 +- 2 are below tol and the coefficients
     |v| <= 32 agree with the previous grid's to tol; then the same radius
-    search and tail estimate as the library, one coefficient at a time."""
+    search and tail estimate as the library, one coefficient at a time.
+    Each grid's coefficients come as the library's do, from inverses on the
+    half circle and one irfft, so the tables compare byte for byte."""
     report = check_cis(kappa)
     if not report.is_cis:
         raise NotCISError(kappa)
@@ -333,7 +335,7 @@ def inv_symbol_coeffs_reference(kappa: Kappa, tol: float = 1e-12) -> KernelTable
     prev_slice = None
     while True:
         inv = np.linalg.inv(circle_values(sym.entries, n))
-        spec = np.fft.fft(inv, axis=0) / n
+        spec = np.fft.irfft(inv.conj(), n, axis=0)
         mags = np.max(np.abs(spec), axis=(1, 2))
         nyquist = float(mags[n // 2 - 2 : n // 2 + 3].max())
         probe = min(32, n // 4)
@@ -370,7 +372,7 @@ def inv_symbol_coeffs_reference(kappa: Kappa, tol: float = 1e-12) -> KernelTable
     tail_bound = tail_estimate(radius)
 
     stacked = np.stack([spec[v % n] for v in range(-radius, radius + 1)])
-    coeffs = np.transpose(stacked.real, (1, 2, 0)).copy()
+    coeffs = np.transpose(stacked, (1, 2, 0)).copy()
     return KernelTable(kappa, radius, coeffs, tail_bound)
 
 
@@ -650,13 +652,14 @@ def frac_circle_values(p, n: int) -> np.ndarray:
         idx += [(k % n) * size + col for k in range(q.low, q.low + len(q.coeffs))]
         vals += map(float, q.coeffs)
     slots = np.bincount(np.array(idx, dtype=np.intp), vals, minlength=n * size)
-    return n * np.fft.ifft(slots.reshape(n, size), axis=0).reshape((n,) + polys.shape)
+    values = np.fft.rfft(slots.reshape(n, size), axis=0).conj()
+    return values.reshape((n // 2 + 1,) + polys.shape)
 
 
 def frac_certificate(p: FracPoly, verdict: str) -> CircleCertificate:
     """The certificate's float diagnostics from float(Fraction)."""
     grid_n = 4096
-    vals = np.abs(frac_circle_values(p.shift(-p.low), grid_n)[: grid_n // 2 + 1])
+    vals = np.abs(frac_circle_values(p.shift(-p.low), grid_n))
     imin = int(np.argmin(vals))
     c = [float(x) for x in p.coeffs]
     root_margin = math.inf

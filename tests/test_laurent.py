@@ -10,7 +10,6 @@ import pytest
 
 from derivsamp.laurent import (
     LaurentPoly,
-    _idivexact,
     circle_values,
     laurent_det,
     roots_unit_circle,
@@ -85,57 +84,6 @@ def test_eval_exact_rational():
     z = Fraction(2, 3)
     # (1/2) z^-1 + 3 z = 3/4 + 2
     assert eval_exact(p, z) == Fraction(3, 4) + Fraction(2)
-
-
-def _int_list(p: FracPoly) -> list[int]:
-    """The integer polynomial p (low >= 0) as the coefficient list of the
-    determinant's integer arithmetic, constant term first."""
-    return [0] * p.low + [int(c) for c in p.coeffs]
-
-
-def _random_int_poly(rng) -> FracPoly:
-    """Integer polynomial of degree < 6, zero constant terms included."""
-    return FracPoly.make(0, [int(c) for c in rng.integers(-9, 10, int(rng.integers(1, 7)))])
-
-
-def test_divexact_roundtrip_and_failure():
-    rng = np.random.default_rng(24)
-    for _ in range(60):
-        a, b = _random_int_poly(rng), _random_int_poly(rng)
-        if b.is_zero:
-            continue
-        assert _idivexact(_int_list(a * b), _int_list(b)) == _int_list(a)
-    with pytest.raises(ValueError):
-        _idivexact([1, 1], [-1, 1])
-    # divisible over the rationals but not over the integers
-    with pytest.raises(ValueError):
-        _idivexact([1, 1], [2, 2])
-    # a dividend shorter than the divisor
-    with pytest.raises(ValueError):
-        _idivexact([1], [1, 1])
-    with pytest.raises(ZeroDivisionError):
-        _idivexact([1], [])
-
-
-def test_divexact_divisor_without_constant_term():
-    # z + z^2 has constant term 0, which a division from the bottom cannot use
-    b = [0, 1, 1]
-    for a in ([3], [5, -2], [0, 0, 7], [-1, 4, 0, 2]):
-        prod = _int_list(FracPoly.make(0, a) * FracPoly.make(0, b))
-        assert _idivexact(prod, b) == a
-    assert _idivexact([0, 0, 2, 2], b) == [0, 2]
-    # remainder 1: z^2 + z + 1 = 1 (z^2 + z) + 1
-    with pytest.raises(ValueError):
-        _idivexact([1, 1, 1], b)
-    # rational quotients: 3 z^2 + 3 z = 3/2 (2 z^2 + 2 z) and 3 z^2 = 3/2 z (2 z),
-    # the second with no remainder left below the top
-    with pytest.raises(ValueError):
-        _idivexact([0, 3, 3], [0, 2, 2])
-    with pytest.raises(ValueError):
-        _idivexact([0, 0, 3], [0, 2])
-    # 2 z^3 + z^2 + z = (2 z - 1)(z^2 + z) + 2 z
-    with pytest.raises(ValueError):
-        _idivexact([0, 1, 1, 2], b)
 
 
 def test_coeff_accessors():
@@ -260,6 +208,48 @@ def test_determinant_triangular():
         [ZERO, ZERO, d[2]],
     ]
     assert _det(mat) == d[0] * d[1] * d[2]
+
+
+def test_determinant_packed_digits():
+    # laurent_det packs each entry into its value at 2^K and unpacks the
+    # determinant's coefficients as balanced base-2^K digits
+    big = 2**70
+    rng = np.random.default_rng(32)
+    mixed = 0
+    for n in (2, 3):
+        for _ in range(10):
+            # mixed signs near +-2^70: the determinant's negative coefficients
+            # borrow from the digit above
+            mat = [[FracPoly.make(int(rng.integers(-2, 3)),
+                                  [Fraction(int(rng.choice([-1, 1])) * (big + int(rng.integers(-9, 10))))
+                                   for _ in range(int(rng.integers(1, 4)))])
+                    for _ in range(n)] for _ in range(n)]
+            want = frac_det(mat)
+            assert not want.is_zero
+            mixed += min(want.coeffs) < 0 < max(want.coeffs)
+            assert _det(mat) == want
+    assert mixed >= 10
+    # every entry nonzero, determinant zero: row 2 is row 0 times a
+    # polynomial plus row 1, and a 2 x 2 one cancels the same way
+    p = FracPoly.make
+    r = [p(-1, [3, -big]), p(2, [Fraction(1, 7), 5]), p(0, [big + 1, 0, -2])]
+    s = [p(1, [-4]), p(-2, [2, 2, Fraction(-5, 3)]), p(0, [1, 1])]
+    f = p(-1, [2, 0, -1])
+    mat = [r, s, [f * x + y for x, y in zip(r, s)]]
+    assert all(not e.is_zero for row in mat for e in row)
+    assert frac_det(mat).is_zero and _det(mat).is_zero
+    assert _det([r[:2], [f * x for x in r[:2]]]).is_zero
+    # unlike denominators within every row
+    mat = [[p(0, [Fraction(1, 3), Fraction(-5, 4)]), p(1, [Fraction(7, 10)])],
+           [p(-1, [Fraction(2, 9), Fraction(1, 6)]), p(0, [Fraction(-3, 8), big])]]
+    assert _det(mat) == frac_det(mat)
+    # 1 x 1: the entry itself, over its own denominator; 0 x 0: one
+    q = LaurentPoly(-3, (-(big + 1), 0, big - 5), 6)
+    det = laurent_det([[q]])
+    assert (det.low, det.coeffs, det.den) == (q.low, q.coeffs, q.den)
+    assert to_frac(laurent_det([[to_laurent(r[1])]])) == r[1]
+    empty = laurent_det([])
+    assert (empty.low, empty.coeffs, empty.den) == (0, (1,), 1)
 
 
 def _poly_from_roots(roots, scale=Fraction(1)) -> LaurentPoly:

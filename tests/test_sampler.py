@@ -273,8 +273,10 @@ def test_frame_bounds_q3_golden():
 
 
 def test_frame_bounds_q3_t_independent():
+    # the 129 points s <= 128 of a 257-point grid, one of every conjugate pair
     sym = build_symbol(KAPPA_Q3)
     psi = circle_values(sym.entries, 257)
+    assert psi.shape == (129, 2, 2)
     gram = np.matmul(psi.conj().transpose(0, 2, 1), psi)
     lam = np.linalg.eigvalsh(gram)
     assert float(np.ptp(lam[:, 0])) <= 1e-12
@@ -296,7 +298,7 @@ def test_frame_bounds_half_circle_matches_full_circle():
 def _full_stack_extremes(sym, n: int) -> tuple[float, float]:
     """Extreme eigenvalues of Psi* Psi with eigvalsh on every half-circle
     point of circle_values, the frame constants' input without a screen."""
-    psi = circle_values(sym.entries, n)[: n // 2 + 1]
+    psi = circle_values(sym.entries, n)
     lam = np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
     return float(lam[:, 0].min()), float(lam[:, -1].max())
 

@@ -100,9 +100,9 @@ def test_symbol_entries_match_oracle():
 
 
 def test_symbol_circle_values_matches_unit_eval():
-    # every point s of each grid, s > n/2 included; (12, 1/3, 2) has entries
-    # of 6 coefficients and a determinant of 11, so for n <= 5 the entries'
-    # coefficients wrap mod n, and for n <= 9 the determinant's
+    # the n//2 + 1 points s <= n/2 of each grid, odd n included; (12, 1/3, 2)
+    # has entries of 6 coefficients and a determinant of 11, so for n <= 5
+    # the entries' coefficients wrap mod n, and for n <= 9 the determinant's
     wide = Kappa(12, Fraction(1, 3), 2)
     assert len(build_symbol(wide).entries[0][0].coeffs) == 6
     assert len(det_symbol(wide).coeffs) == 11
@@ -111,10 +111,10 @@ def test_symbol_circle_values_matches_unit_eval():
         det = det_symbol(kappa)
         for n in (1, 2, 5, 9, 64):
             grid = circle_values(sym.entries, n)
-            assert grid.shape == (n, kappa.rho, kappa.rho)
+            assert grid.shape == (n // 2 + 1, kappa.rho, kappa.rho)
             dvals = circle_values(det, n)
-            assert dvals.shape == (n,)
-            for s in range(n):
+            assert dvals.shape == (n // 2 + 1,)
+            for s in range(n // 2 + 1):
                 assert abs(dvals[s] - eval_unit(det, s / n)) <= 1e-12
                 for i in range(kappa.rho):
                     for j in range(kappa.rho):
