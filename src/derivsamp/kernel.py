@@ -56,11 +56,16 @@ class KernelTable:
     tail_bound: float
 
     def coeff(self, j: int, i: int, v: int) -> float:
+        """c^{ji}(v): 0.0 past the radius; raises ValueError unless j and i
+        are in [0, rho)."""
+        rho = self.kappa.rho
+        if not (0 <= j < rho and 0 <= i < rho):
+            raise ValueError(f"index (j, i) = ({j}, {i}) out of range for rho={rho}")
         if abs(v) > self.radius:
             return 0.0
         return float(self.coeffs[j, i, self.radius + v])
 
-    def to_csv(self, path=None) -> str:
+    def to_csv(self) -> str:
         k = self.kappa
         lines = [
             f"# derivsamp v1,a={k.a},m={k.m},radius={self.radius},"
@@ -71,11 +76,7 @@ class KernelTable:
             for i in range(k.rho):
                 for v in range(-self.radius, self.radius + 1):
                     lines.append(f"{j},{i},{v},{self.coeff(j, i, v)!r},0.0")
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-        return text
+        return "\n".join(lines) + "\n"
 
 
 def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
@@ -141,6 +142,16 @@ def theta_support(table: KernelTable) -> tuple[float, float]:
     return (-rho * table.radius, rho * table.radius + rho - 1 + m)
 
 
+def _l_range(table: KernelTable, W: float, t_lo: float, t_hi: float) -> tuple[int, int]:
+    """Smallest l-range (l_lo, l_hi) whose kernels Theta_i(W t - rho l)
+    reach every t in [t_lo, t_hi]; raises ValueError unless 0 < W < inf."""
+    if not 0 < W < math.inf:
+        raise ValueError(f"dilation W must be positive and finite, got W={W!r}")
+    lo, hi = theta_support(table)
+    rho = table.kappa.rho
+    return math.floor((W * t_lo - hi) / rho), math.ceil((W * t_hi - lo) / rho)
+
+
 def theta_eval(table: KernelTable, i: int, t, deriv: int = 0):
     """Evaluate Theta_i (or a derivative) at t."""
     kappa = table.kappa
@@ -159,21 +170,22 @@ def _theta_series(table: KernelTable, i: int) -> tuple[np.ndarray, int]:
 class ReproducingReport:
     kappa: Kappa
     order: int
-    residuals: tuple[float, ...]  # per polynomial degree 0..r_max
+    residuals: tuple[float, ...]  # per polynomial degree 0.._REPRODUCING_MAX
     tol: float
 
 
-def _kernel_l_range(table: KernelTable) -> range:
-    rho, m = table.kappa.rho, table.kappa.m
-    lo, hi = theta_support(table)
-    # t in [0, rho): Theta_i(t - rho l) != 0 needs t - rho l in [lo, hi]
-    return range(math.floor(-hi / rho) - 1, math.ceil((rho - lo) / rho) + 1)
+# reproducing_order checks the polynomial degrees up to this one, each
+# against this relative tolerance.
+_REPRODUCING_MAX = 6
+_REPRODUCING_TOL = 1e-8
 
 
-def reproducing_order(table: KernelTable, r_max: int = 6, tol: float = 1e-8) -> ReproducingReport:
-    """Largest r such that sum_i C(n,i) i! sum_l (a+rho l-t)^{n-i}
-    Theta_i(t-rho l) = delta_{n0} holds to tol for all n <= r, checked on a
-    64-point grid over one period [0, rho).
+def reproducing_order(table: KernelTable) -> ReproducingReport:
+    """Largest r <= _REPRODUCING_MAX such that sum_i C(n,i) i! sum_l
+    (a+rho l-t)^{n-i} Theta_i(t-rho l) = delta_{n0} holds to
+    _REPRODUCING_TOL for all n <= r, checked on a 64-point grid over one
+    period [0, rho), with every l whose kernels reach it; -1 if degree 0
+    fails.
 
     residuals[n] is relative: max_t |sum - delta_{n0}| over max_t of the same
     sum of |terms|.  The terms grow with the kernel radius and with n, and
@@ -182,11 +194,12 @@ def reproducing_order(table: KernelTable, r_max: int = 6, tol: float = 1e-8) -> 
     kappa = table.kappa
     rho, a = kappa.rho, float(kappa.a)
     ts = np.arange(64) / 64 * rho
-    ls = np.array(_kernel_l_range(table))[:, None]
+    l_lo, l_hi = _l_range(table, 1.0, 0.0, rho)
+    ls = np.arange(l_lo, l_hi + 1)[:, None]
     theta = [theta_eval(table, i, ts - rho * ls) for i in range(rho)]  # (l, t) each
     dist = a + rho * ls - ts
     residuals = []
-    for n in range(r_max + 1):
+    for n in range(_REPRODUCING_MAX + 1):
         terms = np.stack([
             math.comb(n, i) * math.factorial(i) * dist ** (n - i) * theta[i]
             for i in range(min(n, rho - 1) + 1)
@@ -196,11 +209,11 @@ def reproducing_order(table: KernelTable, r_max: int = 6, tol: float = 1e-8) -> 
         residuals.append(float(np.max(np.abs(acc)) / np.max(scale)))
     order = -1
     for n, res in enumerate(residuals):
-        if res <= tol:
+        if res <= _REPRODUCING_TOL:
             order = n
         else:
             break
-    return ReproducingReport(kappa, order, tuple(residuals), tol)
+    return ReproducingReport(kappa, order, tuple(residuals), _REPRODUCING_TOL)
 
 
 def _theta_hat_derivs(table: KernelTable, i: int, q: np.ndarray, xi: float) -> list[complex]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import bspline_series, exact_lattice_values, riesz_lower_bound
-from .kernel import KernelTable, theta_support
+from .kernel import KernelTable, _l_range
 from .laurent import circle_values
 from .symbol import Kappa, SymbolMatrix, build_symbol
 
@@ -90,8 +90,8 @@ class SampleGrid:
     l_hi: int
 
     def __post_init__(self):
-        if self.W <= 0:
-            raise ValueError("dilation W must be positive")
+        if not 0 < self.W < math.inf:
+            raise ValueError(f"dilation W must be positive and finite, got W={self.W!r}")
         if self.l_hi < self.l_lo:
             raise ValueError("empty sample range")
 
@@ -102,13 +102,6 @@ class SampleGrid:
     def nodes(self) -> np.ndarray:
         k = self.kappa
         return (float(k.a) + k.rho * self.ls) / self.W
-
-
-def _l_range(table: KernelTable, W: float, t_lo: float, t_hi: float) -> tuple[int, int]:
-    """Smallest l-range whose kernels reach every t in [t_lo, t_hi]."""
-    lo, hi = theta_support(table)
-    rho = table.kappa.rho
-    return math.floor((W * t_lo - hi) / rho), math.ceil((W * t_hi - lo) / rho)
 
 
 def grid_for_window(

@@ -127,11 +127,11 @@ def _f3_evals():
     return evals
 
 
-def constant_signal(value: float = 1.0, half_width: float = 8.0) -> SignalSpec:
+def constant_signal(value: float = 1.0) -> SignalSpec:
     evals = {0: lambda t: np.full_like(t, float(value))}
     for i in range(1, 4):
         evals[i] = lambda t: np.zeros_like(t)
-    return SignalSpec("const", evals, (-half_width, half_width))
+    return SignalSpec("const", evals, (-8.0, 8.0))
 
 
 def monomial_signal(n: int, half_width: float = 4.0) -> SignalSpec:

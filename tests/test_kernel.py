@@ -264,8 +264,7 @@ def test_moment_fourier_rejects_bad_degree(table_q3):
 
 def test_csv_roundtrip(tmp_path, table_q4h):
     path = tmp_path / "kernel.csv"
-    text = table_q4h.to_csv(path)
-    assert path.read_text() == text
+    path.write_text(table_q4h.to_csv())
     back = kernel_table_from_csv(path)
     assert back.kappa == table_q4h.kappa
     assert back.radius == table_q4h.radius
@@ -285,6 +284,16 @@ def test_csv_rejects_foreign_file(tmp_path, table_q3):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         kernel_table_from_csv(p)
+
+
+def test_coeff_index_range(table_q3):
+    # numpy's negative indexing must not hand out another entry
+    v = table_q3.radius
+    assert table_q3.coeff(1, 0, 0) == table_q3.coeffs[1, 0, v]
+    assert table_q3.coeff(0, 0, v + 1) == 0.0
+    for j, i in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            table_q3.coeff(j, i, 0)
 
 
 def test_theta_channel_range(table_q3):

@@ -138,6 +138,18 @@ def test_grid_validation():
     assert np.allclose(g.nodes(), (0.5 + 2.0 * np.arange(-1, 3)) / 2.0)
 
 
+def test_dilation_must_be_positive_and_finite(table_q3):
+    # an infinite W would put every node at 0.0 and overflow the kernel reach
+    f1 = get_signal("f1")
+    for w in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dilation W"):
+            SampleGrid(KAPPA_Q3, w, 0, 3)
+        with pytest.raises(ValueError, match="dilation W"):
+            grid_for_window(KAPPA_Q3, w, -1.0, 1.0, table_q3)
+        with pytest.raises(ValueError, match="dilation W"):
+            approx_error(table_q3, f1, w)
+
+
 def test_take_samples_single_bump(table_q3):
     g = SampleGrid(KAPPA_Q3, 1.0, 0, 2)
     s = take_samples(SplineElement(3, 0, [1.0]), g)

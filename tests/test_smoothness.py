@@ -242,9 +242,6 @@ def test_tau_modulus_validation():
         {"domain": (1.0, 0.0)},
         {"domain": (0.0, math.inf)},
         {"domain": (math.nan, 1.0)},
-        {"quad_step": 0.0},
-        {"quad_step": -0.01},
-        {"quad_step": math.nan},
         {"delta": math.nan},
         {"delta": math.inf},
         {"r": 1.5},
@@ -267,12 +264,14 @@ def test_tau_modulus_counts_evaluations():
         return spec.eval(0, t)
 
     f.special_points = spec.special_points
-    est = tau_modulus(f, 1, 0.1, 2.0, domain=(2.875, 3.125), quad_step=0.0625)
-    # 4 windows of 64 lattice points; 36 jump candidates (-1.5 and 3 +- 1e-9,
-    # and 8 steps h back from each), each paired with 64 h and 2 nodes
+    est = tau_modulus(f, 1, 0.1, 2.0, domain=(2.875, 3.125))
+    # 20 windows (cells of delta/8) of 64 lattice points; 36 jump candidates
+    # (-1.5 and 3 +- 1e-9, and 8 steps h back from each), each paired with
+    # 64 h and 2 nodes
+    assert est.grid_meta["quad_step"] == 0.0125
     assert est.grid_meta["lattice_n"] == 64
-    assert est.grid_meta["f_evals"] == 4 * 64 + 36 * 64 * 2 == sum(sizes)
-    est = tau_modulus(f, 2, 0.1, 2.0, domain=(2.875, 3.125), quad_step=0.0625)
+    assert est.grid_meta["f_evals"] == 20 * 64 + 36 * 64 * 2 == sum(sizes)
+    est = tau_modulus(f, 2, 0.1, 2.0, domain=(2.875, 3.125))
     assert est.grid_meta["lattice_n"] == 127
 
 
