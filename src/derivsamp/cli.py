@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .kernel import inv_symbol_coeffs
 from .sampler import SampleNodeError, approx_error, frame_bounds
-from .signals import TabulatedSignal, catalog, channel, get_signal
+from .signals import catalog, channel, get_signal, read_signal_csv
 from .smoothness import fit_order, tau_modulus
 from .symbol import Kappa, NotCISError, check_cis, scan_assumption1, table_polynomial
 
@@ -131,7 +131,7 @@ def _write(args, text: str) -> None:
 def _load_signal(args, rho: int):
     if args.signal_csv:
         try:
-            f = TabulatedSignal.from_csv(args.signal_csv)
+            f = read_signal_csv(args.signal_csv)
         except ValueError as exc:
             raise _UsageError(f"--signal-csv {args.signal_csv}: {exc}") from None
     else:

@@ -47,21 +47,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplineElement:
-    """Compactly supported element sum_k coeffs[k - k0] Q_m(t - k)."""
+    """Compactly supported element sum_k coeffs[k - k0] Q_m(t - k), a signal
+    like `signals.SignalSpec`: eval(i, t) is its i-th derivative."""
 
     m: int
     k0: int
     coeffs: np.ndarray
 
+    special_points = ()  # no jump declared to the local-modulus search
+
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
 
     @property
-    def support(self) -> tuple[float, float]:
+    def support_hint(self) -> tuple[float, float]:
         return (self.k0, self.k0 + len(self.coeffs) - 1 + self.m)
 
-    def eval(self, t, deriv: int = 0):
-        return bspline_series(self.m, deriv, self.coeffs, self.k0, t)
+    def eval(self, i: int, t):
+        return bspline_series(self.m, i, self.coeffs, self.k0, t)
 
     def l2_norm(self) -> float:
         """L2 norm sqrt(c^T G c) on the B-spline Gram matrix G."""
@@ -115,31 +118,20 @@ class SampleNodeError(ValueError):
 
 
 def take_samples(f, grid: SampleGrid) -> np.ndarray:
-    """Derivative samples f^{(i)}(node), shape (len(ls), rho).
-
-    Accepts a SplineElement or any signal object with eval(i, t) /
-    undefined_points(i); a node at a declared undefined point, or a
-    non-finite sample, raises SampleNodeError.
-    """
-    kappa = grid.kappa
+    """Derivative samples f.eval(i, node), shape (len(ls), rho), of any signal
+    (a SignalSpec, a SplineElement).  A non-finite sample, as at a point
+    where the signal is undefined, raises SampleNodeError."""
     nodes = grid.nodes()
     cols = []
-    if isinstance(f, SplineElement):
-        for i in range(kappa.rho):
-            cols.append(f.eval(nodes, deriv=i))
-    else:
-        for i in range(kappa.rho):
-            for pt in f.undefined_points(i):
-                d = np.min(np.abs(nodes - pt))
-                if d < 1e-12 * max(1.0, abs(pt)):
-                    raise SampleNodeError(
-                        f"sample node hits undefined point t={pt} of channel {i} "
-                        f"(W={grid.W}); pick an irrational dilation such as W = 3*sqrt(7)"
-                    )
-            vals = np.asarray(f.eval(i, nodes), dtype=float)
-            if np.any(~np.isfinite(vals)):
-                raise SampleNodeError(f"channel {i} returned non-finite sample values")
-            cols.append(vals)
+    for i in range(grid.kappa.rho):
+        vals = np.asarray(f.eval(i, nodes), dtype=float)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise SampleNodeError(
+                f"sample node hits undefined point t={float(nodes[bad][0])} of channel {i} "
+                f"(W={grid.W}): non-finite; pick an irrational dilation such as W = 3*sqrt(7)"
+            )
+        cols.append(vals)
     return np.stack(cols, axis=1)
 
 

@@ -9,7 +9,7 @@ Three reference signals with progressively worse smoothness:
 plus constant/monomial probes.  Each signal knows its derivative channels,
 the points where a channel is undefined, and its special points, the known
 discontinuities whose two sides the local-modulus search adds to its
-candidates.  A TabulatedSignal reads its channels from a CSV table instead.
+candidates.  read_signal_csv reads a signal's channels from a CSV table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ __all__ = [
     "get_signal",
     "constant_signal",
     "monomial_signal",
-    "TabulatedSignal",
+    "read_signal_csv",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -59,9 +59,6 @@ class SignalSpec:
         for pt in self._undefined.get(i, ()):
             out[np.abs(np.atleast_1d(x) - pt) <= 1e-12 * max(1.0, abs(pt))] = np.nan
         return float(out[0]) if scalar else out.reshape(x.shape)
-
-    def undefined_points(self, i) -> tuple[float, ...]:
-        return self._undefined.get(i, ())
 
 
 @dataclass(frozen=True)
@@ -127,14 +124,14 @@ def _f3_evals():
     return evals
 
 
-def constant_signal(value: float = 1.0) -> SignalSpec:
-    evals = {0: lambda t: np.full_like(t, float(value))}
+def constant_signal() -> SignalSpec:
+    evals = {0: lambda t: np.full_like(t, 1.0)}
     for i in range(1, 4):
         evals[i] = lambda t: np.zeros_like(t)
     return SignalSpec("const", evals, (-8.0, 8.0))
 
 
-def monomial_signal(n: int, half_width: float = 4.0) -> SignalSpec:
+def monomial_signal(n: int) -> SignalSpec:
     """t^n with exact derivative channels 0..3 (unbounded; probe use only)."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -145,8 +142,7 @@ def monomial_signal(n: int, half_width: float = 4.0) -> SignalSpec:
         coef = math.perm(n, i)
         return lambda t: coef * t ** (n - i)
 
-    return SignalSpec(f"t^{n}", {i: make(i) for i in range(4)},
-                      (-half_width, half_width))
+    return SignalSpec(f"t^{n}", {i: make(i) for i in range(4)}, (-4.0, 4.0))
 
 
 def catalog() -> list[SignalSpec]:
@@ -171,49 +167,36 @@ def get_signal(id: str) -> SignalSpec:
     raise KeyError(f"unknown signal {id!r}")
 
 
-class TabulatedSignal:
+def read_signal_csv(path: str) -> SignalSpec:
     """Signal given by a CSV table of derivative values.
 
     Format: optional '#' comment lines, a header row t,f,f1,...,f<k>, then
-    numeric rows of the same width.  Sampling is nearest-node only; no
-    interpolation is done, so the sample grid must essentially match the
-    tabulated nodes.
+    numeric rows of the same width, with at least 2 rows and distinct, finite
+    t.  A value cell may be nan, which marks the channel undefined at that
+    node.  Each channel takes the value of the nearest node (the lower one on
+    a tie); there is no interpolation, so the sample grid must essentially
+    match the tabulated nodes.  Raises ValueError for a malformed table.
     """
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh]
+    rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")]
+    if not rows or rows[0][0].strip() != "t" or len(rows[0]) < 2:
+        raise ValueError("expected a header row t,f[,f1,...]")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"every row needs the header's {width} cells")
+    data = np.array([[float(c) for c in row] for row in rows[1:]]).reshape(-1, width)
+    data = data[np.argsort(data[:, 0])]
+    ts = data[:, 0]
+    if len(ts) < 2 or not np.all(np.isfinite(ts)) or np.any(ts[1:] == ts[:-1]):
+        raise ValueError("the t column needs at least 2 distinct, finite values")
 
-    special_points: tuple[float, ...] = ()
+    def nearest(col):
+        def ev(x):
+            idx = np.clip(np.searchsorted(ts, x), 1, len(ts) - 1)
+            return col[np.where(x - ts[idx - 1] <= ts[idx] - x, idx - 1, idx)]
 
-    def __init__(self, ts: np.ndarray, cols: np.ndarray):
-        order = np.argsort(ts)
-        self.ts = np.asarray(ts, dtype=float)[order]
-        self.cols = np.asarray(cols, dtype=float)[order]
-        if len(self.ts) < 2:
-            raise ValueError("tabulated signal needs at least 2 rows")
-        self.max_deriv = self.cols.shape[1] - 1
-        self.support_hint = (float(self.ts[0]), float(self.ts[-1]))
+        return ev
 
-    @classmethod
-    def from_csv(cls, path: str) -> "TabulatedSignal":
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-        rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")]
-        if not rows or rows[0][0].strip() != "t":
-            raise ValueError("expected header row starting with 't'")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError(f"every row needs the header's {width} cells")
-        data = np.array([[float(c) for c in row] for row in rows[1:]]).reshape(-1, width)
-        return cls(data[:, 0], data[:, 1:])
-
-    def undefined_points(self, i: int) -> tuple[float, ...]:
-        return ()
-
-    def eval(self, i: int, t):
-        if not 0 <= i <= self.max_deriv:
-            raise ValueError(f"tabulated signal has no channel {i}")
-        x = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.searchsorted(self.ts, x)
-        idx = np.clip(idx, 1, len(self.ts) - 1)
-        left_closer = (x - self.ts[idx - 1]) <= (self.ts[idx] - x)
-        nearest = np.where(left_closer, idx - 1, idx)
-        vals = self.cols[nearest, i]
-        return float(vals[0]) if np.ndim(t) == 0 else vals
+    evals = {i: nearest(data[:, i + 1]) for i in range(width - 1)}
+    return SignalSpec(path, evals, (ts[0], ts[-1]))

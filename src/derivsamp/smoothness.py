@@ -191,6 +191,8 @@ def tau_modulus(
     lo, hi = float(domain[0]), float(domain[1])
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"need a finite domain with lo < hi, got domain={domain!r}")
+    if not (delta / 8.0 > 0 and (hi - lo) / (delta / 8.0) < math.inf):
+        raise ValueError(f"need a delta with a finite grid on {(lo, hi)!r}, got delta={delta!r}")
     n = max(1, int(math.ceil((hi - lo) / (delta / 8.0))))
     step = (hi - lo) / n
     xs = lo + step * (np.arange(n) + 0.5)

@@ -241,11 +241,11 @@ def l2_norm_quadrature(f: SplineElement) -> float:
     integrand is piecewise polynomial of degree 2m-2, so this is exact up to
     rounding)."""
     xs, ws = np.polynomial.legendre.leggauss(f.m)
-    lo, hi = f.support
+    lo, hi = f.support_hint
     acc = 0.0
     for j in range(int(lo), int(math.ceil(hi))):
         tt = j + (xs + 1.0) / 2.0
-        acc += float(np.sum(ws / 2.0 * f.eval(tt) ** 2))
+        acc += float(np.sum(ws / 2.0 * f.eval(0, tt) ** 2))
     return math.sqrt(acc)
 
 

@@ -201,11 +201,11 @@ def test_criterion_05_space_element_reconstruction(table_q3, table_q4, table_q4h
         kappa = table.kappa
         for _ in range(50):
             f = SplineElement(kappa.m, 0, rng.uniform(-1.0, 1.0, 12))
-            lo, hi = f.support
+            lo, hi = f.support_hint
             grid = grid_for_window(kappa, 1.0, lo, hi, table)
             samples = take_samples(f, grid)
             ts = np.linspace(lo, hi, 2000)
-            err = float(np.max(np.abs(apply_sw(samples, grid, table, ts) - f.eval(ts))))
+            err = float(np.max(np.abs(apply_sw(samples, grid, table, ts) - f.eval(0, ts))))
             worst = max(worst, err)
     ok = worst <= 1e-9
     _report(5, ok, f"150 random space elements, worst error {worst:.2e}")

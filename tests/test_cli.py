@@ -11,7 +11,7 @@ import pytest
 import derivsamp
 from derivsamp import sampler
 from derivsamp.cli import _UsageError, main, parse_w_list
-from derivsamp.signals import TabulatedSignal
+from derivsamp.signals import read_signal_csv
 
 from conftest import kernel_table_from_csv
 
@@ -150,6 +150,10 @@ def test_tau_argument_contract(flags, capsys):
 _APPROX = ["approx", "--m", "3", "--rho", "2"]
 _BAD_CELL = "t,f\n0.0,1.0\n0.5,abc\n1.0,2.0\n"
 _RAGGED = "t,f\n0.0,1.0\n0.5\n1.0,2.0\n"
+# two value columns, so that approx at rho = 2 gets as far as the t column
+_INF_T = "t,f,f1\n0.0,1.0,0.0\n0.5,1.5,0.0\ninf,2.0,0.0\n"
+_NAN_T = "t,f,f1\nnan,1.0,0.0\n0.5,1.5,0.0\n1.0,2.0,0.0\n"
+_REPEATED_T = "t,f,f1\n0.0,1.0,0.0\n0.5,1.5,0.0\n0.5,1.7,0.0\n1.0,2.0,0.0\n"
 
 
 @pytest.mark.parametrize("argv, table", [
@@ -159,6 +163,11 @@ _RAGGED = "t,f\n0.0,1.0\n0.5\n1.0,2.0\n"
     pytest.param(["tau"], _RAGGED, id="tau-csv-ragged"),
     pytest.param([*_APPROX, "--W", "4"], _BAD_CELL, id="approx-csv-cell"),
     pytest.param([*_APPROX, "--W", "4"], _RAGGED, id="approx-csv-ragged"),
+    pytest.param(["tau"], _INF_T, id="tau-csv-inf-t"),
+    pytest.param([*_APPROX, "--W", "4"], _INF_T, id="approx-csv-inf-t"),
+    pytest.param([*_APPROX, "--W", "4"], _NAN_T, id="approx-csv-nan-t"),
+    pytest.param(["tau"], _REPEATED_T, id="tau-csv-repeated-t"),
+    pytest.param([*_APPROX, "--W", "4"], _REPEATED_T, id="approx-csv-repeated-t"),
     pytest.param([*_APPROX, "--W", "4", "--grid-n", "0"], None, id="approx-grid-n"),
     pytest.param([*_APPROX, "--W", "4", "--p", "0"], None, id="approx-p"),
     pytest.param([*_APPROX, "--W", "0"], None, id="approx-W-zero"),
@@ -185,10 +194,10 @@ def test_tabulated_signal_eval(tmp_path):
     for t in ts:
         lines.append(f"{float(t)!r},{float(t**2)!r},{float(2*t)!r}")
     p.write_text("\n".join(lines) + "\n")
-    f = TabulatedSignal.from_csv(str(p))
+    f = read_signal_csv(str(p))
     assert f.max_deriv == 1
     assert f.support_hint == (-2.0, 2.0)
-    assert f.undefined_points(0) == ()
+    assert f.special_points == ()
     # nearest-node lookup, no interpolation
     assert f.eval(0, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert f.eval(0, 1.01) == pytest.approx(1.0, abs=1e-12)
@@ -201,7 +210,7 @@ def test_tabulated_signal_missing_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("0.0,1.0\n0.5,2.0\n")
     with pytest.raises(ValueError):
-        TabulatedSignal.from_csv(str(p))
+        read_signal_csv(str(p))
     assert main(["tau", "--signal-csv", str(p)]) == 2
 
 

@@ -60,13 +60,13 @@ def test_spline_element_eval_matches_direct_sum():
             direct = sum(
                 c * eval_q_deriv(m, deriv, ts - (-3 + k)) for k, c in enumerate(coeffs)
             )
-            assert np.max(np.abs(f.eval(ts, deriv=deriv) - direct)) <= 1e-12
+            assert np.max(np.abs(f.eval(deriv, ts) - direct)) <= 1e-12
 
 
 def test_spline_element_support_and_outside():
     f = SplineElement(3, 2, np.ones(4))
-    assert f.support == (2.0, 8.0)
-    assert f.eval(1.9) == 0.0 and f.eval(8.1) == 0.0
+    assert f.support_hint == (2.0, 8.0)
+    assert f.eval(0, 1.9) == 0.0 and f.eval(0, 8.1) == 0.0
 
 
 def test_l2_norm_single_bumps():
@@ -77,9 +77,9 @@ def test_l2_norm_single_bumps():
 
 def test_l2_norm_matches_riemann():
     f = random_spline(4, 12, seed=5)
-    lo, hi = f.support
+    lo, hi = f.support_hint
     ts = np.linspace(lo, hi, 400_001)
-    riemann = math.sqrt(np.trapezoid(f.eval(ts) ** 2, ts))
+    riemann = math.sqrt(np.trapezoid(f.eval(0, ts) ** 2, ts))
     assert f.l2_norm() == pytest.approx(riemann, rel=1e-8)
 
 
@@ -184,12 +184,14 @@ def test_reconstruction_of_space_elements(table_q3, table_q4, table_q4h):
         kappa = table.kappa
         for trial in range(5):
             f = SplineElement(kappa.m, 0, rng.uniform(-1.0, 1.0, 12))
-            lo, hi = f.support
+            lo, hi = f.support_hint
             grid = grid_for_window(kappa, 1.0, lo, hi, table)
             samples = take_samples(f, grid)
             ts = np.linspace(lo, hi, 500)
-            err = np.max(np.abs(apply_sw(samples, grid, table, ts) - f.eval(ts)))
+            err = np.max(np.abs(apply_sw(samples, grid, table, ts) - f.eval(0, ts)))
             assert err <= 1e-10, (kappa, trial, err)
+            # approx_error reaches the element through eval(i, t) and support_hint
+            assert approx_error(table, f, 1.0) <= 1e-10, (kappa, trial)
 
 
 def test_reconstruction_dilation_covariance(table_q4):
@@ -197,14 +199,14 @@ def test_reconstruction_dilation_covariance(table_q4):
     kappa = table_q4.kappa
     w = 4.0
     h = random_spline(4, 10, seed=9)
-    lo, hi = h.support
+    lo, hi = h.support_hint
     grid = grid_for_window(kappa, w, lo / w, hi / w, table_q4)
     nodes = grid.nodes()
     samples = np.stack(
-        [w**i * h.eval(w * nodes, deriv=i) for i in range(kappa.rho)], axis=1
+        [w**i * h.eval(i, w * nodes) for i in range(kappa.rho)], axis=1
     )
     ts = np.linspace(lo / w, hi / w, 400)
-    err = np.max(np.abs(apply_sw(samples, grid, table_q4, ts) - h.eval(w * ts)))
+    err = np.max(np.abs(apply_sw(samples, grid, table_q4, ts) - h.eval(0, w * ts)))
     assert err <= 1e-10
 
 
@@ -213,7 +215,7 @@ def test_polynomial_reproduction(table_q3, table_q4, table_q4h):
     for table, top in ((table_q3, 2), (table_q4, 3), (table_q4h, 3)):
         kappa = table.kappa
         for n in range(top + 1):
-            f = monomial_signal(n, half_width=60.0)
+            f = monomial_signal(n)
             lo, hi = (-8.0, 8.0)
             grid = grid_for_window(kappa, w, lo, hi, table)
             samples = take_samples(f, grid)
@@ -223,7 +225,7 @@ def test_polynomial_reproduction(table_q3, table_q4, table_q4h):
 
 
 def test_constant_reproduction_wide_window(table_q3):
-    f = monomial_signal(0, half_width=60.0)
+    f = monomial_signal(0)
     grid = grid_for_window(KAPPA_Q3, 4.0, -50.0, 50.0, table_q3)
     samples = take_samples(f, grid)
     ts = np.linspace(-50.0, 50.0, 2000)

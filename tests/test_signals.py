@@ -18,11 +18,10 @@ from derivsamp.signals import (
 from conftest import random_spline
 
 
-def _interior_points(spec, i, rng, n=200):
+def _interior_points(spec, rng, n=200):
     lo, hi = spec.support_hint
     pts = rng.uniform(lo + 0.05, hi - 0.05, n)
-    avoid = set(spec.undefined_points(i)) | set(spec.undefined_points(i + 1))
-    for q in avoid:
+    for q in spec.special_points:
         pts = pts[np.abs(pts - q) > 1e-2]
     return pts
 
@@ -32,7 +31,7 @@ def test_derivative_channels_consistent():
     h = 1e-5
     for spec in catalog():
         for i in range(spec.max_deriv):
-            pts = _interior_points(spec, i, rng)
+            pts = _interior_points(spec, rng)
             fd = (spec.eval(i, pts + h) - spec.eval(i, pts - h)) / (2.0 * h)
             want = spec.eval(i + 1, pts)
             scale = 1.0 + np.abs(want)
@@ -64,11 +63,14 @@ def test_undefined_points_return_nan():
 
 
 def test_undefined_points_metadata():
+    # a channel is NaN only at its own declared points: the value channels of
+    # f2 and f3 stay defined at the special points, and f1 has none
     f1, f2, f3 = get_signal("f1"), get_signal("f2"), get_signal("f3")
-    assert f1.undefined_points(0) == ()
-    assert f2.undefined_points(0) == ()
-    assert f2.undefined_points(1) == (-3.0, 3.0)
-    assert f3.undefined_points(2) == (-1.5, 3.0)
+    pts = np.asarray([-3.0, -1.5, 3.0])
+    assert np.isfinite(f1.eval(0, pts)).all() and np.isfinite(f2.eval(0, pts)).all()
+    assert np.isnan(f2.eval(1, pts)).tolist() == [True, False, True]
+    assert np.isnan(f3.eval(2, pts)).tolist() == [False, True, True]
+    assert f1.special_points == ()
     assert f2.special_points == (-3.0, 3.0)
     assert f3.special_points == (-1.5, 3.0)
 
@@ -87,8 +89,8 @@ def test_catalog_and_lookup():
 
 
 def test_constant_and_monomial_channels():
-    c = constant_signal(2.5)
-    assert c.eval(0, 1.7) == 2.5
+    c = constant_signal()
+    assert c.eval(0, 1.7) == 1.0
     assert c.eval(1, 1.7) == 0.0
     m3 = monomial_signal(3)
     ts = np.asarray([-1.3, 0.4, 2.0])

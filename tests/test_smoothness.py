@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from derivsamp import smoothness
-from derivsamp.sampler import SampleGrid, take_samples
+from derivsamp.sampler import SampleGrid, SplineElement, take_samples
 from derivsamp.signals import channel, constant_signal, get_signal, monomial_signal
 from derivsamp.smoothness import fit_order, tau_modulus
 from derivsamp.symbol import Kappa
@@ -171,7 +171,8 @@ def _search_cases(r):
         lo, hi = ch.spec.support_hint
         for delta in (0.1, 0.037):
             half = r * delta / 2.0
-            near = [pt + s for pt in ch.spec.undefined_points(i) for s in (0.0, -half, half)]
+            undefined = [pt for pt in ch.special_points if math.isnan(ch(pt))]
+            near = [pt + s for pt in undefined for s in (0.0, -half, half)]
             cases.append((ch, np.array([*np.linspace(lo - 0.5, hi + 0.5, 97), *near]), delta))
     cases.append((_holed, np.linspace(-2.0, 2.0, 301), 0.1))
     cases.append((channel(constant_signal(), 0), np.linspace(-1.0, 1.0, 41), 0.1))
@@ -204,6 +205,9 @@ def test_tau_modulus_zero_for_constant():
     est = tau_modulus(ch, 2, 0.1, 2.0)
     assert est.value == 0.0
     assert est.r == 2 and est.p == 2.0 and est.delta == 0.1
+    # a spline element is a signal too; all-ones coefficients sum to 1 inside
+    ones = channel(SplineElement(3, -10, np.ones(30)), 0)
+    assert tau_modulus(ones, 2, 0.1, 2.0, domain=(-1.0, 1.0)).value <= 1e-13
 
 
 def test_tau_modulus_lp_norm_closed_form():
@@ -244,6 +248,8 @@ def test_tau_modulus_validation():
         {"domain": (math.nan, 1.0)},
         {"delta": math.nan},
         {"delta": math.inf},
+        {"delta": 1e-320},
+        {"delta": 5e-324},
         {"r": 1.5},
     ],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
