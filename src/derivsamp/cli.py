@@ -9,8 +9,9 @@ round-trip form) and all row orders are fixed.
 This module parses arguments (range-checking every flag), formats CSV, and
 maps exceptions to exit codes in one place, main(): 0 success; 1 unstable
 configuration (NotCISError, an exact verdict); 2 usage error, including a
-malformed --signal-csv, an unwritable --out and sample nodes on a point where
-the signal is undefined (SampleNodeError); 3 any other ValueError or
+malformed --signal-csv, --signal given together with --signal-csv, an
+unwritable --out, and sample nodes or approx reference points where the
+signal is undefined (SampleNodeError); 3 any other ValueError or
 ArithmeticError, a numerical failure.
 """
 
@@ -129,12 +130,17 @@ def _write(args, text: str) -> None:
 
 
 def _load_signal(args, rho: int):
+    """The signal the run reads.  --signal defaults to f1 only when no
+    --signal-csv is given, so the header names the one signal read."""
     if args.signal_csv:
+        if args.signal:
+            raise _UsageError("pass either --signal or --signal-csv, not both")
         try:
             f = read_signal_csv(args.signal_csv)
         except ValueError as exc:
             raise _UsageError(f"--signal-csv {args.signal_csv}: {exc}") from None
     else:
+        args.signal = args.signal or "f1"
         f = get_signal(args.signal)
     if f.max_deriv < rho - 1:
         raise _UsageError(
@@ -245,7 +251,7 @@ def _add_kappa_flags(p) -> None:
 
 
 def _add_signal_flags(p) -> None:
-    p.add_argument("--signal", default="f1", choices=[s.id for s in catalog()])
+    p.add_argument("--signal", choices=[s.id for s in catalog()], help="catalog signal (default f1)")
     p.add_argument("--signal-csv", dest="signal_csv")
 
 

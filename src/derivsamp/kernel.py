@@ -70,12 +70,12 @@ class KernelTable:
         lines = [
             f"# derivsamp v1,a={k.a},m={k.m},radius={self.radius},"
             f"rho={k.rho},tail_bound={self.tail_bound!r}",
-            "j,i,v,re,im",
+            "j,i,v,c",
         ]
         for j in range(k.rho):
             for i in range(k.rho):
                 for v in range(-self.radius, self.radius + 1):
-                    lines.append(f"{j},{i},{v},{self.coeff(j, i, v)!r},0.0")
+                    lines.append(f"{j},{i},{v},{self.coeff(j, i, v)!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -95,11 +95,11 @@ def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
     report = check_cis(kappa)
     if not report.is_cis:
         raise NotCISError(kappa)
-    rho, entries = kappa.rho, report.symbol.entries
+    rho, rows = kappa.rho, report.symbol
 
     n = 256
     while True:
-        inv = np.linalg.inv(circle_values(entries, n))  # (n//2 + 1, rho, rho), entry [s, j, i]
+        inv = np.linalg.inv(circle_values(rows, n))  # (n//2 + 1, rho, rho), entry [s, j, i]
         # c(v) = (1/n) sum_s inv_s z_s^-v over the whole grid, which is real
         # and, inv on s > n/2 being the conjugate, the irfft of conj(inv)
         spec = np.fft.irfft(inv.conj(), n, axis=0)  # index v mod n

@@ -27,7 +27,7 @@ import numpy as np
 from .bspline import bspline_series, exact_lattice_values, riesz_lower_bound
 from .kernel import KernelTable, _l_range
 from .laurent import circle_values
-from .symbol import Kappa, SymbolMatrix, build_symbol
+from .symbol import Kappa, build_symbol
 
 __all__ = [
     "SplineElement",
@@ -98,13 +98,9 @@ class SampleGrid:
         if self.l_hi < self.l_lo:
             raise ValueError("empty sample range")
 
-    @property
-    def ls(self) -> np.ndarray:
-        return np.arange(self.l_lo, self.l_hi + 1)
-
     def nodes(self) -> np.ndarray:
         k = self.kappa
-        return (float(k.a) + k.rho * self.ls) / self.W
+        return (float(k.a) + k.rho * np.arange(self.l_lo, self.l_hi + 1)) / self.W
 
 
 def grid_for_window(
@@ -114,24 +110,31 @@ def grid_for_window(
 
 
 class SampleNodeError(ValueError):
-    """A sample node falls where the signal has no finite value."""
+    """A sample node, or a reference point of approx_error, falls where the
+    signal has no finite value."""
+
+
+def _eval_finite(f, i: int, ts: np.ndarray, W: float, what: str, advice: str = "") -> np.ndarray:
+    """f.eval(i, ts) as floats.  A non-finite value, as at a point where the
+    signal is undefined, raises SampleNodeError naming its t, the channel
+    and W."""
+    vals = np.asarray(f.eval(i, ts), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise SampleNodeError(
+            f"{what} hits undefined point t={float(ts[bad][0])} of channel {i} "
+            f"(W={W}): non-finite{advice}"
+        )
+    return vals
 
 
 def take_samples(f, grid: SampleGrid) -> np.ndarray:
-    """Derivative samples f.eval(i, node), shape (len(ls), rho), of any signal
-    (a SignalSpec, a SplineElement).  A non-finite sample, as at a point
-    where the signal is undefined, raises SampleNodeError."""
+    """Derivative samples f.eval(i, node), shape (len(nodes), rho), of any signal
+    (a SignalSpec, a SplineElement).  A non-finite sample raises
+    SampleNodeError."""
     nodes = grid.nodes()
-    cols = []
-    for i in range(grid.kappa.rho):
-        vals = np.asarray(f.eval(i, nodes), dtype=float)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            raise SampleNodeError(
-                f"sample node hits undefined point t={float(nodes[bad][0])} of channel {i} "
-                f"(W={grid.W}): non-finite; pick an irrational dilation such as W = 3*sqrt(7)"
-            )
-        cols.append(vals)
+    advice = "; pick an irrational dilation such as W = 3*sqrt(7)"
+    cols = [_eval_finite(f, i, nodes, grid.W, "sample node", advice) for i in range(grid.kappa.rho)]
     return np.stack(cols, axis=1)
 
 
@@ -183,7 +186,8 @@ def approx_error(table: KernelTable, f, w: float, p: float = 2.0, grid_n: int = 
     table's configuration, and the signal over its support window padded by
     _PAD (full sample coverage inside), by midpoint quadrature on grid_n
     points.  Raises ValueError unless p is finite and >= 1 and grid_n is an
-    integer >= 1."""
+    integer >= 1, and SampleNodeError if a sample or a reference value of
+    the signal is not finite."""
     if not (1 <= p < math.inf):
         raise ValueError(f"need finite p >= 1, got p={p}")
     if not isinstance(grid_n, (int, np.integer)) or grid_n < 1:
@@ -195,7 +199,7 @@ def approx_error(table: KernelTable, f, w: float, p: float = 2.0, grid_n: int = 
     step = (hi - lo) / grid_n
     ts = lo + step * (np.arange(grid_n) + 0.5)
     vals = apply_sw(samples, grid, table, ts)
-    ref = np.asarray(f.eval(0, ts), dtype=float)
+    ref = _eval_finite(f, 0, ts, w, "reference point")
     return float((step * np.sum(np.abs(vals - ref) ** p)) ** (1.0 / p))
 
 
@@ -231,7 +235,7 @@ def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     Raises ValueError unless grid_n is an integer >= 64."""
     if not isinstance(grid_n, (int, np.integer)) or grid_n < 64:
         raise ValueError(f"grid_n must be an integer >= 64, got {grid_n!r}")
-    return _frame_bounds(build_symbol(kappa), grid_n)
+    return _frame_bounds(kappa, build_symbol(kappa), grid_n)
 
 
 def _positive_definite(h: np.ndarray) -> np.ndarray:
@@ -249,8 +253,8 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _frame_bounds(sym: SymbolMatrix, grid_n: int) -> BoundsReport:
-    psi = circle_values(sym.entries, grid_n)
+def _frame_bounds(kappa: Kappa, rows, grid_n: int) -> BoundsReport:
+    psi = circle_values(rows, grid_n)
     gram = np.matmul(psi.conj().transpose(0, 2, 1), psi)
     coarse = np.zeros(len(gram), dtype=bool)
     coarse[::_FRAME_COARSE_STEP] = coarse[-1] = True
@@ -274,28 +278,28 @@ def _frame_bounds(sym: SymbolMatrix, grid_n: int) -> BoundsReport:
         lam = np.concatenate([lam, np.linalg.eigvalsh(gram[rest])])
     lower = float(lam[:, 0].min())
     upper = float(lam[:, -1].max())
-    return BoundsReport(sym.kappa, lower, upper, upper / riesz_lower_bound(sym.kappa.m))
+    return BoundsReport(kappa, lower, upper, upper / riesz_lower_bound(kappa.m))
 
 
 # Random elements of the sampling-inequality check have this many coefficients.
 _TRIAL_LEN = 30
 
 
-def _sample_matrix(sym: SymbolMatrix, n: int) -> np.ndarray:
+def _sample_matrix(rows, n: int) -> np.ndarray:
     """B with rows (i, l) and columns k, B[(i, l), k] = Q_m^(i)(a + rho l - k),
     for 0 <= k < n and every l whose node meets some Q_m(. - k).
 
-    Entry [i][j] of the symbol holds Q_m^(i)(a + rho e - j) at z^e, so column
-    k = rho s + j is that coefficient list placed at l = e + s.
+    Entry rows[i][j] of the symbol holds Q_m^(i)(a + rho e - j) at z^e, so
+    column k = rho s + j is that coefficient list placed at l = e + s.
     """
-    rho = sym.kappa.rho
-    polys = [p for row in sym.entries for p in row if not p.is_zero]
+    rho = len(rows)
+    polys = [p for row in rows for p in row if not p.is_zero]
     l_lo = min(p.low for p in polys)
     n_l = max(p.high for p in polys) + (n - 1) // rho - l_lo + 1
     b = np.zeros((rho, n_l, n))
     for i in range(rho):
         for j in range(rho):
-            p = sym.entries[i][j]
+            p = rows[i][j]
             vals = [c / p.den for c in p.coeffs]
             for k in range(j, n, rho):
                 top = p.low + k // rho - l_lo
@@ -328,10 +332,10 @@ def verify_sampling_inequality(
     ValueError unless n_trials is a positive integer."""
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValueError(f"n_trials must be a positive integer, got {n_trials!r}")
-    sym = build_symbol(kappa)
-    bounds = _frame_bounds(sym, _FRAME_GRID_N)
+    rows = build_symbol(kappa)
+    bounds = _frame_bounds(kappa, rows, _FRAME_GRID_N)
     gram = _gram(kappa.m, _TRIAL_LEN)
-    b = _sample_matrix(sym, _TRIAL_LEN)
+    b = _sample_matrix(rows, _TRIAL_LEN)
     energy = b.T @ b
     c = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_trials, _TRIAL_LEN))
     ratios = np.einsum("tj,jk,tk->t", c, energy, c) / np.einsum("tj,jk,tk->t", c, gram, c)

@@ -6,9 +6,9 @@ Three reference signals with progressively worse smoothness:
   f2  sin^2(pi t) on |t| <= 3     C^1, second derivative jumps at +-3
   f3  -t^3/2 + 2 on (-1.5, 3)     discontinuous at the window ends
 
-plus constant/monomial probes.  Each signal knows its derivative channels,
-the points where a channel is undefined, and its special points, the known
-discontinuities whose two sides the local-modulus search adds to its
+plus constant/monomial probes.  Each signal knows its derivative channels
+and its special points, the known discontinuities: every derivative channel
+is undefined there, and the local-modulus search adds their two sides to its
 candidates.  read_signal_csv reads a signal's channels from a CSV table.
 """
 
@@ -35,16 +35,16 @@ _TWO_PI = 2.0 * math.pi
 class SignalSpec:
     """Immutable signal with derivative channels eval(i, t).
 
-    Channels return NaN exactly at declared undefined points; one-sided
-    values are returned arbitrarily close to them.
+    Derivative channels i >= 1 return NaN exactly at the special points;
+    one-sided values are returned arbitrarily close to them.  The value
+    channel stays defined there.
     """
 
-    def __init__(self, id, evals, support_hint, undefined=None, special_points=()):
+    def __init__(self, id, evals, support_hint, special_points=()):
         self.id = id
         self._evals = dict(evals)
         self.max_deriv = max(self._evals)
         self.support_hint = (float(support_hint[0]), float(support_hint[1]))
-        self._undefined = {i: tuple(p) for i, p in (undefined or {}).items()}
         self.special_points = tuple(sorted(special_points))
 
     def __repr__(self):
@@ -56,8 +56,9 @@ class SignalSpec:
         x = np.asarray(t, dtype=float)
         scalar = x.ndim == 0
         out = np.asarray(self._evals[i](np.atleast_1d(x)), dtype=float).copy()
-        for pt in self._undefined.get(i, ()):
-            out[np.abs(np.atleast_1d(x) - pt) <= 1e-12 * max(1.0, abs(pt))] = np.nan
+        if i >= 1:
+            for pt in self.special_points:
+                out[np.abs(np.atleast_1d(x) - pt) <= 1e-12 * max(1.0, abs(pt))] = np.nan
         return float(out[0]) if scalar else out.reshape(x.shape)
 
 
@@ -146,14 +147,10 @@ def monomial_signal(n: int) -> SignalSpec:
 
 
 def catalog() -> list[SignalSpec]:
-    jump23 = {i: (-3.0, 3.0) for i in (1, 2)}
-    jump3 = {i: (-1.5, 3.0) for i in (1, 2, 3)}
     return [
         SignalSpec("f1", _f1_evals(), (-12.0, 12.0)),
-        SignalSpec("f2", _f2_evals(), (-3.0, 3.0), undefined=jump23,
-                   special_points=(-3.0, 3.0)),
-        SignalSpec("f3", _f3_evals(), (-1.5, 3.0), undefined=jump3,
-                   special_points=(-1.5, 3.0)),
+        SignalSpec("f2", _f2_evals(), (-3.0, 3.0), special_points=(-3.0, 3.0)),
+        SignalSpec("f3", _f3_evals(), (-1.5, 3.0), special_points=(-1.5, 3.0)),
         constant_signal(),
         monomial_signal(1),
         monomial_signal(2),

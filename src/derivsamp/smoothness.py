@@ -50,7 +50,6 @@ def _jump_points(f, r: int, delta: float) -> np.ndarray:
     hsub = delta * 0.5 ** np.arange(8)
     jumps = []
     for xi in getattr(f, "special_points", ()):
-        jumps.extend((xi - _JUMP_EPS, xi + _JUMP_EPS))
         for j in range(r + 1):
             for h in hsub:
                 jumps.extend((xi - j * h - _JUMP_EPS, xi - j * h + _JUMP_EPS))
@@ -67,8 +66,6 @@ def _moduli_batch(f, r: int, xs: np.ndarray, delta: float, search_n: int, jumps=
     The lattices, and the jump-candidate masks, go through in blocks of at
     most _BLOCK_ELEMENTS entries; f is pointwise, so the blocks change no value.
     """
-    if delta == 0.0:
-        return np.zeros(len(xs))
     signs = np.array([(-1.0) ** (r - j) * math.comb(r, j) for j in range(r + 1)])
     half = r * delta / 2.0
     offsets = np.linspace(-half, half, r * (search_n - 1) + 1)
@@ -153,8 +150,8 @@ def _lattice_moduli(f, signs: np.ndarray, offsets: np.ndarray, xs: np.ndarray, s
 def _check_search(r: int, delta: float, search_n: int) -> None:
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"need an integer order r >= 1, got r={r!r}")
-    if not 0 <= delta < math.inf:
-        raise ValueError(f"need a finite delta >= 0, got delta={delta!r}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"need a finite delta > 0, got delta={delta!r}")
     if not isinstance(search_n, (int, np.integer)) or search_n < 64:
         raise ValueError(f"need an integer search_n >= 64, got search_n={search_n!r}")
 
@@ -181,8 +178,6 @@ def tau_modulus(
     r delta on each side, on the fewest equal cells no wider than delta/8
     (grid_meta["quad_step"] is their width)."""
     _check_search(r, delta, search_n)
-    if delta <= 0:
-        raise ValueError(f"need delta > 0, got delta={delta!r}")
     if not 1 <= p < math.inf:
         raise ValueError(f"need finite p >= 1, got p={p!r}")
     if domain is None:

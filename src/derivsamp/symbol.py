@@ -40,7 +40,6 @@ from .laurent import (
 
 __all__ = [
     "Kappa",
-    "SymbolMatrix",
     "CisReport",
     "ScanRow",
     "build_symbol",
@@ -79,14 +78,9 @@ class Kappa:
         return f"(Q_{self.m}, a={self.a}, rho={self.rho})"
 
 
-@dataclass(frozen=True)
-class SymbolMatrix:
-    kappa: Kappa
-    entries: tuple[tuple[LaurentPoly, ...], ...]  # [i][j], one den per row i
-
-
-def build_symbol(kappa: Kappa) -> SymbolMatrix:
-    """Exact symbol matrix of kappa."""
+def build_symbol(kappa: Kappa) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """Exact symbol of kappa as its rows: entry [i][j] is Psi^{ij}, and row
+    i has one denominator."""
     m, a, rho = kappa.m, kappa.a, kappa.rho
     shift = math.floor(a)
     nums, dens = exact_lattice_values(m, a - shift, rho - 1)
@@ -100,13 +94,13 @@ def build_symbol(kappa: Kappa) -> SymbolMatrix:
             p0 = shift + rho * k_lo - j
             row.append(LaurentPoly.make(k_lo, nums[i][p0::rho], dens[i]))
         rows.append(tuple(row))
-    return SymbolMatrix(kappa, tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class CisReport:
     kappa: Kappa
-    symbol: SymbolMatrix
+    symbol: tuple[tuple[LaurentPoly, ...], ...]  # build_symbol(kappa)
     det: LaurentPoly
     is_cis: bool
 
@@ -129,7 +123,7 @@ def check_cis(kappa: Kappa) -> CisReport:
     """Decide exactly whether kappa admits stable reconstruction (det Psi
     nonzero on the circle); the report keeps the symbol it decided on."""
     sym = build_symbol(kappa)
-    det = laurent_det(sym.entries)
+    det = laurent_det(sym)
     return CisReport(kappa, sym, det, not det.is_zero and not _vanishes_on_circle(det))
 
 
@@ -183,11 +177,10 @@ def table_polynomial(kappa: Kappa) -> LaurentPoly:
 
 
 def predicted_cis_shift(m: int, rho: int) -> Fraction:
-    """Conjectured unique a in {0, 1/2} giving CIS for (Q_m, a, rho):
-    <(rho+1)/2> for even m, <rho/2> for odd m (<x> = fractional part)."""
-    if m % 2 == 0:
-        return Fraction(rho + 1, 2) % 1
-    return Fraction(rho, 2) % 1
+    """Conjectured unique a in {0, 1/2} giving CIS for (Q_m, a, rho), by the
+    parity law: the a with 2a + m - rho odd.  The conjecture is that det Psi
+    vanishes on the circle exactly when 2a + m - rho is an even integer."""
+    return Fraction((m + rho + 1) % 2, 2)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from derivsamp.laurent import (
 )
 from derivsamp.sampler import SplineElement
 from derivsamp.smoothness import _check_search, _moduli_batch, tau_modulus
-from derivsamp.symbol import CisReport, Kappa, NotCISError, SymbolMatrix, build_symbol, check_cis
+from derivsamp.symbol import CisReport, Kappa, NotCISError, build_symbol, check_cis
 
 KAPPA_Q3 = Kappa(3, 0, 2)
 KAPPA_Q4 = Kappa(4, 0, 3)
@@ -134,7 +134,7 @@ def eval_q_deriv(m: int, k: int, t):
 
 def det_symbol(kappa: Kappa) -> LaurentPoly:
     """Exact determinant of the symbol matrix of kappa."""
-    return laurent_det(build_symbol(kappa).entries)
+    return laurent_det(build_symbol(kappa))
 
 
 def fourier_q(m: int, xi: float) -> complex:
@@ -272,7 +272,7 @@ def frame_extremes_reference(sym, n: int) -> tuple[float, float]:
     """Smallest and largest eigenvalue of Psi* Psi over the full grid
     t = s / n, 0 <= s < n, each entry of Psi(t) from eval_unit."""
     psi = np.array([
-        [[eval_unit(p, s / n) for p in row] for row in sym.entries] for s in range(n)
+        [[eval_unit(p, s / n) for p in row] for row in sym] for s in range(n)
     ])
     lam = np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
     return float(lam[:, 0].min()), float(lam[:, -1].max())
@@ -334,7 +334,7 @@ def inv_symbol_coeffs_reference(kappa: Kappa, tol: float = 1e-12) -> KernelTable
     n = 128
     prev_slice = None
     while True:
-        inv = np.linalg.inv(circle_values(sym.entries, n))
+        inv = np.linalg.inv(circle_values(sym, n))
         spec = np.fft.irfft(inv.conj(), n, axis=0)
         mags = np.max(np.abs(spec), axis=(1, 2))
         nyquist = float(mags[n // 2 - 2 : n // 2 + 3].max())
@@ -621,11 +621,10 @@ def lp(low: int, coeffs) -> LaurentPoly:
     return to_laurent(FracPoly.make(low, coeffs))
 
 
-def frac_symbol(kappa: Kappa) -> SymbolMatrix:
-    """The symbol with every entry a FracPoly: the same values, each held as
-    one Fraction."""
-    entries = build_symbol(kappa).entries
-    return SymbolMatrix(kappa, tuple(tuple(to_frac(p) for p in row) for row in entries))
+def frac_symbol(kappa: Kappa) -> tuple[tuple[FracPoly, ...], ...]:
+    """The symbol's rows with every entry a FracPoly: the same values, each
+    held as one Fraction."""
+    return tuple(tuple(to_frac(p) for p in row) for row in build_symbol(kappa))
 
 
 def frac_det(mat) -> FracPoly:
@@ -674,7 +673,7 @@ def fraction_path(kappa: Kappa) -> dict:
     frame constants from the library's float code with the Fraction symbol
     and float(Fraction) values patched in."""
     sym = frac_symbol(kappa)
-    det = frac_det([list(row) for row in sym.entries])
+    det = frac_det([list(row) for row in sym])
     is_cis = not det.is_zero and not vanishes_on_circle_reference(list(det.coeffs))
     verdict = "nonvanishing" if is_cis else "vanishing"
     cert = frac_certificate(det, verdict) if not det.is_zero else CircleCertificate(0.0, 0.0, 0.0, verdict)
@@ -715,15 +714,13 @@ def kernel_table_from_csv(path) -> KernelTable:
         if meta is None:
             raise ValueError(f"{path}: missing kernel metadata header")
         cols = line.strip()
-        if cols != "j,i,v,re,im":
+        if cols != "j,i,v,c":
             raise ValueError(f"unexpected column header {cols!r}")
         kappa = Kappa(int(meta["m"]), Fraction(meta["a"]), int(meta["rho"]))
         radius = int(meta["radius"])
         tail_bound = float(meta["tail_bound"])
         coeffs = np.zeros((kappa.rho, kappa.rho, 2 * radius + 1))
         for line in fh:
-            j, i, v, re, im = line.strip().split(",")
-            if abs(float(im)) > 1e-10 + tail_bound:
-                raise ValueError(f"{path}: coefficient ({j},{i},{v}) is not real: im={im}")
-            coeffs[int(j), int(i), radius + int(v)] = float(re)
+            j, i, v, c = line.strip().split(",")
+            coeffs[int(j), int(i), radius + int(v)] = float(c)
     return KernelTable(kappa, radius, coeffs, tail_bound)

@@ -109,10 +109,10 @@ def test_criterion_02_symbols_and_kernels(table_q3, table_q4h):
 
     sym = build_symbol(KAPPA_Q3)
     psi_ok = (
-        sym.entries[0][0] == L(1, Fraction(1, 2))
-        and sym.entries[0][1] == L(1, Fraction(1, 2))
-        and sym.entries[1][0] == L(1, -1)
-        and sym.entries[1][1] == L(1, 1)
+        sym[0][0] == L(1, Fraction(1, 2))
+        and sym[0][1] == L(1, Fraction(1, 2))
+        and sym[1][0] == L(1, -1)
+        and sym[1][1] == L(1, 1)
     )
     q4 = build_symbol(KAPPA_Q4)
     want4 = [
@@ -121,7 +121,7 @@ def test_criterion_02_symbols_and_kernels(table_q3, table_q4h):
         [Fraction(1), Fraction(-2), Fraction(1)],
     ]
     psi_ok = psi_ok and all(
-        q4.entries[i][j] == L(1, want4[i][j]) for i in range(3) for j in range(3)
+        q4[i][j] == L(1, want4[i][j]) for i in range(3) for j in range(3)
     )
     det_ok = det_symbol(KAPPA_Q4H) == lp(1, [Fraction(-3, 64), Fraction(19, 32), Fraction(-3, 64)])
 

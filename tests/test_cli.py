@@ -154,6 +154,10 @@ _RAGGED = "t,f\n0.0,1.0\n0.5\n1.0,2.0\n"
 _INF_T = "t,f,f1\n0.0,1.0,0.0\n0.5,1.5,0.0\ninf,2.0,0.0\n"
 _NAN_T = "t,f,f1\nnan,1.0,0.0\n0.5,1.5,0.0\n1.0,2.0,0.0\n"
 _REPEATED_T = "t,f,f1\n0.0,1.0,0.0\n0.5,1.5,0.0\n0.5,1.7,0.0\n1.0,2.0,0.0\n"
+_GOOD = "t,f,f1\n0.0,1.0,0.0\n0.5,1.5,0.0\n1.0,2.0,0.0\n"
+# f undefined at t = 0.5: the nodes at W = 2 are the integers and miss it,
+# but the error quadrature's reference values near 0.5 read it
+_NAN_VALUE = "t,f,f1\n0.0,1.0,0.0\n0.5,nan,0.0\n1.0,2.0,0.0\n"
 
 
 @pytest.mark.parametrize("argv, table", [
@@ -168,6 +172,9 @@ _REPEATED_T = "t,f,f1\n0.0,1.0,0.0\n0.5,1.5,0.0\n0.5,1.7,0.0\n1.0,2.0,0.0\n"
     pytest.param([*_APPROX, "--W", "4"], _NAN_T, id="approx-csv-nan-t"),
     pytest.param(["tau"], _REPEATED_T, id="tau-csv-repeated-t"),
     pytest.param([*_APPROX, "--W", "4"], _REPEATED_T, id="approx-csv-repeated-t"),
+    pytest.param([*_APPROX, "--W", "2"], _NAN_VALUE, id="approx-csv-nan-reference"),
+    pytest.param(["tau", "--signal", "f2"], _GOOD, id="tau-signal-and-csv"),
+    pytest.param([*_APPROX, "--W", "4", "--signal", "f1"], _GOOD, id="approx-signal-and-csv"),
     pytest.param([*_APPROX, "--W", "4", "--grid-n", "0"], None, id="approx-grid-n"),
     pytest.param([*_APPROX, "--W", "4", "--p", "0"], None, id="approx-p"),
     pytest.param([*_APPROX, "--W", "0"], None, id="approx-W-zero"),
@@ -185,6 +192,19 @@ def test_bad_input_is_usage_error(argv, table, tmp_path, capsys):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_header_names_the_signal_read(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text(_GOOD)
+    for argv, read in (([*_APPROX, "--W", "4", "--signal-csv", str(path)], f"signal_csv={path}"),
+                       (["tau", "--signal-csv", str(path)], f"signal_csv={path}"),
+                       ([*_APPROX, "--W", "4"], "signal=f1"),
+                       (["tau", "--signal", "f2"], "signal=f2")):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert [kv for kv in header if kv.startswith("signal")] == [read], argv
 
 
 def test_tabulated_signal_eval(tmp_path):

@@ -1,10 +1,15 @@
 """Every top-level import in the package and the tests is used: a name bound
 by an import must be read in the module's code or listed in its `__all__`.
 No linter runs in CI, so this scan stands in for its unused-import rule.
-The package re-exports exactly its library modules' `__all__`."""
+The package re-exports exactly its library modules' `__all__`, and the
+README's library example runs against it."""
 
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +66,13 @@ def test_package_exports_every_module_name():
     for module in modules:
         for name in module.__all__:
             assert getattr(derivsamp, name) is getattr(module, name)
+
+
+def test_readme_library_example_runs():
+    # a renamed export or a changed signature breaks the documented example
+    readme = (_ROOT / "README.md").read_text()
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", example], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert len(run.stdout.split()) == 2  # the two printed errors

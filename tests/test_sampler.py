@@ -166,10 +166,7 @@ def test_take_samples_refuses_undefined_nodes():
     with pytest.raises(SampleNodeError, match="undefined point t=3"):
         take_samples(f3, g)
     # an undeclared non-finite value at a node is refused the same way
-    holey = SimpleNamespace(
-        undefined_points=lambda i: (),
-        eval=lambda i, t: np.where(np.isclose(t, 2.0), np.nan, 1.0),
-    )
+    holey = SimpleNamespace(eval=lambda i, t: np.where(np.isclose(t, 2.0), np.nan, 1.0))
     with pytest.raises(SampleNodeError, match="non-finite"):
         take_samples(holey, SampleGrid(kappa, 1.0, 0, 3))
     # an irrational dilation misses every rational special point
@@ -289,7 +286,7 @@ def test_frame_bounds_q3_golden():
 def test_frame_bounds_q3_t_independent():
     # the 129 points s <= 128 of a 257-point grid, one of every conjugate pair
     sym = build_symbol(KAPPA_Q3)
-    psi = circle_values(sym.entries, 257)
+    psi = circle_values(sym, 257)
     assert psi.shape == (129, 2, 2)
     gram = np.matmul(psi.conj().transpose(0, 2, 1), psi)
     lam = np.linalg.eigvalsh(gram)
@@ -312,7 +309,7 @@ def test_frame_bounds_half_circle_matches_full_circle():
 def _full_stack_extremes(sym, n: int) -> tuple[float, float]:
     """Extreme eigenvalues of Psi* Psi with eigvalsh on every half-circle
     point of circle_values, the frame constants' input without a screen."""
-    psi = circle_values(sym.entries, n)
+    psi = circle_values(sym, n)
     lam = np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
     return float(lam[:, 0].min()), float(lam[:, -1].max())
 

@@ -52,13 +52,13 @@ def test_difference_annihilates_low_degree():
 
 def test_local_modulus_trivials():
     lin = lambda t: np.asarray(t, dtype=float)
-    assert local_modulus(lin, 1, 0.0, 0.0) == 0.0
     # best first difference of the identity over h <= delta is exactly delta
     assert local_modulus(lin, 1, 2.0, 0.3) == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(ValueError):
         local_modulus(lin, 0, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        local_modulus(lin, 1, 0.0, -0.1)
+    for delta in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            local_modulus(lin, 1, 0.0, delta)
     with pytest.raises(ValueError):
         local_modulus(lin, 1, 0.0, 0.1, search_n=16)
 

@@ -60,10 +60,10 @@ def test_kappa_validation():
 
 def test_symbol_entries_q3():
     sym = build_symbol(KAPPA_Q3)
-    assert sym.entries[0][0] == L(1, Fraction(1, 2))
-    assert sym.entries[0][1] == L(1, Fraction(1, 2))
-    assert sym.entries[1][0] == L(1, -1)
-    assert sym.entries[1][1] == L(1, 1)
+    assert sym[0][0] == L(1, Fraction(1, 2))
+    assert sym[0][1] == L(1, Fraction(1, 2))
+    assert sym[1][0] == L(1, -1)
+    assert sym[1][1] == L(1, 1)
     assert det_symbol(KAPPA_Q3) == L(2, 1)
 
 
@@ -76,7 +76,7 @@ def test_symbol_entries_q4():
     ]
     for i in range(3):
         for j in range(3):
-            assert sym.entries[i][j] == L(1, want[i][j])
+            assert sym[i][j] == L(1, want[i][j])
 
 
 def test_symbol_entries_match_oracle():
@@ -96,7 +96,7 @@ def test_symbol_entries_match_oracle():
                             -1,
                             [eval_q_deriv_exact(m, i, a + rho * k - j) for k in range(-1, m + 1)],
                         )
-                        assert sym.entries[i][j] == want, (m, a, rho, i, j)
+                        assert sym[i][j] == want, (m, a, rho, i, j)
 
 
 def test_symbol_circle_values_matches_unit_eval():
@@ -104,13 +104,13 @@ def test_symbol_circle_values_matches_unit_eval():
     # has entries of 6 coefficients and a determinant of 11, so for n <= 5
     # the entries' coefficients wrap mod n, and for n <= 9 the determinant's
     wide = Kappa(12, Fraction(1, 3), 2)
-    assert len(build_symbol(wide).entries[0][0].coeffs) == 6
+    assert len(build_symbol(wide)[0][0].coeffs) == 6
     assert len(det_symbol(wide).coeffs) == 11
     for kappa in (KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, wide, Kappa(12, Fraction(2, 5), 5)):
         sym = build_symbol(kappa)
         det = det_symbol(kappa)
         for n in (1, 2, 5, 9, 64):
-            grid = circle_values(sym.entries, n)
+            grid = circle_values(sym, n)
             assert grid.shape == (n // 2 + 1, kappa.rho, kappa.rho)
             dvals = circle_values(det, n)
             assert dvals.shape == (n // 2 + 1,)
@@ -118,7 +118,7 @@ def test_symbol_circle_values_matches_unit_eval():
                 assert abs(dvals[s] - eval_unit(det, s / n)) <= 1e-12
                 for i in range(kappa.rho):
                     for j in range(kappa.rho):
-                        want = eval_unit(sym.entries[i][j], s / n)
+                        want = eval_unit(sym[i][j], s / n)
                         assert abs(grid[s, i, j] - want) <= 1e-12
 
 
@@ -338,8 +338,8 @@ def test_exact_layer_matches_fraction_path():
         assert str(got.det) == str(want["det"]), kappa
         assert got.certificate == want["certificate"], kappa
         for n in (256, 1024):
-            assert (circle_values(got.symbol.entries, n).tobytes()
-                    == frac_circle_values(want["symbol"].entries, n).tobytes()), kappa
+            assert (circle_values(got.symbol, n).tobytes()
+                    == frac_circle_values(want["symbol"], n).tobytes()), kappa
         verdicts.add(got.is_cis)
         if not got.is_cis:
             continue
