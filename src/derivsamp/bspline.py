@@ -11,8 +11,10 @@ integer numerators over one denominator per derivative order
 (`exact_lattice_values`).  The same triangle at u = 0 gives the m pieces:
 their Taylor coefficients at the knots, rounded once per (m, d).  A series
 is folded into its piecewise-polynomial (pp) form first, one polynomial of
-degree m-1-d per knot interval, so that each point costs one gather and one
-Horner pass (de Boor, A Practical Guide to Splines, ch. X).
+degree m-1-d per knot interval, so that each point costs one Horner pass
+with a gather per step (de Boor, A Practical Guide to Splines, ch. X).  The
+pass runs over cache-sized blocks of points (Lam, Rothberg & Wolf, ASPLOS
+1991); it is pointwise, so the blocks change no value.
 Fourier transforms use the convention f^(w) = int f(t) exp(-2 pi i w t) dt,
 so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m; `fourier_q_derivs` gives
 its derivatives of every order.
@@ -71,34 +73,70 @@ def _pieces(m: int, deriv: int) -> np.ndarray:
     return out
 
 
+# Points per block of the Horner pass: each array of a block is 64 kB and
+# stays in L2, where a 10^5-point input went through memory once per step.
+# Chosen from 2^12, 2^13 and 2^14 by paired benchmark runs
+# (BENCH_blocked_series.json).
+_BLOCK_POINTS = 1 << 13
+
+
 def bspline_series(m: int, deriv: int, coeffs, k0: int, x):
     """sum_n coeffs[n] Q_m^(deriv)(x - k0 - n) at x (scalar or ndarray).
 
     pp-form (de Boor, A Practical Guide to Splines, ch. X): on the knot
     interval [k0 + j, k0 + j + 1) the series is sum_k pp[k, 1 + j] u^k with
     pp[k, 1 + j] = sum_p coeffs[j - p] pieces[p, k], one convolution per
-    power k.  Each point then costs one Horner pass of degree m-1-deriv,
-    gathering its interval's coefficient at every step.
+    power k, folded once per call.  Each point then costs one Horner pass of
+    degree m-1-deriv, gathering its interval's coefficient at every step.
+    The points go through that pass in blocks of _BLOCK_POINTS; a point's
+    arithmetic does not depend on its block, so the blocks change no value.
+    Points outside the support, +-inf included, give exactly 0.0, and NaN
+    points give NaN.
     """
     _check_order(m)
     _check_deriv_order(m, deriv)
     arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return float(bspline_series(m, deriv, coeffs, k0, arr.reshape(1))[0])
     pieces = _pieces(m, deriv)
     c = np.asarray(coeffs, dtype=float)
-    # zero columns at both ends: every point outside the support clips onto
-    # one; mode="clip" also bounds the meaningless index of a NaN point
-    pp = np.zeros((pieces.shape[1], len(c) + m + 1))
+    # columns 0 and n are zero, for points below and above the support; a NaN
+    # point lands on column n + 1, whose top entry is NaN, so its Horner pass
+    # starts at NaN
+    n = len(c) + m
+    pp = np.zeros((pieces.shape[1], n + 2))
     if len(c):
-        for k, col in enumerate(pieces.T):
-            pp[k, 1:-1] = np.convolve(c, col)
-    base = np.floor(arr)
-    u = arr - base
-    idx = np.clip(base - (int(k0) - 1), 0, len(c) + m).astype(np.intp)
-    out = pp[-1].take(idx, mode="clip")
+        pp[:, 1:n] = [np.convolve(c, col) for col in pieces.T]
+    pp[-1, -1] = np.nan
+    lo = float(int(k0) - 1)
+    if arr.size <= _BLOCK_POINTS:
+        return _horner(pp, lo, arr, None)
+    out = np.empty(arr.shape)
+    xs, outs = arr.reshape(-1), out.reshape(-1)
+    for s in range(0, arr.size, _BLOCK_POINTS):
+        _horner(pp, lo, xs[s : s + _BLOCK_POINTS], outs[s : s + _BLOCK_POINTS])
+    return out
+
+
+def _horner(pp: np.ndarray, lo: float, x: np.ndarray, out):
+    """The pp-form's values at the points x (an array of any shape but 0-d),
+    whose column 0 is the knot interval [lo, lo + 1); written into out when
+    it is given."""
+    hi = lo + (pp.shape[1] - 2)
+    x = np.maximum(x, lo)  # +-inf onto a zero column, NaN stays
+    np.minimum(x, hi, out=x)
+    base = np.floor(x)
+    u = np.subtract(x, base, out=x)
+    # NaN onto the last column; every index is then in range, and mode="clip"
+    # only spares take its bounds check and its copy of out
+    np.fmin(base, hi + 1.0, out=base)
+    base -= lo
+    idx = base.astype(np.intp)
+    out = pp[-1].take(idx, mode="clip", out=out)
     for row in pp[-2::-1]:
         out *= u
         out += row.take(idx, mode="clip")
-    return float(out) if arr.ndim == 0 else out
+    return out
 
 
 def exact_lattice_values(m: int, u, d_max: int) -> tuple[list[list[int]], list[int]]:

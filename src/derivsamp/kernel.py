@@ -144,12 +144,20 @@ def theta_support(table: KernelTable) -> tuple[float, float]:
 
 def _l_range(table: KernelTable, W: float, t_lo: float, t_hi: float) -> tuple[int, int]:
     """Smallest l-range (l_lo, l_hi) whose kernels Theta_i(W t - rho l)
-    reach every t in [t_lo, t_hi]; raises ValueError unless 0 < W < inf."""
+    reach every t in [t_lo, t_hi]; raises ValueError unless 0 < W < inf and
+    the window is finite with t_lo <= t_hi."""
     if not 0 < W < math.inf:
         raise ValueError(f"dilation W must be positive and finite, got W={W!r}")
     lo, hi = theta_support(table)
     rho = table.kappa.rho
-    return math.floor((W * t_lo - hi) / rho), math.ceil((W * t_hi - lo) / rho)
+    l_lo, l_hi = (W * t_lo - hi) / rho, (W * t_hi - lo) / rho
+    # NaN fails t_lo <= t_hi; an infinite end, or one whose reach overflows,
+    # gives an infinite bound
+    if not (t_lo <= t_hi and math.isfinite(l_lo) and math.isfinite(l_hi)):
+        raise ValueError(
+            f"window needs finite ends t_lo <= t_hi, got t_lo={t_lo!r}, t_hi={t_hi!r} (W={W!r})"
+        )
+    return math.floor(l_lo), math.ceil(l_hi)
 
 
 def theta_eval(table: KernelTable, i: int, t, deriv: int = 0):

@@ -162,11 +162,14 @@ def sw_spline_coeffs(
 
 
 def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
-    """Evaluate S_W at t; raises if the table is for another configuration
-    or the sample range cannot reach some t."""
+    """Evaluate S_W at t; raises if the table is for another configuration,
+    some t is not finite, or the sample range cannot reach some t.  An empty
+    t gives an empty array of its shape."""
     kappa = grid.kappa
     n_lo, e = sw_spline_coeffs(samples, grid, table)
     x = np.asarray(t, dtype=float)
+    if x.size == 0:
+        return np.empty(x.shape)
     need_lo, need_hi = _l_range(table, grid.W, float(np.min(x)), float(np.max(x)))
     if need_lo < grid.l_lo or need_hi > grid.l_hi:
         raise ValueError(

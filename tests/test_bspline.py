@@ -3,12 +3,14 @@ constants, checked against independent oracles."""
 
 import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from derivsamp.bspline import (
+    _BLOCK_POINTS,
     _pieces,
     bspline_series,
     exact_lattice_values,
@@ -89,6 +91,57 @@ def test_series_matches_per_piece_reference():
             worst = max(worst, float(np.max(np.abs(got - want))) / float(np.sum(np.abs(c))))
     print(f"pp-form vs per-piece: max |difference| / sum|c| = {worst:.3e}")
     assert worst <= 1e-13, worst
+
+
+def test_series_blocks_match_split_calls():
+    # the points go through in blocks of _BLOCK_POINTS: any split of the
+    # input gives the same bytes, signed zeros and NaN included
+    B = _BLOCK_POINTS
+    rng = np.random.default_rng(17)
+    c = rng.uniform(-1.0, 1.0, 300)
+    c[::7] = -0.0
+    for m, deriv in ((1, 0), (4, 0), (4, 2), (7, 3)):
+        for n in (0, 1, B - 1, B, B + 1, 3 * B + 17):
+            # unsorted, past both ends of the support [-50, 250 + m), on
+            # knots, at signed zeros and at non-finite points
+            x = rng.uniform(-60.0, 260.0, n)
+            x[::5] = np.round(x[::5])
+            x[3::11] = -0.0
+            x[4::13] = rng.choice([np.inf, -np.inf, np.nan], len(x[4::13]))
+            got = bspline_series(m, deriv, c, -50, x)
+            cuts = [0, *sorted({min(n, k) for k in (1, B // 2 + 3, B + 5, 2 * B + 11)}), n]
+            parts = [bspline_series(m, deriv, c, -50, x[a:b]) for a, b in zip(cuts, cuts[1:])]
+            assert got.shape == x.shape
+            assert got.tobytes() == np.concatenate([np.empty(0), *parts]).tobytes(), (m, deriv, n)
+        x = rng.uniform(-60.0, 260.0, (3, B + 9))
+        got = bspline_series(m, deriv, c, -50, x)
+        assert got.shape == x.shape
+        assert got.tobytes() == bspline_series(m, deriv, c, -50, x.ravel()).tobytes()
+        assert got.T.tobytes() == bspline_series(m, deriv, c, -50, x.T).tobytes()
+        scalar = bspline_series(m, deriv, c, -50, float(x[1, 2]))
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() == got[1, 2].tobytes()
+
+
+def test_series_non_finite_points():
+    # +-inf lies outside every support: exactly +0.0; NaN gives NaN; no
+    # RuntimeWarning, in one block or several
+    rng = np.random.default_rng(18)
+    c = rng.uniform(-1.0, 1.0, 40)
+    for m in range(1, 8):
+        for deriv in range(max(1, m - 1)):
+            for n in (3, _BLOCK_POINTS + 3):
+                x = np.resize([np.inf, -np.inf, np.nan, 2.5], n)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = bspline_series(m, deriv, c, 0, x)
+                    finite = bspline_series(m, deriv, c, 0, x[3::4])
+                assert got[0::4].tobytes() == np.zeros(len(got[0::4])).tobytes()
+                assert got[1::4].tobytes() == np.zeros(len(got[1::4])).tobytes()
+                assert np.isnan(got[2::4]).all()
+                assert got[3::4].tobytes() == finite.tobytes()
+            assert np.float64(bspline_series(m, deriv, c, 0, np.inf)).tobytes() == np.float64(0.0).tobytes()
+            assert math.isnan(bspline_series(m, deriv, c, 0, math.nan))
 
 
 def test_pieces_match_truncated_power_expansion():

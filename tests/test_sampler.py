@@ -237,6 +237,31 @@ def test_apply_sw_coverage_error(table_q3):
         apply_sw(samples, grid, table_q3, np.asarray([0.0, 40.0]))
 
 
+def test_apply_sw_empty_t(table_q3):
+    grid = grid_for_window(KAPPA_Q3, 1.0, 0.0, 5.0, table_q3)
+    samples = take_samples(SplineElement(3, 0, np.ones(6)), grid)
+    for shape in ((0,), (0, 3), (2, 0)):
+        got = apply_sw(samples, grid, table_q3, np.empty(shape))
+        assert isinstance(got, np.ndarray) and got.shape == shape
+
+
+def test_window_must_be_finite_and_ordered(table_q3):
+    grid = grid_for_window(KAPPA_Q3, 1.0, 0.0, 5.0, table_q3)
+    samples = take_samples(SplineElement(3, 0, np.ones(6)), grid)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"t_lo={bad!r}"):
+            grid_for_window(KAPPA_Q3, 4.0, bad, 1.0, table_q3)
+        with pytest.raises(ValueError, match=f"t_hi={bad!r}"):
+            grid_for_window(KAPPA_Q3, 4.0, 0.0, bad, table_q3)
+        with pytest.raises(ValueError, match="finite ends"):
+            apply_sw(samples, grid, table_q3, np.array([1.0, bad, 2.0]))
+    with pytest.raises(ValueError, match="t_lo=2.0, t_hi=1.0"):
+        grid_for_window(KAPPA_Q3, 4.0, 2.0, 1.0, table_q3)
+    # finite ends whose reach W t overflows
+    with pytest.raises(ValueError, match="finite ends"):
+        grid_for_window(KAPPA_Q3, 4.0, -1e308, 1.0, table_q3)
+
+
 def test_table_for_another_kappa_is_rejected(table_q4h):
     # same rho, so the sample shapes alone cannot tell the tables apart
     grid = grid_for_window(KAPPA_Q3, 1.0, 0.0, 5.0, table_q4h)
