@@ -33,7 +33,6 @@ __all__ = [
     "bspline_series",
     "exact_lattice_values",
     "fourier_q_derivs",
-    "krein_favard",
     "riesz_lower_bound",
 ]
 
@@ -233,10 +232,10 @@ def fourier_q_derivs(m: int, r: int, xi: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Krein-Favard constants K_r = (4/pi) sum_{v>=0} (-1)^{v(r+1)} / (2v+1)^{r+1}
-# in closed form K_r = A_r pi^r / (2^r r!), A_r the zigzag (up/down) numbers,
-# and the Riesz lower bound 2^{2m-1} K_{2m-1} / pi^{2m-1} = A_{2m-1}/(2m-1)!
-# of the Q_m basis.
+# The Riesz lower bound 2^{2m-1} K_{2m-1} / pi^{2m-1} of the Q_m basis, with
+# the Krein-Favard constant K_r = (4/pi) sum_{v>=0} (-1)^{v(r+1)} / (2v+1)^{r+1}
+# in closed form K_r = A_r pi^r / (2^r r!), A_r the zigzag (up/down)
+# numbers: the bound is A_{2m-1} / (2m-1)!.
 # ---------------------------------------------------------------------------
 
 
@@ -250,13 +249,6 @@ def _zigzag(r: int) -> int:
             new.append(new[-1] + v)
         row = new
     return row[-1]
-
-
-def krein_favard(r: int) -> float:
-    """Krein-Favard constant K_r."""
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError(f"index must be a nonnegative integer, got {r!r}")
-    return _zigzag(r) / (2 ** r * math.factorial(r)) * math.pi ** r
 
 
 def riesz_lower_bound(m: int) -> float:

@@ -2,7 +2,8 @@
 
 Every output is CSV (comma separators, '.' decimals, LF endings, UTF-8) whose
 first line starts with "# derivsamp v1," followed by the sorted run
-configuration, so artifacts are self-describing.  Identical configurations
+configuration, so artifacts are self-describing (`kernel-dump` adds a second
+such line, the table's metadata).  Identical configurations
 produce byte-identical files: floats are serialized with repr (shortest
 round-trip form) and all row orders are fixed.
 
@@ -12,7 +13,7 @@ configuration (NotCISError, an exact verdict); 2 usage error, including a
 malformed --signal-csv, --signal given together with --signal-csv, an
 unwritable --out, and sample nodes or approx reference points where the
 signal is undefined (SampleNodeError); 3 any other ValueError or
-ArithmeticError, a numerical failure.
+ArithmeticError, a numerical failure, or a MemoryError.
 """
 
 from __future__ import annotations
@@ -115,6 +116,7 @@ def _header(args) -> str:
 
 
 def _emit(args, columns: str, rows, footer=()) -> None:
+    """Write the header, columns (every line above the rows), rows, footer."""
     lines = [_header(args), columns]
     lines.extend(",".join(_cell(x) for x in row) for row in rows)
     lines.extend(footer)
@@ -194,7 +196,12 @@ def cmd_check(args) -> None:
 
 def cmd_kernel_dump(args) -> None:
     table = inv_symbol_coeffs(_parse_kappa(args), tol=args.tol)
-    _write(args, _header(args) + "\n" + table.to_csv())
+    k, radius = table.kappa, table.radius
+    meta = (f"# derivsamp v1,a={k.a},m={k.m},radius={radius},rho={k.rho},"
+            f"tail_bound={_cell(table.tail_bound)}")
+    rows = [(j, i, n - radius, c) for j in range(k.rho) for i in range(k.rho)
+            for n, c in enumerate(table.coeffs[j, i].tolist())]
+    _emit(args, meta + "\nj,i,v,c", rows)
 
 
 def cmd_approx(args) -> None:
@@ -339,7 +346,7 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except NotCISError as exc:
         return _fail(exc, 1)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         return _fail(exc, 3)
 
 

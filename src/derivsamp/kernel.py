@@ -55,29 +55,6 @@ class KernelTable:
     coeffs: np.ndarray  # float64, shape (rho, rho, 2*radius + 1)
     tail_bound: float
 
-    def coeff(self, j: int, i: int, v: int) -> float:
-        """c^{ji}(v): 0.0 past the radius; raises ValueError unless j and i
-        are in [0, rho)."""
-        rho = self.kappa.rho
-        if not (0 <= j < rho and 0 <= i < rho):
-            raise ValueError(f"index (j, i) = ({j}, {i}) out of range for rho={rho}")
-        if abs(v) > self.radius:
-            return 0.0
-        return float(self.coeffs[j, i, self.radius + v])
-
-    def to_csv(self) -> str:
-        k = self.kappa
-        lines = [
-            f"# derivsamp v1,a={k.a},m={k.m},radius={self.radius},"
-            f"rho={k.rho},tail_bound={self.tail_bound!r}",
-            "j,i,v,c",
-        ]
-        for j in range(k.rho):
-            for i in range(k.rho):
-                for v in range(-self.radius, self.radius + 1):
-                    lines.append(f"{j},{i},{v},{self.coeff(j, i, v)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
     """Fourier coefficients of the inverse symbol, |coeff| resolved to tol.

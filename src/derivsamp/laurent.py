@@ -1,13 +1,14 @@
 """Laurent polynomials with exact rational coefficients, stored as integer
 numerators over one denominator.
 
-Used for symbol matrices of the sampling problem: exact determinants, an
-exact certificate that a polynomial does or does not vanish on the unit
-circle, with float diagnostics of how close its zeros come to the circle,
-and `circle_values`, the one float evaluator of a Laurent polynomial or
-matrix on the half s <= n/2 of a uniform grid of the circle (real
-coefficients make it determine the rest).  Both exact algorithms run
-on the integer numerators alone, as lists of ints, constant term first:
+Used for symbol matrices of the sampling problem: exact determinants, the
+exact certificate behind `symbol.check_cis` that a polynomial does or does
+not vanish on the unit circle, with float diagnostics of how close its
+zeros come to the circle (read through `CisReport.certificate`), and
+`circle_values`, the one float evaluator of a Laurent polynomial or matrix
+on the half s <= n/2 of a uniform grid of the circle (real coefficients
+make it determine the rest).  Both exact algorithms run on the integer
+numerators alone, as lists of ints, constant term first:
 the determinant shifts each column to nonnegative exponents, packs each
 integer polynomial into one integer by Kronecker substitution and runs
 fraction-free Bareiss elimination on those, over the product of the row
@@ -30,7 +31,6 @@ __all__ = [
     "laurent_det",
     "circle_values",
     "CircleCertificate",
-    "roots_unit_circle",
 ]
 
 _GRID_N = 4096
@@ -311,14 +311,6 @@ class CircleCertificate:
     argmin_t: float
     root_margin: float
     verdict: str
-
-
-def roots_unit_circle(p: LaurentPoly) -> CircleCertificate:
-    """Certify whether p vanishes somewhere on |z| = 1."""
-    if p.is_zero:
-        raise ValueError("zero polynomial vanishes identically")
-    verdict = "vanishing" if _vanishes_on_circle(p) else "nonvanishing"
-    return _certificate(p, verdict)
 
 
 def _certificate(p: LaurentPoly, verdict: str) -> CircleCertificate:

@@ -35,7 +35,6 @@ __all__ = [
     "SampleNodeError",
     "grid_for_window",
     "take_samples",
-    "sw_spline_coeffs",
     "apply_sw",
     "approx_error",
     "BoundsReport",
@@ -138,12 +137,11 @@ def take_samples(f, grid: SampleGrid) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def sw_spline_coeffs(
-    samples: np.ndarray, grid: SampleGrid, table: KernelTable
-) -> tuple[int, np.ndarray]:
-    """Collapse samples to coefficients over the refined lattice: returns
-    (n_lo, e) with S_W f(t) = sum_n e[n - n_lo] Q_m(W t - n).  Raises
-    ValueError if the grid and the table are for different configurations."""
+def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
+    """Evaluate S_W at t; raises ValueError if the table is for another
+    configuration, the samples are not of shape (L, rho), some t is not
+    finite, or the sample range cannot reach some t.  An empty t gives an
+    empty array of its shape."""
     kappa = grid.kappa
     if table.kappa != kappa:
         raise ValueError(
@@ -153,20 +151,6 @@ def sw_spline_coeffs(
     n_samples = samples.shape[0]
     if samples.shape != (n_samples, rho):
         raise ValueError(f"samples must have shape (L, {rho})")
-    k_len = n_samples + 2 * v
-    e = np.zeros(rho * k_len)
-    for j in range(rho):
-        for i in range(rho):
-            e[j::rho] += grid.W ** (-i) * np.convolve(samples[:, i], table.coeffs[j, i, :])
-    return rho * (grid.l_lo - v), e
-
-
-def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
-    """Evaluate S_W at t; raises if the table is for another configuration,
-    some t is not finite, or the sample range cannot reach some t.  An empty
-    t gives an empty array of its shape."""
-    kappa = grid.kappa
-    n_lo, e = sw_spline_coeffs(samples, grid, table)
     x = np.asarray(t, dtype=float)
     if x.size == 0:
         return np.empty(x.shape)
@@ -176,7 +160,12 @@ def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
             f"sample range l in [{grid.l_lo}, {grid.l_hi}] insufficient for the "
             f"requested window: need l in [{need_lo}, {need_hi}]"
         )
-    return bspline_series(kappa.m, 0, e, n_lo, grid.W * x)
+    # S_W f(t) = sum_n e[n] Q_m(W t - rho (l_lo - V) - n)
+    e = np.zeros(rho * (n_samples + 2 * v))
+    for j in range(rho):
+        for i in range(rho):
+            e[j::rho] += grid.W ** (-i) * np.convolve(samples[:, i], table.coeffs[j, i, :])
+    return bspline_series(kappa.m, 0, e, rho * (grid.l_lo - v), grid.W * x)
 
 
 # approx_error measures over the signal's support window widened by this

@@ -41,6 +41,11 @@ _JUMP_EPS = 1e-9
 # at delta >= 0.07, one block here) and slowed that workload by 5 %.  The
 # values are the same at every block size.
 _BLOCK_ELEMENTS = 1 << 18
+# Most quadrature cells and lattice steps per window that tau_modulus takes:
+# tests, CLI defaults and benchmark use at most 7712 cells (f1, delta 0.025)
+# and search_n = 64; 2^22 cells is f1 down to delta = 4.6e-5.
+_MAX_CELLS = 1 << 22
+_MAX_SEARCH_N = 1 << 13
 
 
 def _jump_points(f, r: int, delta: float) -> np.ndarray:
@@ -152,8 +157,10 @@ def _check_search(r: int, delta: float, search_n: int) -> None:
         raise ValueError(f"need an integer order r >= 1, got r={r!r}")
     if not 0 < delta < math.inf:
         raise ValueError(f"need a finite delta > 0, got delta={delta!r}")
-    if not isinstance(search_n, (int, np.integer)) or search_n < 64:
-        raise ValueError(f"need an integer search_n >= 64, got search_n={search_n!r}")
+    if not isinstance(search_n, (int, np.integer)) or not 64 <= search_n <= _MAX_SEARCH_N:
+        raise ValueError(
+            f"need an integer search_n in [64, {_MAX_SEARCH_N}], got search_n={search_n!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,9 @@ def tau_modulus(
     """Averaged modulus tau_r(f; delta)_p: midpoint L^p quadrature of the
     local modulus over domain, by default f's support_hint widened by
     r delta on each side, on the fewest equal cells no wider than delta/8
-    (grid_meta["quad_step"] is their width)."""
+    (grid_meta["quad_step"] is their width).  Raises ValueError, before
+    any array is built, when that grid would exceed _MAX_CELLS cells or
+    search_n is outside [64, _MAX_SEARCH_N]."""
     _check_search(r, delta, search_n)
     if not 1 <= p < math.inf:
         raise ValueError(f"need finite p >= 1, got p={p!r}")
@@ -186,9 +195,13 @@ def tau_modulus(
     lo, hi = float(domain[0]), float(domain[1])
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"need a finite domain with lo < hi, got domain={domain!r}")
-    if not (delta / 8.0 > 0 and (hi - lo) / (delta / 8.0) < math.inf):
-        raise ValueError(f"need a delta with a finite grid on {(lo, hi)!r}, got delta={delta!r}")
-    n = max(1, int(math.ceil((hi - lo) / (delta / 8.0))))
+    cells = (hi - lo) / (delta / 8.0) if delta / 8.0 > 0 else math.inf
+    if not cells <= _MAX_CELLS:
+        raise ValueError(
+            f"need a delta whose grid on {(lo, hi)!r} has at most {_MAX_CELLS} cells "
+            f"no wider than delta/8, got delta={delta!r}"
+        )
+    n = max(1, math.ceil(cells))
     step = (hi - lo) / n
     xs = lo + step * (np.arange(n) + 0.5)
     jumps = _jump_points(f, r, float(delta))

@@ -13,13 +13,12 @@ denominator per derivative order i: row i of the symbol is integer Laurent
 polynomials over that denominator.  Invertibility of Psi on the unit circle
 is equivalent to stable reconstruction from samples of f, f', ...,
 f^{(rho-1)} on (a + rho Z); `check_cis` decides it exactly from the
-determinant's integer numerators.  It is the one place that builds the
-symbol and its determinant for a verdict: the kernel build and the
-factored tables call it too.  The certificate's float diagnostics (grid
-minimum of |det| and root margin) are computed only when a report's
-`certificate` is read.  Float values of the symbol on the circle, for the
-frame constants and the inverse-symbol coefficients, come from
-`laurent.circle_values`.
+determinant's integer numerators.  It is the one place that decides CIS:
+the kernel build calls it too, while the factored tables read the
+determinant alone.  The certificate's float diagnostics (grid minimum of
+|det| and root margin) are computed only when a report's `certificate` is
+read.  Float values of the symbol on the circle, for the frame constants
+and the inverse-symbol coefficients, come from `laurent.circle_values`.
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ def table_polynomial(kappa: Kappa) -> LaurentPoly:
     m, a, rho = kappa.m, kappa.a, kappa.rho
     if rho != 2 or a not in (Fraction(0), Fraction(1, 2)):
         raise ValueError(f"no table factorization for {kappa}")
-    det = check_cis(kappa).det
+    det = laurent_det(build_symbol(kappa))
     # prefactor = pref_num / pref_den
     if a == 0:
         pref_num, pref_den = 2 ** (m - 2), math.factorial(m - 1) * math.factorial(m - 2)

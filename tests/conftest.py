@@ -376,6 +376,13 @@ def inv_symbol_coeffs_reference(kappa: Kappa, tol: float = 1e-12) -> KernelTable
     return KernelTable(kappa, radius, coeffs, tail_bound)
 
 
+def coeff(table: KernelTable, j: int, i: int, v: int) -> float:
+    """c^{ji}(v) of a kernel table, 0.0 past its radius."""
+    if abs(v) > table.radius:
+        return 0.0
+    return float(table.coeffs[j, i, table.radius + v])
+
+
 def moment_check_time(table, n: int, t: float) -> float:
     """Residual of the degree-n time-domain moment condition at t:
     sum_i C(n,i) i! sum_l (a + rho l - t)^{n-i} Theta_i(t - rho l) - delta_{n0}."""
@@ -692,8 +699,8 @@ def fraction_path(kappa: Kappa) -> dict:
 
 
 def kernel_table_from_csv(path) -> KernelTable:
-    """Read a table written by `KernelTable.to_csv`, with or without the
-    CLI's leading comment lines."""
+    """Read a table written by `derivsamp kernel-dump`: the CLI's header,
+    then the table's metadata line, `j,i,v,c` and the rows."""
     with open(path) as fh:
         line = fh.readline()
         if not line.startswith("# derivsamp v1,"):

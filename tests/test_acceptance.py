@@ -43,6 +43,7 @@ from conftest import (
     KAPPA_Q4,
     KAPPA_Q4H,
     check_identity_lemmas,
+    coeff,
     det_symbol,
     eval_exact,
     lp,
@@ -126,10 +127,10 @@ def test_criterion_02_symbols_and_kernels(table_q3, table_q4h):
     det_ok = det_symbol(KAPPA_Q4H) == lp(1, [Fraction(-3, 64), Fraction(19, 32), Fraction(-3, 64)])
 
     kern_err = max(
-        abs(table_q3.coeff(0, 0, -1) - 1.0),
-        abs(table_q3.coeff(1, 0, -1) - 1.0),
-        abs(table_q3.coeff(0, 1, -1) + 0.5),
-        abs(table_q3.coeff(1, 1, -1) - 0.5),
+        abs(coeff(table_q3, 0, 0, -1) - 1.0),
+        abs(coeff(table_q3, 1, 0, -1) - 1.0),
+        abs(coeff(table_q3, 0, 1, -1) + 0.5),
+        abs(coeff(table_q3, 1, 1, -1) - 0.5),
     )
     r = (19.0 - 4.0 * math.sqrt(22.0)) / 3.0
     s = 1.0 - r * r
@@ -140,7 +141,7 @@ def test_criterion_02_symbols_and_kernels(table_q3, table_q4h):
         (1, 1): lambda n: 4.0 * r / (9.0 * s) * (r ** abs(n + 2) + 23.0 * r ** abs(n + 1)),
     }
     half_err = max(
-        abs(table_q4h.coeff(j, i, n) - fn(n))
+        abs(coeff(table_q4h, j, i, n) - fn(n))
         for (j, i), fn in closed.items()
         for n in range(-10, 11)
     )

@@ -15,7 +15,6 @@ from derivsamp.bspline import (
     bspline_series,
     exact_lattice_values,
     fourier_q_derivs,
-    krein_favard,
     riesz_lower_bound,
 )
 
@@ -354,18 +353,12 @@ def _kf_oracle(m: int) -> float:
     return 4.0 / math.pi * s
 
 
-def test_krein_favard_closed_forms():
-    pi = math.pi
-    assert krein_favard(0) == pytest.approx(1.0, abs=1e-14)
-    assert krein_favard(1) == pytest.approx(pi / 2, abs=1e-14)
-    assert krein_favard(2) == pytest.approx(pi**2 / 8, abs=1e-14)
-    assert krein_favard(3) == pytest.approx(pi**3 / 24, abs=1e-13)
-    assert krein_favard(5) == pytest.approx(pi**5 / 240, abs=1e-12)
-
-
-def test_krein_favard_against_series_oracle():
-    for m in range(1, 21):
-        assert krein_favard(m) == pytest.approx(_kf_oracle(m), abs=1e-8)
+def test_riesz_lower_bound_against_krein_favard_series():
+    # the bound is 2^(2m-1) K_(2m-1) / pi^(2m-1), K_r from its defining series
+    for m in range(1, 11):
+        r = 2 * m - 1
+        want = 2.0**r * _kf_oracle(r) / math.pi**r
+        assert riesz_lower_bound(m) == pytest.approx(want, rel=1e-12, abs=0), m
 
 
 def test_riesz_lower_bound_values():

@@ -4,16 +4,17 @@ tabulated-signal input, and the package version."""
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import derivsamp
-from derivsamp import sampler
+from derivsamp import cli, sampler, smoothness
 from derivsamp.cli import _UsageError, main, parse_w_list
 from derivsamp.signals import read_signal_csv
 
-from conftest import kernel_table_from_csv
+from conftest import coeff, kernel_table_from_csv
 
 
 def test_exit_codes(tmp_path):
@@ -87,6 +88,26 @@ def test_approx_internal_failure_is_numerical_exit(monkeypatch, capsys):
     assert "insufficient" in err and "irrational" not in err
 
 
+def test_tau_grid_past_bound_is_numerical_exit(monkeypatch, capsys):
+    # f1 at delta = 1e-9 would need 1.92e11 quadrature cells; numpy is
+    # swapped for a namespace that builds no array, so the bound must stop
+    # both runs before one exists
+    monkeypatch.setattr(smoothness, "np", SimpleNamespace(integer=np.integer))
+    for flags, name in ((["--delta", "1e-9"], "delta"),
+                        (["--grid-n", str(smoothness._MAX_SEARCH_N + 1)], "search_n")):
+        assert main(["tau", *flags]) == 3
+        assert name in capsys.readouterr().err
+
+
+def test_memory_error_is_numerical_exit(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli, "tau_modulus", exhausted)
+    assert main(["tau", "--delta", "0.1"]) == 3
+    assert capsys.readouterr().err == "error: Unable to allocate\n"
+
+
 def test_approx_unknown_signal():
     assert main(["approx", "--m", "3", "--rho", "2", "--W", "4",
                  "--signal", "f9"]) == 2
@@ -117,7 +138,7 @@ def test_kernel_dump_roundtrip(tmp_path):
     assert text.startswith("# derivsamp v1,")
     table = kernel_table_from_csv(out)
     assert table.kappa.m == 3 and table.kappa.rho == 2
-    assert table.coeff(0, 0, -1) == pytest.approx(1.0, abs=1e-12)
+    assert coeff(table, 0, 0, -1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tau_ladder(tmp_path):

@@ -16,7 +16,10 @@ from derivsamp.kernel import (
 )
 from derivsamp.symbol import Kappa, NotCISError, build_symbol, check_cis
 
+from derivsamp.cli import main
+
 from conftest import (
+    coeff,
     eval_q,
     eval_unit,
     inv_symbol_coeffs_reference,
@@ -128,15 +131,15 @@ def test_q3_coefficients_golden(table_q3):
     # the symbol has rational coefficients, so the table is real
     assert t.coeffs.dtype == np.float64
     # the inverse symbol is a Laurent polynomial here: one nonzero column
-    assert t.coeff(0, 0, -1) == pytest.approx(1.0, abs=1e-12)
-    assert t.coeff(1, 0, -1) == pytest.approx(1.0, abs=1e-12)
-    assert t.coeff(0, 1, -1) == pytest.approx(-0.5, abs=1e-12)
-    assert t.coeff(1, 1, -1) == pytest.approx(0.5, abs=1e-12)
+    assert coeff(t, 0, 0, -1) == pytest.approx(1.0, abs=1e-12)
+    assert coeff(t, 1, 0, -1) == pytest.approx(1.0, abs=1e-12)
+    assert coeff(t, 0, 1, -1) == pytest.approx(-0.5, abs=1e-12)
+    assert coeff(t, 1, 1, -1) == pytest.approx(0.5, abs=1e-12)
     for v in range(-t.radius, t.radius + 1):
         for j in range(2):
             for i in range(2):
                 if v != -1:
-                    assert abs(t.coeff(j, i, v)) <= 1e-12
+                    assert abs(coeff(t, j, i, v)) <= 1e-12
     assert t.tail_bound <= 1e-10
 
 
@@ -157,7 +160,7 @@ def test_q4_coefficients_golden(table_q4):
     ]
     for j in range(3):
         for i in range(3):
-            assert t.coeff(j, i, -1) == pytest.approx(want[j][i], abs=1e-12)
+            assert coeff(t, j, i, -1) == pytest.approx(want[j][i], abs=1e-12)
     for v in range(-t.radius, t.radius + 1):
         if v == -1:
             continue
@@ -182,10 +185,10 @@ def test_q4_half_shift_closed_form(table_q4h):
         return 4.0 * r / (9.0 * s) * (r ** abs(n + 2) + 23.0 * r ** abs(n + 1))
 
     for n in range(-10, 11):
-        assert t.coeff(0, 0, n) == pytest.approx(c00(n), abs=1e-10)
-        assert t.coeff(0, 1, n) == pytest.approx(c01(n), abs=1e-10)
-        assert t.coeff(1, 0, n) == pytest.approx(c10(n), abs=1e-10)
-        assert t.coeff(1, 1, n) == pytest.approx(c11(n), abs=1e-10)
+        assert coeff(t, 0, 0, n) == pytest.approx(c00(n), abs=1e-10)
+        assert coeff(t, 0, 1, n) == pytest.approx(c01(n), abs=1e-10)
+        assert coeff(t, 1, 0, n) == pytest.approx(c10(n), abs=1e-10)
+        assert coeff(t, 1, 1, n) == pytest.approx(c11(n), abs=1e-10)
 
 
 def test_q4_half_shift_decay_rate(table_q4h):
@@ -195,7 +198,7 @@ def test_q4_half_shift_decay_rate(table_q4h):
     # n needs c(n + 1) to 1 %, and c(13) = -6.5e-16 carries roundoff errors
     # up to 3.5e-17, about one ulp of the peak 0.13, so n stops at 11
     for n in (5, 8, 11):
-        ratio = abs(t.coeff(0, 0, n + 1)) / abs(t.coeff(0, 0, n))
+        ratio = abs(coeff(t, 0, 0, n + 1)) / abs(coeff(t, 0, 0, n))
         assert ratio == pytest.approx(r, abs=1e-3)
     assert t.tail_bound <= 1e-9
 
@@ -264,7 +267,9 @@ def test_moment_fourier_rejects_bad_degree(table_q3):
 
 def test_csv_roundtrip(tmp_path, table_q4h):
     path = tmp_path / "kernel.csv"
-    path.write_text(table_q4h.to_csv())
+    # the fixture's (4, 1/2, 2) at its tol, through the CLI that writes the format
+    argv = ["kernel-dump", "--m", "4", "--a", "1/2", "--rho", "2", "--tol", "1e-13"]
+    assert main([*argv, "--out", str(path)]) == 0
     back = kernel_table_from_csv(path)
     assert back.kappa == table_q4h.kappa
     assert back.radius == table_q4h.radius
@@ -277,16 +282,6 @@ def test_csv_rejects_foreign_file(tmp_path):
     p.write_text("j,i,v,c\n0,0,0,1.0\n")
     with pytest.raises(ValueError):
         kernel_table_from_csv(p)
-
-
-def test_coeff_index_range(table_q3):
-    # numpy's negative indexing must not hand out another entry
-    v = table_q3.radius
-    assert table_q3.coeff(1, 0, 0) == table_q3.coeffs[1, 0, v]
-    assert table_q3.coeff(0, 0, v + 1) == 0.0
-    for j, i in ((-1, 0), (0, -1), (2, 0), (0, 2)):
-        with pytest.raises(ValueError, match="out of range"):
-            table_q3.coeff(j, i, 0)
 
 
 def test_theta_channel_range(table_q3):

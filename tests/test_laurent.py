@@ -10,9 +10,10 @@ import pytest
 
 from derivsamp.laurent import (
     LaurentPoly,
+    _certificate,
+    _vanishes_on_circle,
     circle_values,
     laurent_det,
-    roots_unit_circle,
 )
 from derivsamp.symbol import Kappa, build_symbol
 
@@ -266,6 +267,12 @@ def _poly_from_roots(roots, scale=Fraction(1)) -> LaurentPoly:
     return to_laurent(p)
 
 
+def _certify(p: LaurentPoly):
+    """The certificate of the nonzero p, as `CisReport.certificate` builds
+    it for a determinant: the exact verdict and its float diagnostics."""
+    return _certificate(p, "vanishing" if _vanishes_on_circle(p) else "nonvanishing")
+
+
 def test_circle_certificate_detects_on_circle_roots():
     rng = np.random.default_rng(27)
     for _ in range(25):
@@ -273,18 +280,18 @@ def test_circle_certificate_detects_on_circle_roots():
         on = 1 if rng.integers(2) else -1
         noise = [(Fraction(3, 2), Fraction(int(rng.integers(-5, 6)), 10))]
         p = _poly_from_roots([on] + noise)
-        cert = roots_unit_circle(p)
+        cert = _certify(p)
         assert cert.verdict == "vanishing"
         assert cert.min_modulus <= 1e-9
     # conjugate pair exactly on the circle (float cosine, still machine-close)
     for k in (1, 7, 100):
         c = Fraction(math.cos(2 * math.pi * k / 4096))
         p = lp(0, [Fraction(1), -2 * c, Fraction(1)])
-        cert = roots_unit_circle(p)
+        cert = _certify(p)
         assert cert.verdict == "vanishing"
     # double conjugate pair on the circle, (z^2 - 6/5 z + 1)^2
     pair = (Fraction(1), Fraction(3, 5))
-    assert roots_unit_circle(_poly_from_roots([pair, pair])).verdict == "vanishing"
+    assert _certify(_poly_from_roots([pair, pair])).verdict == "vanishing"
 
 
 def test_circle_certificate_clears_off_circle_roots():
@@ -295,7 +302,7 @@ def test_circle_certificate_clears_off_circle_roots():
             rad = Fraction(9, 10) if rng.integers(2) else Fraction(11, 10)
             roots.append((rad, Fraction(int(rng.integers(-9, 10)), 10)))
         p = _poly_from_roots(roots)
-        cert = roots_unit_circle(p)
+        cert = _certify(p)
         assert cert.verdict == "nonvanishing"
         assert cert.min_modulus > 0
         assert cert.root_margin > 1e-3
@@ -303,12 +310,12 @@ def test_circle_certificate_clears_off_circle_roots():
     for eps in (Fraction(1, 10**10), Fraction(1, 10**13)):
         r = 1 + eps
         for roots in ([r, 1 / r], [(r, Fraction(3, 5))]):
-            assert roots_unit_circle(_poly_from_roots(roots)).verdict == "nonvanishing"
+            assert _certify(_poly_from_roots(roots)).verdict == "nonvanishing"
 
 
 def test_circle_certificate_monomial():
     # z^k never vanishes on the circle
-    cert = roots_unit_circle(to_laurent(Z * Z))
+    cert = _certify(to_laurent(Z * Z))
     assert cert.verdict == "nonvanishing"
     assert cert.min_modulus == pytest.approx(1.0, abs=1e-12)
 
@@ -330,7 +337,7 @@ def test_circle_certificate_min_modulus_matches_full_grid():
         Kappa(12, Fraction(1, 3), 2), Kappa(12, Fraction(2, 5), 5),
     )]
     for p in polys:
-        cert = roots_unit_circle(p)
+        cert = _certify(p)
         assert cert.verdict == "nonvanishing", str(p)
         want = circle_min_modulus_reference(p)
         assert cert.min_modulus == pytest.approx(want, rel=1e-12, abs=0), str(p)
@@ -341,7 +348,7 @@ def test_circle_certificate_min_modulus_matches_full_grid():
 
 def test_dominant_coeff_sufficient_condition():
     strong = lp(0, [Fraction(1), Fraction(-10), Fraction(1)])
-    assert roots_unit_circle(strong).verdict == "nonvanishing"
+    assert _certify(strong).verdict == "nonvanishing"
 
 
 def _reference_verdict(p: LaurentPoly) -> str:
@@ -371,7 +378,7 @@ def test_circle_certificate_matches_fraction_oracle():
         q = int(rng.integers(1, 7))
         a = Fraction(int(rng.integers(0, rho * q)), q)
         det = det_symbol(Kappa(m, a, rho))
-        verdict = roots_unit_circle(det).verdict
+        verdict = _certify(det).verdict
         assert verdict == _reference_verdict(det), (m, a, rho)
         verdicts.add(verdict)
     assert verdicts == {"vanishing", "nonvanishing"}
@@ -397,6 +404,6 @@ def test_circle_certificate_matches_fraction_oracle():
             p = p * FracPoly.make(0, [Fraction(1), -2 * c, Fraction(1)])
         p = to_laurent(p.shift(int(rng.integers(-3, 4))))
         want = _reference_verdict(p)
-        assert roots_unit_circle(p).verdict == want, str(p)
+        assert _certify(p).verdict == want, str(p)
         counts[want] += 1
     assert min(counts.values()) >= 50

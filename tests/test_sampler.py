@@ -10,6 +10,7 @@ import pytest
 
 from derivsamp import sampler
 from derivsamp.bspline import bspline_series
+from derivsamp.kernel import theta_eval
 from derivsamp.laurent import circle_values
 from derivsamp.sampler import (
     _TRIAL_LEN,
@@ -23,7 +24,6 @@ from derivsamp.sampler import (
     approx_error,
     frame_bounds,
     grid_for_window,
-    sw_spline_coeffs,
     take_samples,
     verify_sampling_inequality,
 )
@@ -267,8 +267,6 @@ def test_table_for_another_kappa_is_rejected(table_q4h):
     grid = grid_for_window(KAPPA_Q3, 1.0, 0.0, 5.0, table_q4h)
     samples = take_samples(SplineElement(3, 0, np.ones(6)), grid)
     with pytest.raises(ValueError, match="does not match"):
-        sw_spline_coeffs(samples, grid, table_q4h)
-    with pytest.raises(ValueError, match="does not match"):
         apply_sw(samples, grid, table_q4h, np.linspace(0.0, 5.0, 11))
 
 
@@ -281,13 +279,18 @@ def test_required_l_range_brackets_support(table_q3):
 
 
 def test_sw_coeffs_shape_and_base(table_q3):
-    grid = SampleGrid(KAPPA_Q3, 1.0, -2, 5)
-    samples = np.zeros((8, 2))
-    n_lo, e = sw_spline_coeffs(samples, grid, table_q3)
-    assert n_lo == 2 * (-2 - table_q3.radius)
-    assert e.shape == (2 * (8 + 2 * table_q3.radius),)
-    with pytest.raises(ValueError):
-        sw_spline_coeffs(np.zeros((8, 3)), grid, table_q3)
+    # one unit sample at (l, i) collapses to W^-i Theta_i(W t - rho l), so the
+    # collapsed coefficients sit at their lattice base for every channel
+    w, ts = 2.0, np.linspace(-1.0, 1.0, 41)
+    grid = grid_for_window(KAPPA_Q3, w, -1.0, 1.0, table_q3)
+    n = grid.l_hi - grid.l_lo + 1
+    for l, i in ((grid.l_lo, 0), (0, 1), (1, 0), (grid.l_hi, 1)):
+        samples = np.zeros((n, 2))
+        samples[l - grid.l_lo, i] = 1.0
+        want = w ** (-i) * theta_eval(table_q3, i, w * ts - 2 * l)
+        np.testing.assert_allclose(apply_sw(samples, grid, table_q3, ts), want, rtol=0, atol=1e-13)
+    with pytest.raises(ValueError, match=r"samples must have shape \(L, 2\)"):
+        apply_sw(np.zeros((n, 3)), grid, table_q3, ts)
 
 
 def test_discrete_norm():

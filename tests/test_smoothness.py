@@ -3,6 +3,7 @@ search against a brute-force (t, h) grid search, scaling inequalities, and
 log-log order fits."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -259,6 +260,23 @@ def test_tau_modulus_rejects_out_of_range(kwargs):
     args = {"r": 2, "delta": 0.1, "p": 2.0, **kwargs}
     with pytest.raises(ValueError, match="^need"):
         tau_modulus(channel(get_signal("f1"), 0), **args)
+
+
+def test_tau_modulus_bounds_its_grid(monkeypatch):
+    # numpy is swapped for a namespace that builds no array: a value past a
+    # bound must raise ValueError before any array, and a value at the bound
+    # gets through to the first array, which raises AttributeError here
+    monkeypatch.setattr(smoothness, "np", SimpleNamespace(integer=np.integer))
+    ch = channel(get_signal("f1"), 0)
+    cells, steps = smoothness._MAX_CELLS, smoothness._MAX_SEARCH_N
+    args = {"r": 2, "p": 2.0, "domain": (0.0, 1.0)}  # 8 / delta cells
+    with pytest.raises(ValueError, match="delta"):
+        tau_modulus(ch, delta=8.0 / (cells + 1), **args)
+    with pytest.raises(ValueError, match="search_n"):
+        tau_modulus(ch, delta=0.1, search_n=steps + 1, **args)
+    for at_bound in ({"delta": 8.0 / cells}, {"delta": 0.1, "search_n": steps}):
+        with pytest.raises(AttributeError):
+            tau_modulus(ch, **at_bound, **args)
 
 
 def test_tau_modulus_counts_evaluations():
