@@ -205,6 +205,10 @@ class BoundsReport:
 
 # Grid size in t of the frame constants, unless a caller asks for another.
 _FRAME_GRID_N = 1024
+# Largest grid_n that frame_bounds takes, 16 times the largest that tests use
+# (4096): circle_values allocates grid_n rho^2 slots before anything else
+# could refuse.
+_FRAME_MAX_GRID_N = 1 << 16
 # The frame constants solve eigenvalues exactly on every this-many-th point
 # of the half circle (and its last point) before screening the rest.
 _FRAME_COARSE_STEP = 16
@@ -217,57 +221,83 @@ def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     with t in [0, 1/2] (s <= grid_n // 2, odd grid_n included) give the
     extremes of the whole grid.
 
-    Eigenvalues of G = Psi* Psi are solved on every 16th of those points
-    and the last one, giving lo >= A and hi <= B.  An LDL^H test that
-    G - (lo + s) I and (hi - s) I - G are positive definite, s = 1e-12 hi,
-    rules out most other points, and only the rest are solved.  A ruled-out
-    point cannot hold an extreme, so A and B are the same floats as from
-    every point's eigenvalues.
+    Eigenvalues of G = Psi* Psi, formed by np.matmul, are solved on every
+    16th of those points and the last one, giving lo >= A and hi <= B.  An
+    LDL^H test that G - (lo + s) I and (hi - s) I - G are positive definite,
+    s = 1e-12 hi, on a Gram summed row by row, rules out most other points,
+    and only the rest are formed by np.matmul and solved.  A ruled-out point
+    cannot hold an extreme, so A and B are the same floats as from every
+    point's eigenvalues.
 
-    Raises ValueError unless grid_n is an integer >= 64."""
-    if not isinstance(grid_n, (int, np.integer)) or grid_n < 64:
-        raise ValueError(f"grid_n must be an integer >= 64, got {grid_n!r}")
+    Raises ValueError, before any array exists, unless grid_n is an integer
+    in [64, _FRAME_MAX_GRID_N]."""
+    if not isinstance(grid_n, (int, np.integer)) or not 64 <= grid_n <= _FRAME_MAX_GRID_N:
+        raise ValueError(
+            f"grid_n must be an integer in [64, {_FRAME_MAX_GRID_N}], got {grid_n!r}"
+        )
     return _frame_bounds(kappa, build_symbol(kappa), grid_n)
 
 
 def _positive_definite(h: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the stack h (N, r, r) is positive definite:
+    """Whether each matrix of the stack h (..., r, r) is positive definite:
     LDL^H elimination without pivoting, all r pivots > 0 (Sylvester).  Reads
     the lower triangle and real diagonal, as eigvalsh does; overwrites h."""
-    ok = np.ones(h.shape[0], dtype=bool)
-    for k in range(h.shape[1]):
-        pivot = h[:, k, k].real
+    ok = np.ones(h.shape[:-2], dtype=bool)
+    for k in range(h.shape[-1]):
+        pivot = h[..., k, k].real
         ok &= pivot > 0
-        col = h[:, k + 1 :, k]
+        col = h[..., k + 1 :, k]
         # a failed matrix is decided: divide it by 1, never by a pivot <= 0
-        row = col.conj() / np.where(ok, pivot, 1.0)[:, None]
-        h[:, k + 1 :, k + 1 :] -= col[:, :, None] * row[:, None, :]
+        row = col.conj() / np.where(ok, pivot, 1.0)[..., None]
+        h[..., k + 1 :, k + 1 :] -= col[..., :, None] * row[..., None, :]
     return ok
 
 
+def _gram_eigvalsh(psi: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Psi* Psi for each matrix of the stack psi."""
+    return np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
+
+
 def _frame_bounds(kappa: Kappa, rows, grid_n: int) -> BoundsReport:
+    """Frame constants on the half circle of grid_n points (see frame_bounds):
+    np.matmul and eigvalsh on the coarse points and the points the screen
+    keeps, one LDL^H screen over every point on a row-summed Gram."""
     psi = circle_values(rows, grid_n)
-    gram = np.matmul(psi.conj().transpose(0, 2, 1), psi)
-    coarse = np.zeros(len(gram), dtype=bool)
+    n, r = psi.shape[:2]
+    coarse = np.zeros(n, dtype=bool)
     coarse[::_FRAME_COARSE_STEP] = coarse[-1] = True
-    lam = np.linalg.eigvalsh(gram[coarse])
+    lam = _gram_eigvalsh(psi[coarse])
     lo, hi = lam[:, 0].min(), lam[:, -1].max()
-    # eigvalsh solves each matrix of a stack on its own, so a point's
-    # eigenvalues are the same floats in any subset.  A point passing both
-    # tests has lambda_min >= lo + s - O(r^2 u |G|) > lo and lambda_max <=
-    # hi - s + O(r^2 u |G|) < hi, also as eigvalsh rounds them, so it can hold
-    # neither extreme and A, B equal the full stack's.  A flat spectrum (Q3)
-    # passes nowhere and every point is solved.
+    # np.matmul and eigvalsh handle each matrix of a stack on its own, so a
+    # point's eigenvalues are the same floats in any subset.  The screen's
+    # Gram sum_k conj(Psi[k, i]) Psi[k, j] is summed in another order and
+    # differs from np.matmul's by O(r^2 u hi), which the margin s absorbs, as
+    # it absorbs the LDL^H test's backward error (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2002, ch. 10).  A point passing both
+    # tests has lambda_min >= lo + s - O(r^2 u hi) > lo and lambda_max <=
+    # hi - s + O(r^2 u hi) < hi, also as eigvalsh rounds them, so it can
+    # hold neither extreme and A, B equal the full stack's.  A flat spectrum
+    # (Q3) passes nowhere and every point is solved.
     s = 1e-12 * hi
-    eye = np.eye(gram.shape[1])
-    # one buffer for both shifted stacks, points on the last axis so that
-    # every elimination step runs along contiguous memory
-    shifted = np.empty(gram.shape[1:] + gram.shape[:1], dtype=gram.dtype).transpose(2, 0, 1)
-    inside = _positive_definite(np.subtract(gram, (lo + s) * eye, out=shifted))
-    inside &= _positive_definite(np.subtract((hi - s) * eye, gram, out=shifted))
-    rest = ~(inside | coarse)
+    # G - (lo + s) I and (hi - s) I - G in the two halves of one buffer,
+    # points on the last axis so that every step runs along contiguous
+    # memory.  The halves do not interleave, so numpy copies neither when
+    # one is read into the other; the second holds each row's product until
+    # G is done.
+    shifted = np.empty((2, r, r, n), dtype=psi.dtype)
+    gram, term = shifted
+    p = psi.transpose(1, 2, 0)
+    np.multiply(p[0].conj()[:, None], p[0], out=gram)
+    for k in range(1, r):
+        gram += np.multiply(p[k].conj()[:, None], p[k], out=term)
+    np.negative(gram, out=term)
+    diag = shifted.reshape(2, r * r, n)[:, :: r + 1]
+    diag[0] -= lo + s
+    diag[1] += hi - s
+    ok = _positive_definite(shifted.transpose(0, 3, 1, 2))
+    rest = ~((ok[0] & ok[1]) | coarse)
     if rest.any():
-        lam = np.concatenate([lam, np.linalg.eigvalsh(gram[rest])])
+        lam = np.concatenate([lam, _gram_eigvalsh(psi[rest])])
     lower = float(lam[:, 0].min())
     upper = float(lam[:, -1].max())
     return BoundsReport(kappa, lower, upper, upper / riesz_lower_bound(kappa.m))

@@ -46,6 +46,11 @@ _BLOCK_ELEMENTS = 1 << 18
 # and search_n = 64; 2^22 cells is f1 down to delta = 4.6e-5.
 _MAX_CELLS = 1 << 22
 _MAX_SEARCH_N = 1 << 13
+# Largest difference order r: the binomial signs comb(r, j) are exact floats
+# up to r = 56 (comb(57, 28) > 2^53), which the exact rounding of
+# _lattice_moduli needs, and _jump_points builds 16 (r + 1) candidates per
+# special point.
+_MAX_ORDER = 56
 
 
 def _jump_points(f, r: int, delta: float) -> np.ndarray:
@@ -153,8 +158,8 @@ def _lattice_moduli(f, signs: np.ndarray, offsets: np.ndarray, xs: np.ndarray, s
 
 
 def _check_search(r: int, delta: float, search_n: int) -> None:
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError(f"need an integer order r >= 1, got r={r!r}")
+    if not isinstance(r, (int, np.integer)) or not 1 <= r <= _MAX_ORDER:
+        raise ValueError(f"need an integer order r in [1, {_MAX_ORDER}], got r={r!r}")
     if not 0 < delta < math.inf:
         raise ValueError(f"need a finite delta > 0, got delta={delta!r}")
     if not isinstance(search_n, (int, np.integer)) or not 64 <= search_n <= _MAX_SEARCH_N:
@@ -184,8 +189,8 @@ def tau_modulus(
     local modulus over domain, by default f's support_hint widened by
     r delta on each side, on the fewest equal cells no wider than delta/8
     (grid_meta["quad_step"] is their width).  Raises ValueError, before
-    any array is built, when that grid would exceed _MAX_CELLS cells or
-    search_n is outside [64, _MAX_SEARCH_N]."""
+    any array is built, when that grid would exceed _MAX_CELLS cells, r is
+    outside [1, _MAX_ORDER] or search_n is outside [64, _MAX_SEARCH_N]."""
     _check_search(r, delta, search_n)
     if not 1 <= p < math.inf:
         raise ValueError(f"need finite p >= 1, got p={p!r}")

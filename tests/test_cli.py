@@ -94,9 +94,21 @@ def test_tau_grid_past_bound_is_numerical_exit(monkeypatch, capsys):
     # both runs before one exists
     monkeypatch.setattr(smoothness, "np", SimpleNamespace(integer=np.integer))
     for flags, name in ((["--delta", "1e-9"], "delta"),
-                        (["--grid-n", str(smoothness._MAX_SEARCH_N + 1)], "search_n")):
+                        (["--grid-n", str(smoothness._MAX_SEARCH_N + 1)], "search_n"),
+                        (["--r", str(smoothness._MAX_ORDER + 1)], "r=57"),
+                        (["--r", "1000000000"], "r=1000000000")):
         assert main(["tau", *flags]) == 3
         assert name in capsys.readouterr().err
+
+
+def test_frame_grid_past_bound_is_numerical_exit(monkeypatch, capsys):
+    # the sampler's numpy is swapped for a namespace that builds no array,
+    # so the bound must stop both subcommands before circle_values runs
+    monkeypatch.setattr(sampler, "np", SimpleNamespace(integer=np.integer))
+    too_big = str(sampler._FRAME_MAX_GRID_N + 1)
+    for cmd in ("bounds", "check"):
+        assert main([cmd, "--m", "3", "--a", "0", "--rho", "2", "--grid-n", too_big]) == 3
+        assert "grid_n" in capsys.readouterr().err
 
 
 def test_memory_error_is_numerical_exit(monkeypatch, capsys):

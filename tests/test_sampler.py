@@ -367,16 +367,24 @@ def test_frame_bounds_screen_keeps_full_stack_extremes():
 
 
 def test_frame_bounds_solves_few_points(monkeypatch):
-    rows = []
-    eigvalsh = np.linalg.eigvalsh
+    # both eigvalsh and the np.matmul Gram see only the points solved, so a
+    # product over the whole stack cannot come back unnoticed
+    rows = {"eigvalsh": [], "matmul": []}
+    eigvalsh, matmul = np.linalg.eigvalsh, np.matmul
 
     def counting_eigvalsh(h):
-        rows.append(len(h))
+        rows["eigvalsh"].append(len(h))
         return eigvalsh(h)
 
+    def counting_matmul(a, b):
+        rows["matmul"].append(len(a))
+        return matmul(a, b)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
     frame_bounds(Kappa(12, Fraction(2, 5), 5), grid_n=1024)
-    assert sum(rows) <= 64, rows  # of the 513 half-circle points
+    for name, counts in rows.items():
+        assert 0 < sum(counts) <= 64, (name, counts)  # of the 513 half-circle points
 
 
 def test_positive_definite_matches_eigvalsh():
@@ -389,6 +397,8 @@ def test_positive_definite_matches_eigvalsh():
         expected = np.linalg.eigvalsh(h)[:, 0] > 0
         assert 0 < expected.sum() < len(h)
         assert (_positive_definite(h.copy()) == expected).all(), r
+        # leading axes are a stack too, as the frame constants' two screens
+        assert (_positive_definite(h.reshape(2, 100, r, r).copy()) == expected.reshape(2, 100)).all()
     special = np.array([
         [[1, 1j, 0], [-1j, 1, 0], [0, 0, 1]],  # singular: the second pivot is 0
         [[2, 1j, 0], [-1j, 2, 1], [0, 1, -1]],  # pivots 2, 3/2, -5/3
@@ -408,6 +418,27 @@ def test_frame_bounds_validation():
         frame_bounds(KAPPA_Q3, grid_n=16)
     with pytest.raises(ValueError, match="integer"):
         frame_bounds(KAPPA_Q3, 100.5)
+
+
+def test_frame_bounds_bounds_its_grid(monkeypatch):
+    # numpy and the circle evaluator are swapped for stand-ins that build no
+    # array: a grid_n past the cap must raise ValueError before any array,
+    # and one at the cap gets through to circle_values
+    cap = sampler._FRAME_MAX_GRID_N
+    reached = []
+
+    def no_circle_values(rows, n):
+        reached.append(n)
+        raise LookupError("circle_values reached")
+
+    monkeypatch.setattr(sampler, "np", SimpleNamespace(integer=np.integer))
+    monkeypatch.setattr(sampler, "circle_values", no_circle_values)
+    with pytest.raises(ValueError, match="grid_n"):
+        frame_bounds(KAPPA_Q3, grid_n=cap + 1)
+    assert reached == []
+    with pytest.raises(LookupError):
+        frame_bounds(KAPPA_Q3, grid_n=cap)
+    assert reached == [cap]
 
 
 def test_approx_error_rejects_non_integer_grid(table_q3):

@@ -274,9 +274,15 @@ def test_tau_modulus_bounds_its_grid(monkeypatch):
         tau_modulus(ch, delta=8.0 / (cells + 1), **args)
     with pytest.raises(ValueError, match="search_n"):
         tau_modulus(ch, delta=0.1, search_n=steps + 1, **args)
-    for at_bound in ({"delta": 8.0 / cells}, {"delta": 0.1, "search_n": steps}):
+    # an order past the bound would build its jump candidates and binomial
+    # signs in Python loops of r + 1 steps, and its signs stop being exact
+    for r in (smoothness._MAX_ORDER + 1, 10**9):
+        with pytest.raises(ValueError, match=f"r={r}"):
+            tau_modulus(ch, delta=0.1, **{**args, "r": r})
+    for at_bound in ({"delta": 8.0 / cells}, {"delta": 0.1, "search_n": steps},
+                     {"delta": 0.1, "r": smoothness._MAX_ORDER}):
         with pytest.raises(AttributeError):
-            tau_modulus(ch, **at_bound, **args)
+            tau_modulus(ch, **{**args, **at_bound})
 
 
 def test_tau_modulus_counts_evaluations():
