@@ -12,9 +12,13 @@ numerators alone, as lists of ints, constant term first:
 the determinant shifts each column to nonnegative exponents, packs each
 integer polynomial into one integer by Kronecker substitution and runs
 fraction-free Bareiss elimination on those, over the product of the row
-denominators; the certificate takes a gcd with the reversed polynomial,
-substitutes x = z + 1/z and counts roots with a Sturm sequence, all by
-sign-correct primitive pseudo-remainders.  Every float coefficient is
+denominators; the certificate first takes one integer gcd of the
+polynomial's and its reverse's values at a Kronecker point x = 2^K with
+x >= 2 + 2 max|coefficient|, and a gcd of at most x/2 proves the two
+coprime (the bound of GCDHEU, Char, Geddes & Gonnet, J. Symbolic Comput.
+1989), so no zero lies on the circle; otherwise it takes their polynomial
+gcd, substitutes x = z + 1/z and counts roots with a Sturm sequence, all
+by sign-correct primitive pseudo-remainders.  Every float coefficient is
 numerator / den, which Python rounds correctly, as float(Fraction) does.
 """
 
@@ -272,10 +276,32 @@ def _sturm_roots(h: list[int], lo: int, hi: int) -> int:
     return _sign_changes(seq, lo) - _sign_changes(seq, hi)
 
 
+def _coprime_to_reverse(q: list[int]) -> bool:
+    """True only if gcd(q, reverse q) = 1, for q with nonzero end
+    coefficients; one integer gcd, after the heuristic gcd GCDHEU (Char,
+    Geddes & Gonnet, J. Symbolic Comput. 1989).
+
+    At x = 2^K >= 2 + 2 max|q_k|, a common factor g of positive degree has
+    its roots among those of q, inside Cauchy's bound |zeta| < 1 + max|q_k|
+    <= x/2, so |g(x)| > x/2.  Taken primitive, g divides q and reverse q
+    over the integers (Gauss's lemma), so g(x) divides the nonzero
+    gamma = gcd(q(x), reverse q(x)).  |gamma| <= x/2 leaves no such g; a
+    False proves nothing.
+    """
+    x = 2 << (max(abs(c) for c in q) + 1).bit_length()
+    return 2 * math.gcd(_eval(q, x), _eval(q[::-1], x)) <= x
+
+
 def _vanishes_on_circle(p: LaurentPoly) -> bool:
     """Exact test whether the nonzero Laurent polynomial p has a zero on
-    |z| = 1, on its integer numerators."""
+    |z| = 1, on its integer numerators q.  One integer gcd at a Kronecker
+    point x >= 2 + 2 max|q_k| decides first when its value is at most x/2,
+    which proves q coprime to its reverse (GCDHEU's bound, see
+    `_coprime_to_reverse`), as it does for every asymmetric symbol
+    determinant; otherwise the remainder sequence and Sturm count decide."""
     q = list(p.coeffs)
+    if _coprime_to_reverse(q):
+        return False
     g = _gcd(q, q[::-1])
     if len(g) == 1:
         return False

@@ -227,7 +227,8 @@ def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     s = 1e-12 hi, on a Gram summed row by row, rules out most other points,
     and only the rest are formed by np.matmul and solved.  A ruled-out point
     cannot hold an extreme, so A and B are the same floats as from every
-    point's eigenvalues.
+    point's eigenvalues.  A symbol whose columns are monomials has the same
+    spectrum at every point, and every point is solved without the screen.
 
     Raises ValueError, before any array exists, unless grid_n is an integer
     in [64, _FRAME_MAX_GRID_N]."""
@@ -247,8 +248,8 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
         pivot = h[..., k, k].real
         ok &= pivot > 0
         col = h[..., k + 1 :, k]
-        # a failed matrix is decided: divide it by 1, never by a pivot <= 0
-        row = col.conj() / np.where(ok, pivot, 1.0)[..., None]
+        # a failed matrix is decided: scale it by 1, never by 1 / pivot <= 0
+        row = col.conj() * (1.0 / np.where(ok, pivot, 1.0))[..., None]
         h[..., k + 1 :, k + 1 :] -= col[..., :, None] * row[..., None, :]
     return ok
 
@@ -258,11 +259,11 @@ def _gram_eigvalsh(psi: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
 
 
-def _frame_bounds(kappa: Kappa, rows, grid_n: int) -> BoundsReport:
-    """Frame constants on the half circle of grid_n points (see frame_bounds):
-    np.matmul and eigvalsh on the coarse points and the points the screen
-    keeps, one LDL^H screen over every point on a row-summed Gram."""
-    psi = circle_values(rows, grid_n)
+def _screened_eigvalsh(psi: np.ndarray) -> np.ndarray:
+    """Eigenvalues of Psi* Psi at the points of the stack psi that can hold
+    an extreme (see frame_bounds): np.matmul and eigvalsh on the coarse
+    points and the points the screen keeps, one LDL^H screen over every
+    point on a row-summed Gram."""
     n, r = psi.shape[:2]
     coarse = np.zeros(n, dtype=bool)
     coarse[::_FRAME_COARSE_STEP] = coarse[-1] = True
@@ -276,8 +277,7 @@ def _frame_bounds(kappa: Kappa, rows, grid_n: int) -> BoundsReport:
     # Stability of Numerical Algorithms, 2002, ch. 10).  A point passing both
     # tests has lambda_min >= lo + s - O(r^2 u hi) > lo and lambda_max <=
     # hi - s + O(r^2 u hi) < hi, also as eigvalsh rounds them, so it can
-    # hold neither extreme and A, B equal the full stack's.  A flat spectrum
-    # (Q3) passes nowhere and every point is solved.
+    # hold neither extreme and A, B equal the full stack's.
     s = 1e-12 * hi
     # G - (lo + s) I and (hi - s) I - G in the two halves of one buffer,
     # points on the last axis so that every step runs along contiguous
@@ -298,6 +298,24 @@ def _frame_bounds(kappa: Kappa, rows, grid_n: int) -> BoundsReport:
     rest = ~((ok[0] & ok[1]) | coarse)
     if rest.any():
         lam = np.concatenate([lam, _gram_eigvalsh(psi[rest])])
+    return lam
+
+
+def _monomial_columns(rows) -> bool:
+    """Whether every column of the symbol is one power of z times constants."""
+    return all(
+        len({p.low for p in col if p.coeffs}) <= 1 and all(len(p.coeffs) <= 1 for p in col)
+        for col in zip(*rows)
+    )
+
+
+def _frame_bounds(kappa: Kappa, rows, grid_n: int) -> BoundsReport:
+    """Frame constants on the half circle of grid_n points (see frame_bounds).
+    When every column of the symbol is one monomial, Psi(z) = C diag(z^k_j)
+    and Psi* Psi = D* C^T C D with D unitary has the same spectrum at every
+    point, so the screen could rule out none: every point is solved."""
+    psi = circle_values(rows, grid_n)
+    lam = _gram_eigvalsh(psi) if _monomial_columns(rows) else _screened_eigvalsh(psi)
     lower = float(lam[:, 0].min())
     upper = float(lam[:, -1].max())
     return BoundsReport(kappa, lower, upper, upper / riesz_lower_bound(kappa.m))

@@ -11,6 +11,8 @@ import pytest
 from derivsamp.laurent import (
     LaurentPoly,
     _certificate,
+    _coprime_to_reverse,
+    _gcd,
     _vanishes_on_circle,
     circle_values,
     laurent_det,
@@ -407,3 +409,40 @@ def test_circle_certificate_matches_fraction_oracle():
         assert _certify(p).verdict == want, str(p)
         counts[want] += 1
     assert min(counts.values()) >= 50
+
+
+def test_integer_gcd_step_on_certify_grid():
+    # every determinant of the certify grid (rho 2-5, m <= 12, q <= 6): the
+    # one integer gcd never claims q coprime to its reverse where their
+    # polynomial gcd has positive degree, and it decides every determinant
+    # that is neither palindromic nor anti-palindromic
+    decided = 0
+    for rho in (2, 3, 4, 5):
+        shifts = sorted({Fraction(p, q) for q in range(1, 7) for p in range(rho * q)})
+        for m in range(rho + 1, 13):
+            for a in shifts:
+                q = list(det_symbol(Kappa(m, a, rho)).coeffs)
+                rev = q[::-1]
+                if _coprime_to_reverse(q):
+                    assert len(_gcd(q, rev)) == 1, (m, a, rho)
+                    decided += 1
+                else:
+                    assert q in (rev, [-c for c in rev]), (m, a, rho)
+    # the 1140 asymmetric determinants and the 14 monomials of 1368
+    assert decided == 1154
+
+
+def test_integer_gcd_step_falls_through():
+    # (z - 2)(2z - 1)(z + 3): the reciprocal pair 2, 1/2 is a common factor
+    # with the reverse, off the circle
+    p = LaurentPoly.make(0, [6, -13, 1, 2])
+    assert not _coprime_to_reverse(list(p.coeffs))
+    assert not _vanishes_on_circle(p)
+    assert _reference_verdict(p) == "nonvanishing"
+    # (z^2 - z + 1)(z + 3): zeros e^{+-i pi/3}, on the circle but off +-1, so
+    # the Sturm count decides
+    p = LaurentPoly.make(0, [3, -2, 2, 1])
+    assert not _coprime_to_reverse(list(p.coeffs))
+    assert all(sum(c * z**k for k, c in enumerate(p.coeffs)) for z in (1, -1))
+    assert _vanishes_on_circle(p)
+    assert _reference_verdict(p) == "vanishing"

@@ -387,6 +387,28 @@ def test_frame_bounds_solves_few_points(monkeypatch):
         assert 0 < sum(counts) <= 64, (name, counts)  # of the 513 half-circle points
 
 
+def test_frame_bounds_skips_screen_on_monomial_columns(monkeypatch):
+    # m = rho + 1 with an integer shift puts one monomial in each column of
+    # the symbol, Psi(z) = C diag(z^k_j), whose spectrum is the same at every
+    # point: every point is solved and the screen never runs.  Q4H's columns
+    # are not monomials and it is still screened.
+    calls = []
+    screen = sampler._positive_definite
+
+    def counting_screen(h):
+        calls.append(h.shape)
+        return screen(h)
+
+    monkeypatch.setattr(sampler, "_positive_definite", counting_screen)
+    for kappa in (KAPPA_Q3, KAPPA_Q4, Kappa(5, Fraction(0), 4)):
+        b = frame_bounds(kappa)
+        assert (b.lower, b.upper) == _full_stack_extremes(build_symbol(kappa), 1024), kappa
+        verify_sampling_inequality(kappa, n_trials=10)
+    assert calls == []
+    frame_bounds(KAPPA_Q4H)
+    assert len(calls) == 1
+
+
 def test_positive_definite_matches_eigvalsh():
     rng = np.random.default_rng(7)
     for r in (1, 2, 3, 5):
