@@ -18,6 +18,9 @@ pass runs over cache-sized blocks of points (Lam, Rothberg & Wolf, ASPLOS
 Fourier transforms use the convention f^(w) = int f(t) exp(-2 pi i w t) dt,
 so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m; `fourier_q_derivs` gives
 its derivatives of every order.
+`_check_range` is the package's one check of a caller-supplied number: every
+library function that takes a number with an admissible range calls it
+before any work, and it raises `ArgumentError`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
+    "ArgumentError",
     "bspline_series",
     "exact_lattice_values",
     "fourier_q_derivs",
@@ -39,19 +43,36 @@ __all__ = [
 _TWO_PI_I = 2j * math.pi
 
 
-def _check_order(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"spline order must be a positive integer, got {m!r}")
+class ArgumentError(ValueError):
+    """A number passed to the library lies outside its admissible range."""
 
 
-def _check_deriv_order(m: int, k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {k!r}")
-    if k > 0 and k > m - 2:
-        raise ValueError(
-            f"derivative order {k} not available for Q_{m}: need k <= m-2 "
-            "(higher derivatives are not continuous)"
-        )
+def _check_range(what: str, value, lo, hi=math.inf, *, integer=False, open_lo=False,
+                 open_hi=False, got=None) -> None:
+    """Raise ArgumentError, "need {what} in {interval}, got {got}", unless
+    value lies in the interval from lo to hi.  An integer range takes only a
+    Python or numpy integer and is closed; a float range is closed at each
+    end unless flagged open or infinite, and NaN lies in none.  got
+    defaults to "name=value", name the last word of what."""
+    open_lo = open_lo or lo == -math.inf
+    open_hi = open_hi or hi == math.inf
+    if integer:
+        if isinstance(value, (int, np.integer)) and lo <= value <= hi:
+            return
+    elif (lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi):
+        return
+    interval = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+    raise ArgumentError(
+        f"need {'an integer ' if integer else ''}{what} in {interval}, "
+        f"got {got or f'{what.split()[-1]}={value!r}'}"
+    )
+
+
+def _check_order(m: int, deriv: int = 0) -> None:
+    """Q_m needs an integer order m >= 1; its derivative of order deriv is
+    continuous for deriv <= m - 2, and deriv = 0 is plain evaluation."""
+    _check_range("spline order m", m, 1, integer=True)
+    _check_range("Q_m derivative order k", deriv, 0, max(0, m - 2), integer=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,8 +113,8 @@ def bspline_series(m: int, deriv: int, coeffs, k0: int, x):
     Points outside the support, +-inf included, give exactly 0.0, and NaN
     points give NaN.
     """
-    _check_order(m)
-    _check_deriv_order(m, deriv)
+    _check_order(m, deriv)
+    _check_range("knot k0", k0, -math.inf, integer=True)
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         return float(bspline_series(m, deriv, coeffs, k0, arr.reshape(1))[0])
@@ -107,7 +128,7 @@ def bspline_series(m: int, deriv: int, coeffs, k0: int, x):
     if len(c):
         pp[:, 1:n] = [np.convolve(c, col) for col in pieces.T]
     pp[-1, -1] = np.nan
-    lo = float(int(k0) - 1)
+    lo = float(k0 - 1)
     if arr.size <= _BLOCK_POINTS:
         return _horner(pp, lo, arr, None)
     out = np.empty(arr.shape)
@@ -145,12 +166,10 @@ def exact_lattice_values(m: int, u, d_max: int) -> tuple[list[list[int]], list[i
     u = s/q is a rational in [0, 1).  The numerators are not reduced against
     their denominator.
     """
-    _check_order(m)
-    _check_deriv_order(m, d_max)
+    _check_order(m, d_max)
     if not isinstance(u, Fraction):
         u = Fraction(u)
-    if not 0 <= u < 1:
-        raise ValueError(f"lattice offset must lie in [0, 1), got {u}")
+    _check_range("lattice offset u", u, 0, 1, open_hi=True)
     return _triangle(m, u.numerator, u.denominator, d_max)
 
 
@@ -209,8 +228,7 @@ def fourier_q_derivs(m: int, r: int, xi: float) -> np.ndarray:
     about 1e-12 relative for r <= 11, 1e-8 at r = 14.
     """
     _check_order(m)
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {r!r}")
+    _check_range("derivative order r", r, 0, integer=True)
     x = _C * float(xi)
     k = np.arange(r + 1)
     if abs(x) < _SERIES_RADIUS:

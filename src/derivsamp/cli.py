@@ -7,13 +7,14 @@ such line, the table's metadata).  Identical configurations
 produce byte-identical files: floats are serialized with repr (shortest
 round-trip form) and all row orders are fixed.
 
-This module parses arguments (range-checking every flag), formats CSV, and
-maps exceptions to exit codes in one place, main(): 0 success; 1 unstable
-configuration (NotCISError, an exact verdict); 2 usage error, including a
-malformed --signal-csv, --signal given together with --signal-csv, an
-unwritable --out, and sample nodes or approx reference points where the
-signal is undefined (SampleNodeError); 3 any other ValueError or
-ArithmeticError, a numerical failure, or a MemoryError.
+The library checks ranges; the CLI parses and maps exit codes.  This module
+parses arguments, formats CSV, and maps exceptions to exit codes in one
+place, main(): 0 success; 1 unstable configuration (NotCISError, an exact
+verdict); 2 usage error, including a number out of its range
+(ArgumentError), a malformed --signal-csv, --signal given together with
+--signal-csv, an unwritable --out, and sample nodes or approx reference
+points where the signal is undefined (SampleNodeError); 3 any other
+ValueError or ArithmeticError, a numerical failure, or a MemoryError.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import re
 import sys
 from fractions import Fraction
 
+from .bspline import ArgumentError
 from .kernel import inv_symbol_coeffs
 from .sampler import SampleNodeError, approx_error, frame_bounds
 from .signals import catalog, channel, get_signal, read_signal_csv
@@ -56,16 +58,13 @@ class _ListFlag(list):
 
 
 def _numbers(text: str, flag: str, token=float) -> _ListFlag:
-    """Comma list of positive finite numbers; empty items are skipped."""
+    """Comma list of numbers; empty items are skipped."""
     out = []
     for tok in filter(None, (t.strip() for t in text.split(","))):
         try:
-            x = token(tok)
+            out.append(token(tok))
         except ValueError:
             raise _UsageError(f"bad {flag} item {tok!r}") from None
-        if not 0.0 < x < math.inf:
-            raise _UsageError(f"{flag} items must be positive and finite, got {tok!r}")
-        out.append(x)
     if not out:
         raise _UsageError(f"{flag} list is empty")
     return _ListFlag(text, out)
@@ -80,25 +79,6 @@ def parse_w_list(text: str) -> list[float]:
     """Comma list of dilations; token "N*sqrt(7)" selects irrational nodes
     that avoid rational non-differentiability points."""
     return _numbers(text, "--W", _w_token)
-
-
-def _checked(convert, ok, want: str):
-    """argparse type= converter: convert the flag text, then require ok.  A
-    text that does not convert is argparse's own usage error."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise _UsageError(f"{want}, got {text!r}")
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names it: "invalid int value"
-    return parse
-
-
-_GRID_N_64 = _checked(int, lambda n: n >= 64, "--grid-n must be at least 64")
-_P = _checked(float, lambda p: 1.0 <= p < math.inf, "--p must be finite and at least 1")
-_TOL = _checked(float, lambda x: 0.0 < x < math.inf, "--tol must be positive and finite")
 
 
 def _parse_kappa(args) -> Kappa:
@@ -276,13 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="certify a configuration (det, circle certificate, bounds)")
     _add_kappa_flags(p)
-    p.add_argument("--grid-n", type=_GRID_N_64, default=1024)
+    p.add_argument("--grid-n", type=int, default=1024)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("kernel-dump", help="reconstruction kernel coefficient table as CSV")
     _add_kappa_flags(p)
-    p.add_argument("--tol", type=_TOL, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out")
     p.set_defaults(func=cmd_kernel_dump)
 
@@ -290,24 +270,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kappa_flags(p)
     p.add_argument("--W", type=parse_w_list, required=True,
                    help="comma list; token N*sqrt(7) allowed")
-    p.add_argument("--p", type=_P, default=2.0)
+    p.add_argument("--p", type=float, default=2.0)
     _add_signal_flags(p)
-    p.add_argument("--tol", type=_TOL, default=1e-12)
-    p.add_argument("--grid-n", type=_checked(int, lambda n: n >= 1, "--grid-n must be at least 1"),
-                   default=2000)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--grid-n", type=int, default=2000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("tau", help="averaged smoothness modulus over a delta ladder")
     _add_signal_flags(p)
-    p.add_argument("--deriv", type=_checked(int, lambda d: d >= 0, "--deriv must be at least 0"),
-                   default=0, help="derivative channel of the signal")
-    p.add_argument("--r", type=_checked(int, lambda r: r >= 1, "--r must be at least 1"),
-                   default=2, help="difference order")
-    p.add_argument("--p", type=_P, default=2.0)
+    p.add_argument("--deriv", type=int, default=0, help="derivative channel of the signal")
+    p.add_argument("--r", type=int, default=2, help="difference order")
+    p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--delta", type=lambda text: _numbers(text, "--delta"),
                    default="0.2,0.1,0.05,0.025", help="comma list")
-    p.add_argument("--grid-n", type=_GRID_N_64, default=64,
+    p.add_argument("--grid-n", type=int, default=64,
                    help="lattice steps per delta in each window (>= 64)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tau)
@@ -320,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="frame constants of the sampling inequality")
     _add_kappa_flags(p)
-    p.add_argument("--grid-n", type=_GRID_N_64, default=1024)
+    p.add_argument("--grid-n", type=int, default=1024)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
@@ -334,15 +311,15 @@ def _fail(exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     """Run one subcommand; the one place that turns a failure into an exit
-    code.  SampleNodeError and NotCISError are ValueErrors, so they are
-    matched before the numerical class."""
+    code.  ArgumentError, SampleNodeError and NotCISError are ValueErrors,
+    so they are matched before the numerical class."""
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
         return 0
     except SystemExit as exc:  # argparse: --help, or its own usage error
         return 0 if exc.code in (0, None) else 2
-    except (_UsageError, SampleNodeError, OSError) as exc:
+    except (_UsageError, ArgumentError, SampleNodeError, OSError) as exc:
         return _fail(exc, 2)
     except NotCISError as exc:
         return _fail(exc, 1)

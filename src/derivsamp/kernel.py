@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import bspline_series, fourier_q_derivs
+from .bspline import _check_range, bspline_series, fourier_q_derivs
 from .laurent import circle_values
 from .symbol import Kappa, NotCISError, check_cis
 
@@ -66,9 +66,11 @@ def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
     np.fft.irfft of the conjugated inverses gives the real c(v) of the
     whole grid.
 
-    Raises NotCISError if kappa is not certified CIS (the inverse symbol
-    would be unbounded), and ArithmeticError if n = 8192 does not converge.
+    Raises ArgumentError unless tol is positive and finite, NotCISError if
+    kappa is not certified CIS (the inverse symbol would be unbounded), and
+    ArithmeticError if n = 8192 does not converge.
     """
+    _check_range("tol", tol, 0, open_lo=True)
     report = check_cis(kappa)
     if not report.is_cis:
         raise NotCISError(kappa)
@@ -121,27 +123,23 @@ def theta_support(table: KernelTable) -> tuple[float, float]:
 
 def _l_range(table: KernelTable, W: float, t_lo: float, t_hi: float) -> tuple[int, int]:
     """Smallest l-range (l_lo, l_hi) whose kernels Theta_i(W t - rho l)
-    reach every t in [t_lo, t_hi]; raises ValueError unless 0 < W < inf and
-    the window is finite with t_lo <= t_hi."""
-    if not 0 < W < math.inf:
-        raise ValueError(f"dilation W must be positive and finite, got W={W!r}")
+    reach every t in [t_lo, t_hi]; raises ArgumentError unless 0 < W < inf
+    and the window has finite ends t_lo <= t_hi whose reach W t is finite."""
+    _check_range("dilation W", W, 0, open_lo=True)
+    got = f"t_lo={t_lo!r}, t_hi={t_hi!r} (W={W!r})"
+    _check_range("finite ends with a width t_hi - t_lo", t_hi - t_lo, 0, got=got)
     lo, hi = theta_support(table)
     rho = table.kappa.rho
     l_lo, l_hi = (W * t_lo - hi) / rho, (W * t_hi - lo) / rho
-    # NaN fails t_lo <= t_hi; an infinite end, or one whose reach overflows,
-    # gives an infinite bound
-    if not (t_lo <= t_hi and math.isfinite(l_lo) and math.isfinite(l_hi)):
-        raise ValueError(
-            f"window needs finite ends t_lo <= t_hi, got t_lo={t_lo!r}, t_hi={t_hi!r} (W={W!r})"
-        )
+    # finite ends whose reach W t overflows give an infinite or NaN span
+    _check_range("finite ends with a reach l_hi - l_lo", l_hi - l_lo, 0, got=got)
     return math.floor(l_lo), math.ceil(l_hi)
 
 
 def theta_eval(table: KernelTable, i: int, t, deriv: int = 0):
     """Evaluate Theta_i (or a derivative) at t."""
     kappa = table.kappa
-    if not 0 <= i < kappa.rho:
-        raise ValueError(f"channel {i} out of range for rho={kappa.rho}")
+    _check_range("channel i", i, 0, kappa.rho - 1, integer=True)
     return bspline_series(kappa.m, deriv, *_theta_series(table, i), t)
 
 
@@ -220,8 +218,7 @@ def moment_check_fourier(table: KernelTable, n: int, l: int) -> complex:
     l/rho: sum_i C(n,i) i! sum_u C(n-i,u) a^u (2 pi i)^{u+i-n}
     Theta_i^[(n-i-u)](l/rho) - rho delta_{l0} delta_{n0}, for any degree
     n >= 0."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"moment degree must be a nonnegative integer, got {n!r}")
+    _check_range("moment degree n", n, 0, integer=True)
     kappa = table.kappa
     rho, a = kappa.rho, float(kappa.a)
     xi = l / rho

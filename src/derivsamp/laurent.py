@@ -30,6 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .bspline import _check_range
+
 __all__ = [
     "LaurentPoly",
     "laurent_det",
@@ -126,7 +128,7 @@ class LaurentPoly:
 def circle_values(p, n: int) -> np.ndarray:
     """Values at z_s = exp(2 pi i s / n), 0 <= s <= n//2, of a LaurentPoly or
     a nested sequence of them (a matrix); complex array of shape
-    (n//2 + 1,) + shape of p.  Raises ValueError unless n is a positive
+    (n//2 + 1,) + shape of p.  Raises ArgumentError unless n is a positive
     integer.
 
     z_s^n = 1, so each coefficient c_k adds into slot k mod n, and one DFT of
@@ -136,8 +138,7 @@ def circle_values(p, n: int) -> np.ndarray:
     p(z_{n-s}) = conj p(z_s): these rows, one point of every conjugate pair,
     determine the whole grid, and a real FFT gives just them.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"grid size must be a positive integer, got {n!r}")
+    _check_range("grid size n", n, 1, integer=True)
     polys = np.asarray(p, dtype=object)
     size = polys.size
     idx, vals = [], []

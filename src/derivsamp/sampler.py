@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import bspline_series, exact_lattice_values, riesz_lower_bound
+from .bspline import _check_range, bspline_series, exact_lattice_values, riesz_lower_bound
 from .kernel import KernelTable, _l_range
 from .laurent import circle_values
 from .symbol import Kappa, build_symbol
@@ -56,6 +56,7 @@ class SplineElement:
     special_points = ()  # no jump declared to the local-modulus search
 
     def __post_init__(self):
+        _check_range("knot k0", self.k0, -math.inf, integer=True)
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
 
     @property
@@ -92,10 +93,10 @@ class SampleGrid:
     l_hi: int
 
     def __post_init__(self):
-        if not 0 < self.W < math.inf:
-            raise ValueError(f"dilation W must be positive and finite, got W={self.W!r}")
-        if self.l_hi < self.l_lo:
-            raise ValueError("empty sample range")
+        _check_range("dilation W", self.W, 0, open_lo=True)
+        # an integer count >= 1 needs integer ends l_lo <= l_hi
+        _check_range("sample count l_hi - l_lo + 1", self.l_hi - self.l_lo + 1, 1, integer=True,
+                     got=f"l_lo={self.l_lo!r}, l_hi={self.l_hi!r}")
 
     def nodes(self) -> np.ndarray:
         k = self.kappa
@@ -138,10 +139,10 @@ def take_samples(f, grid: SampleGrid) -> np.ndarray:
 
 
 def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
-    """Evaluate S_W at t; raises ValueError if the table is for another
-    configuration, the samples are not of shape (L, rho), some t is not
-    finite, or the sample range cannot reach some t.  An empty t gives an
-    empty array of its shape."""
+    """Evaluate S_W at t; raises ArgumentError if some t is not finite, and
+    ValueError if the table is for another configuration, the samples are
+    not of shape (L, rho), or the sample range cannot reach some t.  An
+    empty t gives an empty array of its shape."""
     kappa = grid.kappa
     if table.kappa != kappa:
         raise ValueError(
@@ -177,13 +178,11 @@ def approx_error(table: KernelTable, f, w: float, p: float = 2.0, grid_n: int = 
     """L^p distance between the reconstruction at dilation w, with the
     table's configuration, and the signal over its support window padded by
     _PAD (full sample coverage inside), by midpoint quadrature on grid_n
-    points.  Raises ValueError unless p is finite and >= 1 and grid_n is an
-    integer >= 1, and SampleNodeError if a sample or a reference value of
-    the signal is not finite."""
-    if not (1 <= p < math.inf):
-        raise ValueError(f"need finite p >= 1, got p={p}")
-    if not isinstance(grid_n, (int, np.integer)) or grid_n < 1:
-        raise ValueError(f"grid_n must be an integer >= 1, got {grid_n!r}")
+    points.  Raises ArgumentError unless p is finite and >= 1, grid_n is an
+    integer >= 1 and w is positive and finite, and SampleNodeError if a
+    sample or a reference value of the signal is not finite."""
+    _check_range("p", p, 1)
+    _check_range("grid_n", grid_n, 1, integer=True)
     lo, hi = f.support_hint
     lo, hi = lo - _PAD, hi + _PAD
     grid = grid_for_window(table.kappa, w, lo, hi, table)
@@ -230,12 +229,9 @@ def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     point's eigenvalues.  A symbol whose columns are monomials has the same
     spectrum at every point, and every point is solved without the screen.
 
-    Raises ValueError, before any array exists, unless grid_n is an integer
-    in [64, _FRAME_MAX_GRID_N]."""
-    if not isinstance(grid_n, (int, np.integer)) or not 64 <= grid_n <= _FRAME_MAX_GRID_N:
-        raise ValueError(
-            f"grid_n must be an integer in [64, {_FRAME_MAX_GRID_N}], got {grid_n!r}"
-        )
+    Raises ArgumentError, before any array exists, unless grid_n is an
+    integer in [64, _FRAME_MAX_GRID_N]."""
+    _check_range("grid_n", grid_n, 64, _FRAME_MAX_GRID_N, integer=True)
     return _frame_bounds(kappa, build_symbol(kappa), grid_n)
 
 
@@ -369,9 +365,8 @@ def verify_sampling_inequality(
     on n_trials random f = sum_k c_k Q_m(. - k), 0 <= k < 30, c_k uniform in
     [-1, 1], as ratios c^T M c / c^T G c with M = B^T B (`_sample_matrix`);
     the generalized eigenvalues of (M, G) bound every such ratio.  Raises
-    ValueError unless n_trials is a positive integer."""
-    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
-        raise ValueError(f"n_trials must be a positive integer, got {n_trials!r}")
+    ArgumentError unless n_trials is a positive integer."""
+    _check_range("n_trials", n_trials, 1, integer=True)
     rows = build_symbol(kappa)
     bounds = _frame_bounds(kappa, rows, _FRAME_GRID_N)
     gram = _gram(kappa.m, _TRIAL_LEN)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bspline import _check_range
+
 __all__ = [
     "SignalSpec",
     "channel",
@@ -51,8 +53,8 @@ class SignalSpec:
         return f"SignalSpec({self.id!r}, max_deriv={self.max_deriv})"
 
     def eval(self, i, t):
-        if i not in self._evals:
-            raise ValueError(f"signal {self.id!r} has no derivative channel {i}")
+        _check_range("channel i", i, 0, self.max_deriv, integer=True,
+                     got=f"i={i!r} (signal {self.id!r})")
         x = np.asarray(t, dtype=float)
         scalar = x.ndim == 0
         out = np.asarray(self._evals[i](np.atleast_1d(x)), dtype=float).copy()
@@ -134,8 +136,7 @@ def constant_signal() -> SignalSpec:
 
 def monomial_signal(n: int) -> SignalSpec:
     """t^n with exact derivative channels 0..3 (unbounded; probe use only)."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_range("degree n", n, 0, integer=True)
 
     def make(i):
         if i > n:

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bspline import _check_range
+
 __all__ = [
     "TauEstimate",
     "tau_modulus",
@@ -158,14 +160,9 @@ def _lattice_moduli(f, signs: np.ndarray, offsets: np.ndarray, xs: np.ndarray, s
 
 
 def _check_search(r: int, delta: float, search_n: int) -> None:
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= _MAX_ORDER:
-        raise ValueError(f"need an integer order r in [1, {_MAX_ORDER}], got r={r!r}")
-    if not 0 < delta < math.inf:
-        raise ValueError(f"need a finite delta > 0, got delta={delta!r}")
-    if not isinstance(search_n, (int, np.integer)) or not 64 <= search_n <= _MAX_SEARCH_N:
-        raise ValueError(
-            f"need an integer search_n in [64, {_MAX_SEARCH_N}], got search_n={search_n!r}"
-        )
+    _check_range("order r", r, 1, _MAX_ORDER, integer=True)
+    _check_range("delta", delta, 0, open_lo=True)
+    _check_range("search_n", search_n, 64, _MAX_SEARCH_N, integer=True)
 
 
 @dataclass(frozen=True)
@@ -188,24 +185,21 @@ def tau_modulus(
     """Averaged modulus tau_r(f; delta)_p: midpoint L^p quadrature of the
     local modulus over domain, by default f's support_hint widened by
     r delta on each side, on the fewest equal cells no wider than delta/8
-    (grid_meta["quad_step"] is their width).  Raises ValueError, before
-    any array is built, when that grid would exceed _MAX_CELLS cells, r is
-    outside [1, _MAX_ORDER] or search_n is outside [64, _MAX_SEARCH_N]."""
+    (grid_meta["quad_step"] is their width).  Raises ArgumentError, before
+    any array is built, unless r is an integer in [1, _MAX_ORDER], delta is
+    positive and finite, search_n is an integer in [64, _MAX_SEARCH_N], p
+    is finite and >= 1, the domain is finite with lo < hi, and that grid
+    has at most _MAX_CELLS cells."""
     _check_search(r, delta, search_n)
-    if not 1 <= p < math.inf:
-        raise ValueError(f"need finite p >= 1, got p={p!r}")
+    _check_range("p", p, 1)
     if domain is None:
         lo, hi = getattr(f, "spec", f).support_hint
         domain = (lo - r * delta, hi + r * delta)
     lo, hi = float(domain[0]), float(domain[1])
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"need a finite domain with lo < hi, got domain={domain!r}")
+    _check_range("finite domain width hi - lo", hi - lo, 0, open_lo=True, got=f"domain={domain!r}")
     cells = (hi - lo) / (delta / 8.0) if delta / 8.0 > 0 else math.inf
-    if not cells <= _MAX_CELLS:
-        raise ValueError(
-            f"need a delta whose grid on {(lo, hi)!r} has at most {_MAX_CELLS} cells "
-            f"no wider than delta/8, got delta={delta!r}"
-        )
+    _check_range(f"a count of delta/8 cells on {(lo, hi)!r}", cells, 0, _MAX_CELLS,
+                 got=f"delta={delta!r}")
     n = max(1, math.ceil(cells))
     step = (hi - lo) / n
     xs = lo + step * (np.arange(n) + 0.5)

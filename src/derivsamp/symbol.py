@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bspline import exact_lattice_values
+from .bspline import _check_range, exact_lattice_values
 from .laurent import (
     CircleCertificate,
     LaurentPoly,
@@ -56,6 +56,7 @@ class Kappa:
 
     rho derivative channels 0..rho-1 are sampled on the lattice a + rho Z.
     Requires m > rho so that channel rho-1 uses a continuous derivative.
+    m and rho may be numpy integers; they are stored as int.
     """
 
     m: int
@@ -63,15 +64,13 @@ class Kappa:
     rho: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or not isinstance(self.rho, int):
-            raise ValueError("m and rho must be integers")
-        if self.rho < 1:
-            raise ValueError(f"rho must be >= 1, got {self.rho}")
-        if self.m <= self.rho:
-            raise ValueError(f"need m > rho, got m={self.m}, rho={self.rho}")
+        _check_range("density rho", self.rho, 1, integer=True)
+        _check_range("spline order m", self.m, self.rho + 1, integer=True,
+                     got=f"m={self.m!r}, rho={self.rho!r}")
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "rho", int(self.rho))
         object.__setattr__(self, "a", Fraction(self.a))
-        if not 0 <= self.a < self.rho:
-            raise ValueError(f"shift a must lie in [0, rho), got {self.a}")
+        _check_range("shift a", self.a, 0, self.rho, open_hi=True, got=f"a={self.a}")
 
     def __str__(self) -> str:
         return f"(Q_{self.m}, a={self.a}, rho={self.rho})"

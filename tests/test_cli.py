@@ -88,29 +88,6 @@ def test_approx_internal_failure_is_numerical_exit(monkeypatch, capsys):
     assert "insufficient" in err and "irrational" not in err
 
 
-def test_tau_grid_past_bound_is_numerical_exit(monkeypatch, capsys):
-    # f1 at delta = 1e-9 would need 1.92e11 quadrature cells; numpy is
-    # swapped for a namespace that builds no array, so the bound must stop
-    # both runs before one exists
-    monkeypatch.setattr(smoothness, "np", SimpleNamespace(integer=np.integer))
-    for flags, name in ((["--delta", "1e-9"], "delta"),
-                        (["--grid-n", str(smoothness._MAX_SEARCH_N + 1)], "search_n"),
-                        (["--r", str(smoothness._MAX_ORDER + 1)], "r=57"),
-                        (["--r", "1000000000"], "r=1000000000")):
-        assert main(["tau", *flags]) == 3
-        assert name in capsys.readouterr().err
-
-
-def test_frame_grid_past_bound_is_numerical_exit(monkeypatch, capsys):
-    # the sampler's numpy is swapped for a namespace that builds no array,
-    # so the bound must stop both subcommands before circle_values runs
-    monkeypatch.setattr(sampler, "np", SimpleNamespace(integer=np.integer))
-    too_big = str(sampler._FRAME_MAX_GRID_N + 1)
-    for cmd in ("bounds", "check"):
-        assert main([cmd, "--m", "3", "--a", "0", "--rho", "2", "--grid-n", too_big]) == 3
-        assert "grid_n" in capsys.readouterr().err
-
-
 def test_memory_error_is_numerical_exit(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate")
@@ -178,6 +155,44 @@ def test_tau_bad_delta():
 def test_tau_argument_contract(flags, capsys):
     assert main(["tau", "--delta", "0.1", *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_KAPPA = ["--m", "3", "--a", "0", "--rho", "2"]
+
+
+@pytest.mark.parametrize("argv, named, stub", [
+    pytest.param(["tau", "--r", "0"], "r=0", True, id="tau-r-0"),
+    pytest.param(["tau", "--r", "57"], "r=57", True, id="tau-r-57"),
+    pytest.param(["tau", "--r", "1000000000"], "r=1000000000", True, id="tau-r-1e9"),
+    pytest.param(["tau", "--grid-n", "16"], "search_n=16", True, id="tau-grid-n-16"),
+    pytest.param(["tau", "--grid-n", "8193"], "search_n=8193", True, id="tau-grid-n-8193"),
+    pytest.param(["tau", "--p", "0.5"], "p=0.5", True, id="tau-p-0.5"),
+    # f1 at delta = 1e-9 would need 1.92e11 quadrature cells
+    pytest.param(["tau", "--delta", "1e-9"], "delta=1e-09", True, id="tau-delta-1e-9"),
+    # the channel is checked where the signal is read, past the first arrays
+    pytest.param(["tau", "--deriv", "-1"], "i=-1", False, id="tau-deriv-minus-1"),
+    pytest.param(["check", *_KAPPA, "--grid-n", "10"], "grid_n=10", True, id="check-grid-n-10"),
+    pytest.param(["check", *_KAPPA, "--grid-n", "65537"], "grid_n=65537", True,
+                 id="check-grid-n-65537"),
+    pytest.param(["bounds", *_KAPPA, "--grid-n", "10"], "grid_n=10", True, id="bounds-grid-n-10"),
+    pytest.param(["bounds", *_KAPPA, "--grid-n", "65537"], "grid_n=65537", True,
+                 id="bounds-grid-n-65537"),
+    pytest.param(["approx", *_KAPPA, "--W", "4", "--grid-n", "0"], "grid_n=0", True,
+                 id="approx-grid-n-0"),
+    pytest.param(["approx", *_KAPPA, "--W", "-4"], "W=-4.0", True, id="approx-W-minus-4"),
+    pytest.param(["kernel-dump", *_KAPPA, "--tol", "0"], "tol=0.0", True, id="kernel-dump-tol-0"),
+])
+def test_range_flag_ends_are_usage_errors(argv, named, stub, monkeypatch, capsys):
+    # the library owns every range, at both ends: a value past either end is
+    # a usage error naming the value.  Where the library refuses before any
+    # array, the numpy of the modules that would build the large ones is
+    # swapped for a namespace that builds none.
+    if stub:
+        monkeypatch.setattr(smoothness, "np", SimpleNamespace())
+        monkeypatch.setattr(sampler, "np", SimpleNamespace())
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: need ") and named in lines[0]
 
 
 _APPROX = ["approx", "--m", "3", "--rho", "2"]

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from derivsamp.bspline import ArgumentError
 from derivsamp.kernel import (
     inv_symbol_coeffs,
     moment_check_fourier,
@@ -287,3 +288,14 @@ def test_csv_rejects_foreign_file(tmp_path):
 def test_theta_channel_range(table_q3):
     with pytest.raises(ValueError):
         theta_eval(table_q3, 2, 0.5)
+    # a fractional channel lies inside [0, rho) but indexes no kernel
+    with pytest.raises(ArgumentError, match="channel i .*got i=0.5"):
+        theta_eval(table_q3, 0.5, np.array([0.5, 1.0]))
+
+
+def test_tol_must_be_positive_and_finite():
+    # an infinite tol returned a table with no error; NaN and 0 ran the
+    # n-doubling loop to its end before failing on the alias band
+    for tol in (math.inf, math.nan, 0.0, -1e-12):
+        with pytest.raises(ArgumentError, match=f"tol={tol!r}"):
+            inv_symbol_coeffs(Kappa(3, 0, 2), tol=tol)

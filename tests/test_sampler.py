@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from derivsamp import sampler
-from derivsamp.bspline import bspline_series
+from derivsamp.bspline import ArgumentError, bspline_series
 from derivsamp.kernel import theta_eval
 from derivsamp.laurent import circle_values
 from derivsamp.sampler import (
@@ -148,6 +148,15 @@ def test_dilation_must_be_positive_and_finite(table_q3):
             grid_for_window(KAPPA_Q3, w, -1.0, 1.0, table_q3)
         with pytest.raises(ValueError, match="dilation W"):
             approx_error(table_q3, f1, w)
+
+
+def test_knot_offset_must_be_integer():
+    # int(k0) used to evaluate k0 = 0.5 as 0, while support_hint said (0.5, 3.5)
+    with pytest.raises(ArgumentError, match="k0=0.5"):
+        bspline_series(3, 0, [1.0], 0.5, np.array([1.0]))
+    with pytest.raises(ArgumentError, match="k0=0.5"):
+        SplineElement(3, 0.5, [1.0])
+    assert SplineElement(3, np.int64(-2), [1.0]).support_hint == (-2, 1)
 
 
 def test_take_samples_single_bump(table_q3):
@@ -453,7 +462,7 @@ def test_frame_bounds_bounds_its_grid(monkeypatch):
         reached.append(n)
         raise LookupError("circle_values reached")
 
-    monkeypatch.setattr(sampler, "np", SimpleNamespace(integer=np.integer))
+    monkeypatch.setattr(sampler, "np", SimpleNamespace())
     monkeypatch.setattr(sampler, "circle_values", no_circle_values)
     with pytest.raises(ValueError, match="grid_n"):
         frame_bounds(KAPPA_Q3, grid_n=cap + 1)

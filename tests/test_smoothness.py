@@ -266,7 +266,7 @@ def test_tau_modulus_bounds_its_grid(monkeypatch):
     # numpy is swapped for a namespace that builds no array: a value past a
     # bound must raise ValueError before any array, and a value at the bound
     # gets through to the first array, which raises AttributeError here
-    monkeypatch.setattr(smoothness, "np", SimpleNamespace(integer=np.integer))
+    monkeypatch.setattr(smoothness, "np", SimpleNamespace())
     ch = channel(get_signal("f1"), 0)
     cells, steps = smoothness._MAX_CELLS, smoothness._MAX_SEARCH_N
     args = {"r": 2, "p": 2.0, "domain": (0.0, 1.0)}  # 8 / delta cells

@@ -58,6 +58,15 @@ def test_kappa_validation():
     assert isinstance(k.a, Fraction) and k.a == 1
 
 
+def test_kappa_takes_numpy_integers():
+    k = Kappa(np.int64(3), 0, np.int32(2))
+    assert type(k.m) is int and type(k.rho) is int
+    assert k == Kappa(3, 0, 2) and hash(k) == hash(Kappa(3, 0, 2))
+    for m, rho in ((3.0, 2), (3, 2.0)):
+        with pytest.raises(ValueError, match="integer"):
+            Kappa(m, 0, rho)
+
+
 def test_symbol_entries_q3():
     sym = build_symbol(KAPPA_Q3)
     assert sym[0][0] == L(1, Fraction(1, 2))
