@@ -129,8 +129,6 @@ def bspline_series(m: int, deriv: int, coeffs, k0: int, x):
         pp[:, 1:n] = [np.convolve(c, col) for col in pieces.T]
     pp[-1, -1] = np.nan
     lo = float(k0 - 1)
-    if arr.size <= _BLOCK_POINTS:
-        return _horner(pp, lo, arr, None)
     out = np.empty(arr.shape)
     xs, outs = arr.reshape(-1), out.reshape(-1)
     for s in range(0, arr.size, _BLOCK_POINTS):
@@ -138,10 +136,9 @@ def bspline_series(m: int, deriv: int, coeffs, k0: int, x):
     return out
 
 
-def _horner(pp: np.ndarray, lo: float, x: np.ndarray, out):
-    """The pp-form's values at the points x (an array of any shape but 0-d),
-    whose column 0 is the knot interval [lo, lo + 1); written into out when
-    it is given."""
+def _horner(pp: np.ndarray, lo: float, x: np.ndarray, out: np.ndarray) -> None:
+    """Write into out the pp-form's values at the points x, both of one
+    shape, where column 0 of pp is the knot interval [lo, lo + 1)."""
     hi = lo + (pp.shape[1] - 2)
     x = np.maximum(x, lo)  # +-inf onto a zero column, NaN stays
     np.minimum(x, hi, out=x)
@@ -152,11 +149,10 @@ def _horner(pp: np.ndarray, lo: float, x: np.ndarray, out):
     np.fmin(base, hi + 1.0, out=base)
     base -= lo
     idx = base.astype(np.intp)
-    out = pp[-1].take(idx, mode="clip", out=out)
+    pp[-1].take(idx, mode="clip", out=out)
     for row in pp[-2::-1]:
         out *= u
         out += row.take(idx, mode="clip")
-    return out
 
 
 def exact_lattice_values(m: int, u, d_max: int) -> tuple[list[list[int]], list[int]]:

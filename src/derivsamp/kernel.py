@@ -5,14 +5,11 @@ geometrically; the kernels are the finite-bandwidth combinations
 
     Theta_i(t) = sum_v sum_j c^{ji}(v) Q_m(t - rho v - j).
 
-The symbol has rational coefficients, so Psi^{-1}(conj z) = conj Psi^{-1}(z)
-and every c^{ji}(v) is real.  Coefficients are extracted by one inverse
-real FFT from matrix inverses on the half grid z = exp(2 pi i s / n),
-0 <= s <= n/2, of the circle (`circle_values`), which determines the rest,
-so the table is real by construction; n is doubled until the coefficients
-that halving the grid would alias onto the kept ones sit below the
-requested tolerance.  Each Theta_i is then one B-spline series with
-coefficient c^{ji}(v) at knot rho v + j.
+The coefficients are one inverse real FFT of the matrix inverses at the
+points of `circle_values`, so the table is real by construction; n is
+doubled until the coefficients that halving the grid would alias onto the
+kept ones sit below the requested tolerance.  Each Theta_i is then one
+B-spline series with coefficient c^{ji}(v) at knot rho v + j.
 The kernels reproduce polynomials up to the configuration's order; both the
 time-domain and Fourier-domain (Strang-Fix) forms of that moment condition
 are provided.  The Fourier form holds for every degree: it reads derivatives
@@ -62,9 +59,8 @@ def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
     One grid of n points, n = 256 doubled up to 8192 until the coefficients
     within 32 of the Nyquist index n/2 are below tol.  They are what a grid
     of n/2 points, c_{n/2}(v) = c_n(v) + c_n(v + n/2), would alias onto
-    |v| <= 32.  Psi is inverted on the n/2 + 1 points s <= n/2 only, and
-    np.fft.irfft of the conjugated inverses gives the real c(v) of the
-    whole grid.
+    |v| <= 32.  Psi is inverted at the n/2 + 1 points of `circle_values`,
+    and np.fft.irfft of the inverses gives the real c(v).
 
     Raises ArgumentError unless tol is positive and finite, NotCISError if
     kappa is not certified CIS (the inverse symbol would be unbounded), and
@@ -78,10 +74,8 @@ def inv_symbol_coeffs(kappa: Kappa, tol: float = 1e-12) -> KernelTable:
 
     n = 256
     while True:
-        inv = np.linalg.inv(circle_values(rows, n))  # (n//2 + 1, rho, rho), entry [s, j, i]
-        # c(v) = (1/n) sum_s inv_s z_s^-v over the whole grid, which is real
-        # and, inv on s > n/2 being the conjugate, the irfft of conj(inv)
-        spec = np.fft.irfft(inv.conj(), n, axis=0)  # index v mod n
+        inv = np.linalg.inv(np.moveaxis(circle_values(rows, n), -1, 0))  # entry [s, j, i]
+        spec = np.fft.irfft(inv, n, axis=0)  # index v mod n
         mags = np.max(np.abs(spec), axis=(1, 2))
         alias = float(mags[n // 2 - 32 : n // 2 + 33].max())
         if alias < tol:

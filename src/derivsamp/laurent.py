@@ -6,8 +6,8 @@ exact certificate behind `symbol.check_cis` that a polynomial does or does
 not vanish on the unit circle, with float diagnostics of how close its
 zeros come to the circle (read through `CisReport.certificate`), and
 `circle_values`, the one float evaluator of a Laurent polynomial or matrix
-on the half s <= n/2 of a uniform grid of the circle (real coefficients
-make it determine the rest).  Both exact algorithms run on the integer
+on a uniform grid of the circle: one real FFT of its coefficients, the
+points on the last axis.  Both exact algorithms run on the integer
 numerators alone, as lists of ints, constant term first:
 the determinant shifts each column to nonnegative exponents, packs each
 integer polynomial into one integer by Kronecker substitution and runs
@@ -126,29 +126,28 @@ class LaurentPoly:
 
 
 def circle_values(p, n: int) -> np.ndarray:
-    """Values at z_s = exp(2 pi i s / n), 0 <= s <= n//2, of a LaurentPoly or
-    a nested sequence of them (a matrix); complex array of shape
-    (n//2 + 1,) + shape of p.  Raises ArgumentError unless n is a positive
-    integer.
+    """Values at w_s = exp(-2 pi i s / n), 0 <= s <= n//2, of a LaurentPoly
+    or a nested sequence of them (a matrix); complex array of shape p's
+    shape + (n//2 + 1,), points last.  Raises ArgumentError unless n is a
+    positive integer.
 
-    z_s^n = 1, so each coefficient c_k adds into slot k mod n, and one DFT of
-    the real slots gives every value (the DFT identity behind the
-    trapezoidal rule; Trefethen & Weideman, SIAM Rev. 2014): p(z_s) is the
-    conjugate of the slots' forward DFT at s.  The coefficients are real, so
-    p(z_{n-s}) = conj p(z_s): these rows, one point of every conjugate pair,
-    determine the whole grid, and a real FFT gives just them.
+    w_s^n = 1, so each coefficient c_k adds into slot k mod n, and p(w_s) is
+    the forward DFT of the real slots at s (the DFT identity behind the
+    trapezoidal rule; Trefethen & Weideman, SIAM Rev. 2014), one real FFT
+    along the last axis.  The coefficients are real, so p(w_{n-s}) =
+    conj p(w_s): the points s <= n/2 determine the whole grid, with every
+    modulus and singular value on it.
     """
     _check_range("grid size n", n, 1, integer=True)
     polys = np.asarray(p, dtype=object)
-    size = polys.size
     idx, vals = [], []
     for col, q in enumerate(polys.flat):
-        # c_k goes to slots[k mod n, col] of the row-major (n, size) array
-        idx += [(k % n) * size + col for k in range(q.low, q.low + len(q.coeffs))]
+        # c_k goes to slots[col, k mod n] of the row-major (size, n) array
+        idx += [col * n + k % n for k in range(q.low, q.low + len(q.coeffs))]
         vals += [c / q.den for c in q.coeffs]
-    slots = np.bincount(np.array(idx, dtype=np.intp), vals, minlength=n * size)
-    values = np.fft.rfft(slots.reshape(n, size), axis=0).conj()
-    return values.reshape((n // 2 + 1,) + polys.shape)
+    slots = np.bincount(np.array(idx, dtype=np.intp), vals, minlength=polys.size * n)
+    values = np.fft.rfft(slots.reshape(polys.size, n))
+    return values.reshape(polys.shape + (n // 2 + 1,))
 
 
 def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
@@ -325,11 +324,9 @@ class CircleCertificate:
     diagnostics.
 
     verdict is "vanishing" or "nonvanishing", decided exactly over the
-    integer numerators.  min_modulus and argmin_t are the smallest
-    modulus on the grid t = s/4096 of the circle (z = exp(2 pi i t)) and
-    its position.  The coefficients are real, so |p(z)| = |p(conj z)| and
-    only t in [0, 1/2] is searched: argmin_t is always the point of its
-    conjugate pair with t <= 1/2.  root_margin is the smallest distance
+    integer numerators.  min_modulus is the smallest modulus of p over
+    `circle_values(p, 4096)`, and argmin_t = s/4096 in [0, 1/2] is the
+    position of its point w_s.  root_margin is the smallest distance
     | |r| - 1 | over the roots r computed by np.roots (inf for a
     monomial).  The diagnostics do not enter the verdict.
     """

@@ -9,7 +9,11 @@ Internally the double sum collapses to a spline in the W-dilated space: the
 samples are convolved once with the (real) kernel coefficients, giving
 coefficients over the refined lattice (rho k + j), then evaluated as a single
 B-spline series by `bspline_series`.  For f already in the spline space and
-W=1 this returns f exactly.  `approx_error` measures ||S_W f - f||_p.
+W=1 this returns f exactly.  `approx_error` measures ||S_W f - f||_p.  A
+sample grid holds at most _MAX_POINTS nodes, checked before any array.
+
+The frame constants solve the eigenvalues of Psi* Psi at the points of
+`circle_values`, read as it returns them, points on the last axis.
 
 On f = sum_k c_k Q_m(. - k) both sides of the sampling inequality are
 quadratic forms in c: ||f||^2 = c^T G c with the Gram matrix G, and the
@@ -83,9 +87,17 @@ def _gram(m: int, n: int) -> np.ndarray:
     return np.take(q2m, lag, mode="clip")
 
 
+# Most sample nodes a SampleGrid holds, and most quadrature points
+# approx_error takes: tests and benchmark use at most a few thousand of
+# either, and 2^22 nodes at rho = 5 are 168 MB of samples.
+_MAX_POINTS = 1 << 22
+
+
 @dataclass(frozen=True)
 class SampleGrid:
-    """Sample nodes (a + rho l)/W for l in [l_lo, l_hi]."""
+    """Sample nodes (a + rho l)/W for l in [l_lo, l_hi]; raises ArgumentError,
+    before any array exists, unless 0 < W < inf and l_lo <= l_hi are
+    integers at most _MAX_POINTS - 1 apart."""
 
     kappa: Kappa
     W: float
@@ -95,8 +107,8 @@ class SampleGrid:
     def __post_init__(self):
         _check_range("dilation W", self.W, 0, open_lo=True)
         # an integer count >= 1 needs integer ends l_lo <= l_hi
-        _check_range("sample count l_hi - l_lo + 1", self.l_hi - self.l_lo + 1, 1, integer=True,
-                     got=f"l_lo={self.l_lo!r}, l_hi={self.l_hi!r}")
+        _check_range("sample count l_hi - l_lo + 1", self.l_hi - self.l_lo + 1, 1, _MAX_POINTS,
+                     integer=True, got=f"W={self.W!r}, l_lo={self.l_lo!r}, l_hi={self.l_hi!r}")
 
     def nodes(self) -> np.ndarray:
         k = self.kappa
@@ -179,10 +191,12 @@ def approx_error(table: KernelTable, f, w: float, p: float = 2.0, grid_n: int = 
     table's configuration, and the signal over its support window padded by
     _PAD (full sample coverage inside), by midpoint quadrature on grid_n
     points.  Raises ArgumentError unless p is finite and >= 1, grid_n is an
-    integer >= 1 and w is positive and finite, and SampleNodeError if a
-    sample or a reference value of the signal is not finite."""
+    integer in [1, _MAX_POINTS], w is positive and finite and its sample
+    grid holds at most _MAX_POINTS nodes, all before any array exists, and
+    SampleNodeError if a sample or a reference value of the signal is not
+    finite."""
     _check_range("p", p, 1)
-    _check_range("grid_n", grid_n, 1, integer=True)
+    _check_range("grid_n", grid_n, 1, _MAX_POINTS, integer=True)
     lo, hi = f.support_hint
     lo, hi = lo - _PAD, hi + _PAD
     grid = grid_for_window(table.kappa, w, lo, hi, table)
@@ -215,10 +229,8 @@ _FRAME_COARSE_STEP = 16
 
 def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     """Frame constants of the sampling inequality from the symbol's singular
-    values on the grid t = s / grid_n of the circle.  The symbol is real, so
-    Psi(1 - t) = conj Psi(t) has the same singular values, and the points
-    with t in [0, 1/2] (s <= grid_n // 2, odd grid_n included) give the
-    extremes of the whole grid.
+    values on the grid of grid_n points of the circle, read at the points
+    of `circle_values`.
 
     Eigenvalues of G = Psi* Psi, formed by np.matmul, are solved on every
     16th of those points and the last one, giving lo >= A and hi <= B.  An
@@ -251,19 +263,21 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
 
 
 def _gram_eigvalsh(psi: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of Psi* Psi for each matrix of the stack psi."""
-    return np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
+    """Ascending eigenvalues of Psi* Psi at each point of psi (r, r, points),
+    one row per point."""
+    p = np.moveaxis(psi, -1, 0)
+    return np.linalg.eigvalsh(np.matmul(p.conj().transpose(0, 2, 1), p))
 
 
 def _screened_eigvalsh(psi: np.ndarray) -> np.ndarray:
-    """Eigenvalues of Psi* Psi at the points of the stack psi that can hold
-    an extreme (see frame_bounds): np.matmul and eigvalsh on the coarse
-    points and the points the screen keeps, one LDL^H screen over every
-    point on a row-summed Gram."""
-    n, r = psi.shape[:2]
+    """Eigenvalues of Psi* Psi at the points of psi (r, r, points) that can
+    hold an extreme (see frame_bounds): np.matmul and eigvalsh on the
+    coarse points and the points the screen keeps, one LDL^H screen over
+    every point on a row-summed Gram."""
+    r, n = psi.shape[1:]
     coarse = np.zeros(n, dtype=bool)
     coarse[::_FRAME_COARSE_STEP] = coarse[-1] = True
-    lam = _gram_eigvalsh(psi[coarse])
+    lam = _gram_eigvalsh(psi[..., coarse])
     lo, hi = lam[:, 0].min(), lam[:, -1].max()
     # np.matmul and eigvalsh handle each matrix of a stack on its own, so a
     # point's eigenvalues are the same floats in any subset.  The screen's
@@ -276,16 +290,15 @@ def _screened_eigvalsh(psi: np.ndarray) -> np.ndarray:
     # hold neither extreme and A, B equal the full stack's.
     s = 1e-12 * hi
     # G - (lo + s) I and (hi - s) I - G in the two halves of one buffer,
-    # points on the last axis so that every step runs along contiguous
-    # memory.  The halves do not interleave, so numpy copies neither when
-    # one is read into the other; the second holds each row's product until
-    # G is done.
+    # points on the last axis, as in psi, so that every step runs along
+    # contiguous memory.  The halves do not interleave, so numpy copies
+    # neither when one is read into the other; the second holds each row's
+    # product until G is done.
     shifted = np.empty((2, r, r, n), dtype=psi.dtype)
     gram, term = shifted
-    p = psi.transpose(1, 2, 0)
-    np.multiply(p[0].conj()[:, None], p[0], out=gram)
+    np.multiply(psi[0].conj()[:, None], psi[0], out=gram)
     for k in range(1, r):
-        gram += np.multiply(p[k].conj()[:, None], p[k], out=term)
+        gram += np.multiply(psi[k].conj()[:, None], psi[k], out=term)
     np.negative(gram, out=term)
     diag = shifted.reshape(2, r * r, n)[:, :: r + 1]
     diag[0] -= lo + s
@@ -293,7 +306,7 @@ def _screened_eigvalsh(psi: np.ndarray) -> np.ndarray:
     ok = _positive_definite(shifted.transpose(0, 3, 1, 2))
     rest = ~((ok[0] & ok[1]) | coarse)
     if rest.any():
-        lam = np.concatenate([lam, _gram_eigvalsh(psi[rest])])
+        lam = np.concatenate([lam, _gram_eigvalsh(psi[..., rest])])
     return lam
 
 

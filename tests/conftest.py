@@ -334,8 +334,8 @@ def inv_symbol_coeffs_reference(kappa: Kappa, tol: float = 1e-12) -> KernelTable
     n = 128
     prev_slice = None
     while True:
-        inv = np.linalg.inv(circle_values(sym, n))
-        spec = np.fft.irfft(inv.conj(), n, axis=0)
+        inv = np.linalg.inv(np.moveaxis(circle_values(sym, n), -1, 0))
+        spec = np.fft.irfft(inv, n, axis=0)
         mags = np.max(np.abs(spec), axis=(1, 2))
         nyquist = float(mags[n // 2 - 2 : n // 2 + 3].max())
         probe = min(32, n // 4)
@@ -652,14 +652,13 @@ def frac_circle_values(p, n: int) -> np.ndarray:
     """circle_values of a FracPoly or a matrix of them, each coefficient
     float(Fraction)."""
     polys = np.asarray(p, dtype=object)
-    size = polys.size
     idx, vals = [], []
     for col, q in enumerate(polys.flat):
-        idx += [(k % n) * size + col for k in range(q.low, q.low + len(q.coeffs))]
+        idx += [col * n + k % n for k in range(q.low, q.low + len(q.coeffs))]
         vals += map(float, q.coeffs)
-    slots = np.bincount(np.array(idx, dtype=np.intp), vals, minlength=n * size)
-    values = np.fft.rfft(slots.reshape(n, size), axis=0).conj()
-    return values.reshape((n // 2 + 1,) + polys.shape)
+    slots = np.bincount(np.array(idx, dtype=np.intp), vals, minlength=polys.size * n)
+    values = np.fft.rfft(slots.reshape(polys.size, n))
+    return values.reshape(polys.shape + (n // 2 + 1,))
 
 
 def frac_certificate(p: FracPoly, verdict: str) -> CircleCertificate:

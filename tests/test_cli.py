@@ -179,7 +179,12 @@ _KAPPA = ["--m", "3", "--a", "0", "--rho", "2"]
                  id="bounds-grid-n-65537"),
     pytest.param(["approx", *_KAPPA, "--W", "4", "--grid-n", "0"], "grid_n=0", True,
                  id="approx-grid-n-0"),
+    pytest.param(["approx", *_KAPPA, "--W", "4", "--grid-n", "10000000000"], "grid_n=10000000000",
+                 True, id="approx-grid-n-1e10"),
     pytest.param(["approx", *_KAPPA, "--W", "-4"], "W=-4.0", True, id="approx-W-minus-4"),
+    # a sample grid of about 6.5e19 and 6.5e299 nodes
+    pytest.param(["approx", *_KAPPA, "--W", "1e20"], "W=1e+20", True, id="approx-W-1e20"),
+    pytest.param(["approx", *_KAPPA, "--W", "1e300"], "W=1e+300", True, id="approx-W-1e300"),
     pytest.param(["kernel-dump", *_KAPPA, "--tol", "0"], "tol=0.0", True, id="kernel-dump-tol-0"),
 ])
 def test_range_flag_ends_are_usage_errors(argv, named, stub, monkeypatch, capsys):

@@ -127,6 +127,22 @@ def test_half_circle_table_matches_full_circle_reference(kappa):
     assert float(np.max(np.abs(table.coeffs - coeffs))) <= 1e-13
 
 
+def test_cubic_interpolation_table_at_rho_1():
+    # Kappa(4, 0, 1) is cubic-spline interpolation: Psi(z) = z^2 (z^-1 + 4 +
+    # z) / 6, so c(v) = sqrt(3) (sqrt(3) - 2)^|v + 2| in closed form (Unser,
+    # Aldroubi & Eden 1993)
+    table = inv_symbol_coeffs(Kappa(4, Fraction(0), 1))
+    assert table.radius == 25 and table.coeffs.shape == (1, 1, 51)
+    r = math.sqrt(3.0) - 2.0
+    want = math.sqrt(3.0) * r ** np.abs(np.arange(-25, 26) + 2)
+    # within one ulp of sqrt(3), 2.2e-16
+    assert float(np.max(np.abs(table.coeffs[0, 0] - want))) <= 2.3e-16
+    # the reported tail bounds the mass beyond the radius, 4.5e-14 here
+    far = np.concatenate([np.arange(-2000, -25), np.arange(26, 2000)])
+    discarded = float(np.sum(math.sqrt(3.0) * np.abs(r) ** np.abs(far + 2)))
+    assert discarded <= table.tail_bound < 1e-12
+
+
 def test_q3_coefficients_golden(table_q3):
     t = table_q3
     # the symbol has rational coefficients, so the table is real

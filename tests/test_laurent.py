@@ -343,9 +343,9 @@ def test_circle_certificate_min_modulus_matches_full_grid():
         assert cert.verdict == "nonvanishing", str(p)
         want = circle_min_modulus_reference(p)
         assert cert.min_modulus == pytest.approx(want, rel=1e-12, abs=0), str(p)
-        # one point of each conjugate pair, always the one with t <= 1/2
+        # the point w_s = exp(-2 pi i argmin_t) of circle_values, s <= n/2
         assert 0 <= cert.argmin_t <= 0.5
-        assert abs(eval_unit(p, cert.argmin_t)) == pytest.approx(cert.min_modulus, rel=1e-12)
+        assert abs(eval_unit(p, -cert.argmin_t)) == pytest.approx(cert.min_modulus, rel=1e-12)
 
 
 def test_dominant_coeff_sufficient_condition():

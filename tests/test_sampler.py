@@ -321,10 +321,11 @@ def test_frame_bounds_q3_golden():
 
 
 def test_frame_bounds_q3_t_independent():
-    # the 129 points s <= 128 of a 257-point grid, one of every conjugate pair
+    # the 129 points s <= 128 of a 257-point grid, on the last axis
     sym = build_symbol(KAPPA_Q3)
     psi = circle_values(sym, 257)
-    assert psi.shape == (129, 2, 2)
+    assert psi.shape == (2, 2, 129)
+    psi = np.moveaxis(psi, -1, 0)
     gram = np.matmul(psi.conj().transpose(0, 2, 1), psi)
     lam = np.linalg.eigvalsh(gram)
     assert float(np.ptp(lam[:, 0])) <= 1e-12
@@ -332,7 +333,7 @@ def test_frame_bounds_q3_t_independent():
 
 
 def test_frame_bounds_half_circle_matches_full_circle():
-    # rows 0..n//2 hold one point of every conjugate pair, odd n included
+    # the points s <= n//2 give the extremes of the whole grid, odd n included
     for kappa in (KAPPA_Q3, KAPPA_Q4, KAPPA_Q4H, Kappa(7, Fraction(1, 3), 2),
                   Kappa(6, Fraction(1, 2), 4), Kappa(8, Fraction(0), 5)):
         sym = build_symbol(kappa)
@@ -346,7 +347,7 @@ def test_frame_bounds_half_circle_matches_full_circle():
 def _full_stack_extremes(sym, n: int) -> tuple[float, float]:
     """Extreme eigenvalues of Psi* Psi with eigvalsh on every half-circle
     point of circle_values, the frame constants' input without a screen."""
-    psi = circle_values(sym, n)
+    psi = np.moveaxis(circle_values(sym, n), -1, 0)
     lam = np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
     return float(lam[:, 0].min()), float(lam[:, -1].max())
 
@@ -438,6 +439,14 @@ def test_positive_definite_matches_eigvalsh():
     assert _positive_definite(special).tolist() == [False, False, True]
 
 
+def test_frame_bounds_exact_at_rho_1():
+    # Kappa(4, 0, 1) has the scalar symbol Psi(z) = (z + 4 z^2 + z^3) / 6,
+    # whose modulus runs from |Psi(-1)| = 1/3 to |Psi(1)| = 1, both grid
+    # points: A = 1/9 and B = 1 exactly
+    b = frame_bounds(Kappa(4, Fraction(0), 1))
+    assert (b.lower, b.upper) == (1.0 / 9.0, 1.0)
+
+
 def test_frame_bounds_q4_golden():
     b = frame_bounds(KAPPA_Q4)
     assert b.lower == pytest.approx(0.32382502232009336, abs=1e-10)
@@ -470,6 +479,27 @@ def test_frame_bounds_bounds_its_grid(monkeypatch):
     with pytest.raises(LookupError):
         frame_bounds(KAPPA_Q3, grid_n=cap)
     assert reached == [cap]
+
+
+def test_sample_grid_and_approx_error_bound_their_points(table_q3, monkeypatch):
+    # numpy is swapped for a namespace that builds no array: a dilation one
+    # node past the bound, or a grid_n past it, must raise ValueError before
+    # any array, and at the bound approx_error gets through to its first
+    # array, which raises AttributeError here
+    cap, v = sampler._MAX_POINTS, table_q3.radius
+    f = SplineElement(3, 0, np.ones(4))
+    monkeypatch.setattr(sampler, "np", SimpleNamespace())
+    # at rho = 2 the window [0, 1] takes 2V + 3 + ceil(W / 2) nodes
+    w = 2.0 * (cap - 2 * v - 3)
+    grid = grid_for_window(KAPPA_Q3, w, 0.0, 1.0, table_q3)
+    assert grid.l_hi - grid.l_lo + 1 == cap
+    with pytest.raises(ValueError, match=r"sample count .* got W=8\d+\.0, "):
+        grid_for_window(KAPPA_Q3, w + 1.0, 0.0, 1.0, table_q3)
+    for past in ({"w": 1e20}, {"w": 1e300}, {"w": 4.0, "grid_n": cap + 1}):
+        with pytest.raises(ValueError, match="^need"):
+            approx_error(table_q3, f, **{"grid_n": 100, **past})
+    with pytest.raises(AttributeError):
+        approx_error(table_q3, f, 4.0, grid_n=cap)
 
 
 def test_approx_error_rejects_non_integer_grid(table_q3):

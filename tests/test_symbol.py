@@ -109,9 +109,10 @@ def test_symbol_entries_match_oracle():
 
 
 def test_symbol_circle_values_matches_unit_eval():
-    # the n//2 + 1 points s <= n/2 of each grid, odd n included; (12, 1/3, 2)
-    # has entries of 6 coefficients and a determinant of 11, so for n <= 5
-    # the entries' coefficients wrap mod n, and for n <= 9 the determinant's
+    # the n//2 + 1 points w_s = exp(-2 pi i s/n), s <= n/2, of each grid, on
+    # the last axis, odd n included; (12, 1/3, 2) has entries of 6
+    # coefficients and a determinant of 11, so for n <= 5 the entries'
+    # coefficients wrap mod n, and for n <= 9 the determinant's
     wide = Kappa(12, Fraction(1, 3), 2)
     assert len(build_symbol(wide)[0][0].coeffs) == 6
     assert len(det_symbol(wide).coeffs) == 11
@@ -120,15 +121,15 @@ def test_symbol_circle_values_matches_unit_eval():
         det = det_symbol(kappa)
         for n in (1, 2, 5, 9, 64):
             grid = circle_values(sym, n)
-            assert grid.shape == (n // 2 + 1, kappa.rho, kappa.rho)
+            assert grid.shape == (kappa.rho, kappa.rho, n // 2 + 1)
             dvals = circle_values(det, n)
             assert dvals.shape == (n // 2 + 1,)
             for s in range(n // 2 + 1):
-                assert abs(dvals[s] - eval_unit(det, s / n)) <= 1e-12
+                assert abs(dvals[s] - eval_unit(det, -s / n)) <= 1e-12
                 for i in range(kappa.rho):
                     for j in range(kappa.rho):
-                        want = eval_unit(sym[i][j], s / n)
-                        assert abs(grid[s, i, j] - want) <= 1e-12
+                        want = eval_unit(sym[i][j], -s / n)
+                        assert abs(grid[i, j, s] - want) <= 1e-12
 
 
 def test_maximal_density_determinant_is_monomial():
