@@ -175,10 +175,11 @@ def reproducing_order(table: KernelTable) -> ReproducingReport:
     ls = np.arange(l_lo, l_hi + 1)[:, None]
     theta = [theta_eval(table, i, ts - rho * ls) for i in range(rho)]  # (l, t) each
     dist = a + rho * ls - ts
+    powers = [dist ** e for e in range(_REPRODUCING_MAX + 1)]
     residuals = []
     for n in range(_REPRODUCING_MAX + 1):
         terms = np.stack([
-            math.comb(n, i) * math.factorial(i) * dist ** (n - i) * theta[i]
+            math.comb(n, i) * math.factorial(i) * powers[n - i] * theta[i]
             for i in range(min(n, rho - 1) + 1)
         ])
         acc = terms.sum(axis=(0, 1)) - (1.0 if n == 0 else 0.0)
@@ -211,8 +212,9 @@ def moment_check_fourier(table: KernelTable, n: int, l: int) -> complex:
     """Residual of the degree-n moment condition in Fourier form at frequency
     l/rho: sum_i C(n,i) i! sum_u C(n-i,u) a^u (2 pi i)^{u+i-n}
     Theta_i^[(n-i-u)](l/rho) - rho delta_{l0} delta_{n0}, for any degree
-    n >= 0."""
+    n >= 0; raises ArgumentError unless n >= 0 and l are integers."""
     _check_range("moment degree n", n, 0, integer=True)
+    _check_range("lattice frequency l", l, -math.inf, integer=True)
     kappa = table.kappa
     rho, a = kappa.rho, float(kappa.a)
     xi = l / rho

@@ -238,8 +238,8 @@ def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     s = 1e-12 hi, on a Gram summed row by row, rules out most other points,
     and only the rest are formed by np.matmul and solved.  A ruled-out point
     cannot hold an extreme, so A and B are the same floats as from every
-    point's eigenvalues.  A symbol whose columns are monomials has the same
-    spectrum at every point, and every point is solved without the screen.
+    point's eigenvalues.  A symbol of monomial columns is solved at z = 1
+    alone, its A and B those of C^T C whatever grid_n (see _frame_bounds).
 
     Raises ArgumentError, before any array exists, unless grid_n is an
     integer in [64, _FRAME_MAX_GRID_N]."""
@@ -320,11 +320,11 @@ def _monomial_columns(rows) -> bool:
 
 def _frame_bounds(kappa: Kappa, rows, grid_n: int) -> BoundsReport:
     """Frame constants on the half circle of grid_n points (see frame_bounds).
-    When every column of the symbol is one monomial, Psi(z) = C diag(z^k_j)
-    and Psi* Psi = D* C^T C D with D unitary has the same spectrum at every
-    point, so the screen could rule out none: every point is solved."""
-    psi = circle_values(rows, grid_n)
-    lam = _gram_eigvalsh(psi) if _monomial_columns(rows) else _screened_eigvalsh(psi)
+    When every column of the symbol is one monomial, Psi(z) = C diag(z^k_j),
+    Psi* Psi = D* C^T C D with D unitary has the spectrum of C^T C at every
+    point, and the one-point grid holds Psi(1) = C exactly."""
+    lam = (_gram_eigvalsh(circle_values(rows, 1)) if _monomial_columns(rows)
+           else _screened_eigvalsh(circle_values(rows, grid_n)))
     lower = float(lam[:, 0].min())
     upper = float(lam[:, -1].max())
     return BoundsReport(kappa, lower, upper, upper / riesz_lower_bound(kappa.m))

@@ -276,8 +276,9 @@ def test_moment_fourier_beyond_degree_three():
 
 
 def test_moment_fourier_rejects_bad_degree(table_q3):
-    # a negative degree has no moment condition; it must not read as a pass
-    for n, l in ((-1, 0), (-2, 1), (1.5, 0)):
+    # a negative degree has no moment condition, and a frequency l/rho off
+    # the lattice none to check; neither must read as a pass or a failure
+    for n, l in ((-1, 0), (-2, 1), (1.5, 0), (1, 0.5), (1, 1e300), (1, math.nan)):
         with pytest.raises(ValueError):
             moment_check_fourier(table_q3, n, l)
 

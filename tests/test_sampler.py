@@ -344,30 +344,38 @@ def test_frame_bounds_half_circle_matches_full_circle():
             assert b.upper == pytest.approx(hi, rel=1e-12, abs=0), (kappa, n)
 
 
-def _full_stack_extremes(sym, n: int) -> tuple[float, float]:
-    """Extreme eigenvalues of Psi* Psi with eigvalsh on every half-circle
-    point of circle_values, the frame constants' input without a screen."""
+def _full_stack_eigvalsh(sym, n: int) -> np.ndarray:
+    """Eigenvalues of Psi* Psi with eigvalsh on every half-circle point of
+    circle_values, one row per point: the frame constants' input without a
+    screen."""
     psi = np.moveaxis(circle_values(sym, n), -1, 0)
-    lam = np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
+    return np.linalg.eigvalsh(np.matmul(psi.conj().transpose(0, 2, 1), psi))
+
+
+def _full_stack_extremes(sym, n: int) -> tuple[float, float]:
+    lam = _full_stack_eigvalsh(sym, n)
     return float(lam[:, 0].min()), float(lam[:, -1].max())
 
 
+# The benchmark's certify grid: rho 2-5, m <= 12, shifts p/q with q <= 6.
+CERTIFY_GRID = sorted({
+    (m, Fraction(p, q), rho)
+    for rho in range(2, 6)
+    for m in range(rho + 1, 13)
+    for q in range(1, 7)
+    for p in range(rho * q)
+})
+
+
 def test_frame_bounds_screen_keeps_full_stack_extremes():
-    # a seeded sample of the benchmark's certify grid (rho 2-5, m <= 12,
-    # shifts p/q with q <= 6), plus Q3 (flat spectrum), Q4, the non-CIS
-    # (4, 0, 2), Q4H (minimum between the screen's coarse points) and
-    # (12, 2/5, 5) (both extremes on the last half-circle point)
-    grid = sorted({
-        (m, Fraction(p, q), rho)
-        for rho in range(2, 6)
-        for m in range(rho + 1, 13)
-        for q in range(1, 7)
-        for p in range(rho * q)
-    })
+    # a seeded sample of the certify grid, less its symbols of monomial
+    # columns (solved at z = 1 alone), plus the non-CIS (4, 0, 2), Q4H
+    # (minimum between the screen's coarse points) and (12, 2/5, 5) (both
+    # extremes on the last half-circle point)
     rng = np.random.default_rng(19)
-    kappas = [Kappa(*grid[i]) for i in rng.choice(len(grid), 12, replace=False)]
-    kappas += [KAPPA_Q3, KAPPA_Q4, Kappa(4, Fraction(0), 2), KAPPA_Q4H,
-               Kappa(12, Fraction(2, 5), 5)]
+    kappas = [Kappa(*CERTIFY_GRID[i]) for i in rng.choice(len(CERTIFY_GRID), 12, replace=False)]
+    kappas = [k for k in kappas if not sampler._monomial_columns(build_symbol(k))]
+    kappas += [Kappa(4, Fraction(0), 2), KAPPA_Q4H, Kappa(12, Fraction(2, 5), 5)]
     assert any(not check_cis(k).is_cis for k in kappas)
     for kappa in kappas:
         sym = build_symbol(kappa)
@@ -399,20 +407,40 @@ def test_frame_bounds_solves_few_points(monkeypatch):
 
 def test_frame_bounds_skips_screen_on_monomial_columns(monkeypatch):
     # m = rho + 1 with an integer shift puts one monomial in each column of
-    # the symbol, Psi(z) = C diag(z^k_j), whose spectrum is the same at every
-    # point: every point is solved and the screen never runs.  Q4H's columns
-    # are not monomials and it is still screened.
-    calls = []
-    screen = sampler._positive_definite
+    # the symbol, Psi(z) = C diag(z^k_j), whose spectrum is that of C^T C at
+    # every point: eigvalsh solves the one matrix Psi(1)* Psi(1), which every
+    # grid holds at s = 0, and the screen never runs.  Q4H's columns are not
+    # monomials and it is still screened.
+    monomial = [Kappa(*k) for k in CERTIFY_GRID if sampler._monomial_columns(build_symbol(Kappa(*k)))]
+    assert len(monomial) == 14
+    assert {KAPPA_Q3, KAPPA_Q4, Kappa(5, Fraction(0), 4)} <= set(monomial)
+    calls, solved = [], []
+    screen, eigvalsh = sampler._positive_definite, np.linalg.eigvalsh
 
     def counting_screen(h):
         calls.append(h.shape)
         return screen(h)
 
+    def counting_eigvalsh(h):
+        solved.append(len(h))
+        return eigvalsh(h)
+
     monkeypatch.setattr(sampler, "_positive_definite", counting_screen)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for kappa in monomial:
+        sym = build_symbol(kappa)
+        for n in (64, 1024, 4096):
+            lam = _full_stack_eigvalsh(sym, n)
+            solved.clear()
+            b = frame_bounds(kappa, grid_n=n)
+            assert solved == [1], (kappa, n)
+            assert (b.lower, b.upper) == (lam[0, 0], lam[0, -1]), (kappa, n)
+            lo, hi = float(lam[:, 0].min()), float(lam[:, -1].max())
+            assert lo <= b.lower <= lo * (1 + 1e-12), (kappa, n)
+            assert hi * (1 - 1e-12) <= b.upper <= hi, (kappa, n)
+    b = frame_bounds(KAPPA_Q3)
+    assert (b.lower, b.upper, b.upper_frame) == (0.5, 2.0, 15.0)
     for kappa in (KAPPA_Q3, KAPPA_Q4, Kappa(5, Fraction(0), 4)):
-        b = frame_bounds(kappa)
-        assert (b.lower, b.upper) == _full_stack_extremes(build_symbol(kappa), 1024), kappa
         verify_sampling_inequality(kappa, n_trials=10)
     assert calls == []
     frame_bounds(KAPPA_Q4H)
@@ -447,6 +475,19 @@ def test_frame_bounds_exact_at_rho_1():
     assert (b.lower, b.upper) == (1.0 / 9.0, 1.0)
 
 
+def test_frame_bounds_at_rho_1_are_extreme_moduli():
+    # at rho = 1, Psi* Psi = |Psi|^2: for every CIS m from 3 to 14, A and B
+    # are the extreme squared moduli of the symbol on the grid, the same floats
+    kappas = [Kappa(m, a, 1) for m in range(3, 15) for a in (Fraction(0), Fraction(1, 2))]
+    kappas = [k for k in kappas if check_cis(k).is_cis]
+    assert len(kappas) == 12
+    for kappa in kappas:
+        v = circle_values(build_symbol(kappa), 1024)
+        sq = (np.conj(v) * v).real
+        b = frame_bounds(kappa)
+        assert (b.lower, b.upper) == (float(sq.min()), float(sq.max())), kappa
+
+
 def test_frame_bounds_q4_golden():
     b = frame_bounds(KAPPA_Q4)
     assert b.lower == pytest.approx(0.32382502232009336, abs=1e-10)
@@ -463,7 +504,8 @@ def test_frame_bounds_validation():
 def test_frame_bounds_bounds_its_grid(monkeypatch):
     # numpy and the circle evaluator are swapped for stand-ins that build no
     # array: a grid_n past the cap must raise ValueError before any array,
-    # and one at the cap gets through to circle_values
+    # also for Q3, whose monomial columns are solved at z = 1 alone, and one
+    # at the cap gets Q4H through to circle_values
     cap = sampler._FRAME_MAX_GRID_N
     reached = []
 
@@ -473,11 +515,12 @@ def test_frame_bounds_bounds_its_grid(monkeypatch):
 
     monkeypatch.setattr(sampler, "np", SimpleNamespace())
     monkeypatch.setattr(sampler, "circle_values", no_circle_values)
-    with pytest.raises(ValueError, match="grid_n"):
-        frame_bounds(KAPPA_Q3, grid_n=cap + 1)
+    for kappa in (KAPPA_Q3, KAPPA_Q4H):
+        with pytest.raises(ValueError, match="grid_n"):
+            frame_bounds(kappa, grid_n=cap + 1)
     assert reached == []
     with pytest.raises(LookupError):
-        frame_bounds(KAPPA_Q3, grid_n=cap)
+        frame_bounds(KAPPA_Q4H, grid_n=cap)
     assert reached == [cap]
 
 

@@ -226,6 +226,29 @@ def test_cis_exactly_when_shift_rule_allows():
                 assert check_cis(Kappa(m, a, rho)).is_cis != vanishing, (m, a, rho)
 
 
+def test_shift_rule_at_rho_1():
+    # the parity law at rho = 1: CIS exactly when 2a + m - 1 is odd
+    for m in range(2, 21):
+        for a in (Fraction(0), Fraction(1, 2)):
+            assert check_cis(Kappa(m, a, 1)).is_cis == ((2 * a + m - 1) % 2 == 1), (m, a)
+
+
+def _eulerian(n: int) -> list[int]:
+    """Eulerian numbers A(n, k), 0 <= k < n: permutations of n with k descents."""
+    return [
+        sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1))
+        for k in range(n)
+    ]
+
+
+def test_determinant_at_rho_1_is_euler_frobenius():
+    # at rho = 1 and a = 0 the symbol is the scalar sum_k Q_m(k) z^k, which
+    # is z E_{m-1}(z) / (m-1)!, E_{m-1} the Euler-Frobenius polynomial
+    for m in range(2, 12):
+        want = laurent.LaurentPoly(1, tuple(_eulerian(m - 1)), math.factorial(m - 1))
+        assert laurent.laurent_det(build_symbol(Kappa(m, Fraction(0), 1))) == want, m
+
+
 def test_non_cis_determinant_vanishes_at_unit_root():
     # the factor table shows exactly which of z = +-1 kills the determinant
     assert eval_exact(det_symbol(Kappa(4, Fraction(0), 2)), 1) == 0
