@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -176,24 +177,24 @@ def _triangle(m: int, s: int, q: int, d_max: int) -> tuple[list[list[int]], list
     T_n(p) = (n-1)! q^(n-1) Q_n(u + p), n <= m: the recurrence
     Q_n(x) = (x Q_{n-1}(x) + (n-x) Q_{n-1}(x-1)) / (n-1) becomes
     T_n(p) = (s + qp) T_{n-1}(p) + (qn - s - qp) T_{n-1}(p-1), started at the
-    right-continuous Q_1.  Then Q_m^(i) = Delta^i Q_{m-i}, the i-th backward
-    difference in p, taken on the integers; for i = m-1 that is the
+    right-continuous Q_1.  Q_n vanishes on [n, inf), so row T_n is held on
+    its support p < n alone.  Then Q_m^(i) = Delta^i Q_{m-i}, the i-th
+    backward difference in p, taken on the integers, each difference one
+    zero-padded place longer, up to p < m; for i = m-1 that is the
     right-continuous step.
     """
     qx = [s + q * p for p in range(m)]  # q (u + p)
-    row = [1] + [0] * (m - 1)  # T_1
-    rows = {1: row}
+    row = [1]  # T_1 on p < 1
+    rows = [None, row]
     for n in range(2, m + 1):
-        row = [
-            x * t + (q * n - x) * t_left
-            for x, t, t_left in zip(qx, row, [0] + row[:-1])
-        ]
-        rows[n] = row
+        qn = q * n
+        row = [x * t + (qn - x) * t_left for x, t, t_left in zip(qx, row + [0], [0] + row)]
+        rows.append(row)
     nums, dens = [], []
     for i in range(d_max + 1):
         diff = rows[m - i]
         for _ in range(i):
-            diff = [t - t_left for t, t_left in zip(diff, [0] + diff[:-1])]
+            diff = [t - t_left for t, t_left in zip(diff + [0], [0] + diff)]
         nums.append(diff)
         dens.append(math.factorial(m - i - 1) * q ** (m - i - 1))
     return nums, dens
@@ -258,10 +259,7 @@ def _zigzag(r: int) -> int:
     E(n, k) = E(n, k-1) + E(n-1, n-k), and A_n = E(n, n)."""
     row = [1]
     for _ in range(r):
-        new = [0]
-        for v in reversed(row):
-            new.append(new[-1] + v)
-        row = new
+        row = [0, *itertools.accumulate(reversed(row))]
     return row[-1]
 
 

@@ -194,14 +194,15 @@ def reproducing_order(table: KernelTable) -> ReproducingReport:
     return ReproducingReport(kappa, order, tuple(residuals), _REPRODUCING_TOL)
 
 
-def _theta_hat_derivs(table: KernelTable, i: int, q: np.ndarray, xi: float) -> list[complex]:
+def _theta_hat_derivs(c: np.ndarray, e: np.ndarray, vander: np.ndarray,
+                      q: np.ndarray) -> list[complex]:
     """Theta_i^ and its first d derivatives at xi, given q = [Q_m^, ...,
     Q_m^(d)] at xi: Leibniz on the expansion Theta_i^(xi) = Q_m^(xi) S(xi),
     S(xi) = sum_n c[n] e^{-2 pi i w_n xi}, w_n = k0 + n, whose k-th
-    derivative weights each term by (-2 pi i w_n)^k."""
-    c, k0 = _theta_series(table, i)
-    z = -_TWO_PI_I * (k0 + np.arange(len(c)))  # -2 pi i w_n
-    s = (c * np.exp(z * xi)) @ np.vander(z, len(q), increasing=True)  # S^(k)
+    derivative weights each term by (-2 pi i w_n)^k.  e holds the
+    exponentials e^{-2 pi i w_n xi} and vander the powers (-2 pi i w_n)^k,
+    k <= d, one row per n."""
+    s = (c * e) @ vander  # S^(k)
     return [
         complex(sum(math.comb(k, j) * q[j] * s[k - j] for j in range(k + 1)))
         for k in range(len(q))
@@ -219,9 +220,19 @@ def moment_check_fourier(table: KernelTable, n: int, l: int) -> complex:
     rho, a = kappa.rho, float(kappa.a)
     xi = l / rho
     q = fourier_q_derivs(kappa.m, n, xi)
+    # every channel's series has the knots k0 + n, so z, e and the powers
+    # are shared; np.vander's column k does not depend on how many follow it
+    c, k0 = _theta_series(table, 0)
+    z = -_TWO_PI_I * (k0 + np.arange(len(c)))  # -2 pi i w_n
+    e = np.exp(z * xi)
+    vander = np.vander(z, n + 1, increasing=True)
     acc = 0j
     for i in range(min(n, rho - 1) + 1):
-        theta = _theta_hat_derivs(table, i, q[: n - i + 1], xi)
+        # a contiguous copy of the leading columns, as np.vander(z, d) would
+        # lay them out: matmul may sum a strided operand in another order
+        d = n - i + 1
+        c = _theta_series(table, i)[0]
+        theta = _theta_hat_derivs(c, e, np.ascontiguousarray(vander[:, :d]), q[:d])
         for u in range(n - i + 1):
             acc += (
                 math.comb(n, i)

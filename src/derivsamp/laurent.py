@@ -8,16 +8,18 @@ zeros come to the circle (read through `CisReport.certificate`), and
 `circle_values`, the one float evaluator of a Laurent polynomial or matrix
 on a uniform grid of the circle: one real FFT of its coefficients, the
 points on the last axis.  Both exact algorithms run on the integer
-numerators alone, as lists of ints, constant term first:
-the determinant shifts each column to nonnegative exponents, packs each
-integer polynomial into one integer by Kronecker substitution and runs
-fraction-free Bareiss elimination on those, over the product of the row
-denominators; the certificate first takes one integer gcd of the
-polynomial's and its reverse's values at a Kronecker point x = 2^K with
-x >= 2 + 2 max|coefficient|, and a gcd of at most x/2 proves the two
-coprime (the bound of GCDHEU, Char, Geddes & Gonnet, J. Symbolic Comput.
-1989), so no zero lies on the circle; otherwise it takes their polynomial
-gcd, substitutes x = z + 1/z and counts roots with a Sturm sequence, all
+numerators alone, constant term first, and both evaluate an integer
+polynomial at a Kronecker point x = 2^K by shifts, acc = (acc << K) + c
+(`_pack`): the determinant packs each entry so, scaled to its row's lcm
+and shifted up by its exponent above its column's least one, runs
+fraction-free Bareiss elimination on those integers, over the product of
+the row denominators, and reads the coefficients back as balanced base-2^K
+digits with a mask and a shift; the certificate first takes one integer gcd
+of the polynomial's and its reverse's values at x = 2^K >=
+2 + 2 max|coefficient|, and a gcd of at most x/2 proves the two coprime
+(the bound of GCDHEU, Char, Geddes & Gonnet, J. Symbolic Comput. 1989), so
+no zero lies on the circle; otherwise it takes their polynomial gcd,
+substitutes x = z + 1/z and counts roots with a Sturm sequence, all
 by sign-correct primitive pseudo-remainders.  Every float coefficient is
 numerator / den, which Python rounds correctly, as float(Fraction) does.
 """
@@ -47,6 +49,15 @@ def _eval(p: Sequence, x):
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
+    return acc
+
+
+def _pack(p: Sequence[int], K: int) -> int:
+    """Value at x = 2^K of the integer coefficient list p (constant term
+    first): Kronecker substitution, Horner by shifts."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc << K) + c
     return acc
 
 
@@ -169,28 +180,28 @@ def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         raise ValueError("matrix is not square")
     if n == 0:
         return LaurentPoly(0, (1,))
-    lows = [min((p.low for p in col if p.coeffs), default=0) for col in zip(*mat)]
-    den = 1
-    polys = []
+    lows = [min([p.low for p in col if p.coeffs], default=0) for col in zip(*mat)]
+    # Entry p of row i and column j enters as its numerators times s / p.den,
+    # s the lcm of the row's denominators, packed by `_pack` and shifted up
+    # by p.low - l_j >= 0 places; a zero entry is 0.  A minor is a sum over
+    # permutations of one entry per row, so each of its coefficients is at
+    # most bound, the product over rows of the row's summed absolute
+    # coefficients (each at least 1, so K >= 2), and bound < 2^(K-1).  With
+    # digits in [-2^(K-1), 2^(K-1)) an integer has one base-2^K expansion
+    # only: the determinant's value at x = 2^K gives back its coefficients,
+    # and every value Bareiss meets, a minor, is zero only if its polynomial
+    # is, so pivots and row swaps are those of the polynomials.
+    lcms, bound = [], 1
     for row in mat:
-        s = math.lcm(*(p.den for p in row))
-        den *= s
-        polys.append([
-            [0] * (p.low - l) + [c * (s // p.den) for c in p.coeffs] if p.coeffs else []
-            for p, l in zip(row, lows)
-        ])
-    # A minor is a sum over permutations of one entry per row, so each of
-    # its coefficients is at most bound, the product over rows of the row's
-    # summed absolute coefficients (each at least 1, so K >= 2), and
-    # bound < 2^(K-1).  With digits in [-2^(K-1), 2^(K-1)) an integer has
-    # one base-2^K expansion only: the determinant's value at x = 2^K gives
-    # back its coefficients, and every value Bareiss meets, a minor, is zero
-    # only if its polynomial is, so pivots and row swaps are those of the
-    # polynomials.
-    bound = math.prod(max(1, sum(abs(c) for p in row for c in p)) for row in polys)
+        s = math.lcm(*[p.den for p in row])
+        lcms.append(s)
+        bound *= max(1, sum([s // p.den * sum(map(abs, p.coeffs)) for p in row]))
     K = bound.bit_length() + 1
-    x = 1 << K
-    m = [[_eval(p, x) for p in row] for row in polys]
+    m = [
+        [s // p.den * (_pack(p.coeffs, K) << K * (p.low - l)) if p.coeffs else 0
+         for p, l in zip(row, lows)]
+        for s, row in zip(lcms, mat)
+    ]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -206,12 +217,14 @@ def laurent_det(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
         prev = pivot
     value = sign * m[n - 1][n - 1]
+    # balanced digit d = ((value + half) mod 2^K) - half, and
+    # (value - d) / 2^K = (value + half) >> K
+    half, mask = 1 << (K - 1), (1 << K) - 1
     coeffs = []
     while value:
-        digit = (value + x // 2) % x - x // 2
-        coeffs.append(digit)
-        value = (value - digit) >> K
-    return LaurentPoly.make(sum(lows), coeffs, den)
+        coeffs.append(((value + half) & mask) - half)
+        value = (value + half) >> K
+    return LaurentPoly.make(sum(lows), coeffs, math.prod(lcms))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +301,8 @@ def _coprime_to_reverse(q: list[int]) -> bool:
     gamma = gcd(q(x), reverse q(x)).  |gamma| <= x/2 leaves no such g; a
     False proves nothing.
     """
-    x = 2 << (max(abs(c) for c in q) + 1).bit_length()
-    return 2 * math.gcd(_eval(q, x), _eval(q[::-1], x)) <= x
+    K = (max(map(abs, q)) + 1).bit_length() + 1
+    return math.gcd(_pack(q, K), _pack(q[::-1], K)) <= 1 << (K - 1)
 
 
 def _vanishes_on_circle(p: LaurentPoly) -> bool:

@@ -224,7 +224,10 @@ _FRAME_GRID_N = 1024
 _FRAME_MAX_GRID_N = 1 << 16
 # The frame constants solve eigenvalues exactly on every this-many-th point
 # of the half circle (and its last point) before screening the rest.
-_FRAME_COARSE_STEP = 16
+# Chosen from 16, 32 and 64 by paired timings of frame_bounds over the
+# benchmark's certify rounds: the screen costs the same at any step, and
+# the points it keeps are few, so fewer coarse points solve less.
+_FRAME_COARSE_STEP = 64
 
 
 def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
@@ -233,13 +236,14 @@ def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     of `circle_values`.
 
     Eigenvalues of G = Psi* Psi, formed by np.matmul, are solved on every
-    16th of those points and the last one, giving lo >= A and hi <= B.  An
-    LDL^H test that G - (lo + s) I and (hi - s) I - G are positive definite,
-    s = 1e-12 hi, on a Gram summed row by row, rules out most other points,
-    and only the rest are formed by np.matmul and solved.  A ruled-out point
-    cannot hold an extreme, so A and B are the same floats as from every
-    point's eigenvalues.  A symbol of monomial columns is solved at z = 1
-    alone, its A and B those of C^T C whatever grid_n (see _frame_bounds).
+    _FRAME_COARSE_STEP-th of those points and the last one, giving lo >= A
+    and hi <= B.  An LDL^H test that G - (lo + s) I and (hi - s) I - G are
+    positive definite, s = 1e-12 hi, on a Gram summed row by row, rules out
+    most other points, and only the rest are formed by np.matmul and solved.
+    A ruled-out point cannot hold an extreme, so A and B are the same floats
+    as from every point's eigenvalues.  A symbol of monomial columns is
+    solved at z = 1 alone, its A and B those of C^T C whatever grid_n (see
+    _frame_bounds).
 
     Raises ArgumentError, before any array exists, unless grid_n is an
     integer in [64, _FRAME_MAX_GRID_N]."""

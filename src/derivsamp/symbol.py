@@ -8,7 +8,7 @@ Laurent polynomials
 built here with exact rational coefficients.  Every node a + rho k - j
 has the fractional part u = a - floor(a), so every coefficient is one of the
 m values Q_m^{(i)}(u + p), 0 <= p < m, read off one exact Cox-de Boor
-triangle (`exact_lattice_values`) as an integer numerator over one
+triangle (that of `exact_lattice_values`) as an integer numerator over one
 denominator per derivative order i: row i of the symbol is integer Laurent
 polynomials over that denominator.  Invertibility of Psi on the unit circle
 is equivalent to stable reconstruction from samples of f, f', ...,
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bspline import _check_range, exact_lattice_values
+from .bspline import _check_range, _triangle
 from .laurent import (
     CircleCertificate,
     LaurentPoly,
@@ -80,19 +80,18 @@ def build_symbol(kappa: Kappa) -> tuple[tuple[LaurentPoly, ...], ...]:
     """Exact symbol of kappa as its rows: entry [i][j] is Psi^{ij}, and row
     i has one denominator."""
     m, a, rho = kappa.m, kappa.a, kappa.rho
-    shift = math.floor(a)
-    nums, dens = exact_lattice_values(m, a - shift, rho - 1)
-    rows = []
-    for i in range(rho):
-        row = []
-        for j in range(rho):
-            # node a + rho k - j = u + p with p = shift + rho k - j; the
-            # support needs 0 <= p < m, and k_lo is the least k with p >= 0
-            k_lo = -((shift - j) // rho)
-            p0 = shift + rho * k_lo - j
-            row.append(LaurentPoly.make(k_lo, nums[i][p0::rho], dens[i]))
-        rows.append(tuple(row))
-    return tuple(rows)
+    # Kappa has checked m > rho >= 1 and 0 <= a < rho; u = a - shift keeps
+    # a's denominator, in lowest terms
+    shift = a.numerator // a.denominator
+    nums, dens = _triangle(m, a.numerator - shift * a.denominator, a.denominator, rho - 1)
+    # node a + rho k - j = u + p with p = shift + rho k - j; the support
+    # needs 0 <= p < m, and column j starts at the least k with p >= 0
+    k_lo = [-((shift - j) // rho) for j in range(rho)]
+    p0 = [shift + rho * k - j for j, k in enumerate(k_lo)]
+    return tuple(
+        tuple(LaurentPoly.make(k, num[p::rho], den) for k, p in zip(k_lo, p0))
+        for num, den in zip(nums, dens)
+    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import pytest
 from derivsamp.bspline import (
     _BLOCK_POINTS,
     _pieces,
+    _triangle,
     bspline_series,
     exact_lattice_values,
     fourier_q_derivs,
@@ -171,6 +172,36 @@ def test_eval_exact_is_exact():
         exact_lattice_values(4, Fraction(1), 0)
     with pytest.raises(ValueError):
         exact_lattice_values(4, 0, 3)
+
+
+def _cox_de_boor_reference(m: int, u: Fraction, d_max: int) -> list[list[Fraction]]:
+    """Q_m^(i)(u + p) for 0 <= p < m and i <= d_max over Fraction: the
+    Cox-de Boor recurrence on the lattice points u + p of each support,
+    from the right-continuous Q_1, then
+    Q_m^(i) = sum_r (-1)^r C(i, r) Q_{m-i}(. - r)."""
+    q = {1: {0: Fraction(1)}}  # q[n][p] = Q_n(u + p), 0 <= p < n
+    for n in range(2, m + 1):
+        prev = q[n - 1]
+        q[n] = {p: ((u + p) * prev.get(p, 0) + (n - u - p) * prev.get(p - 1, 0)) / (n - 1)
+                for p in range(n)}
+    return [
+        [sum((-1) ** r * math.comb(i, r) * q[m - i].get(p - r, 0) for r in range(i + 1))
+         for p in range(m)]
+        for i in range(d_max + 1)
+    ]
+
+
+def test_triangle_matches_fraction_cox_de_boor():
+    # every s/q with q <= 7, unreduced ones included, and d_max = m - 1, the
+    # path of _pieces, whose top order is the right-continuous step
+    for m in range(1, 15):
+        for q in range(1, 8):
+            for s in range(q):
+                nums, dens = _triangle(m, s, q, m - 1)
+                assert [len(row) for row in nums] == [m] * m
+                assert dens == [math.factorial(m - i - 1) * q ** (m - i - 1) for i in range(m)]
+                got = [[Fraction(t, den) for t in row] for row, den in zip(nums, dens)]
+                assert got == _cox_de_boor_reference(m, Fraction(s, q), m - 1), (m, s, q)
 
 
 def test_spot_values():

@@ -255,6 +255,29 @@ def test_determinant_packed_digits():
     assert (empty.low, empty.coeffs, empty.den) == (0, (1,), 1)
 
 
+def test_determinant_zero_entries_in_shifted_columns():
+    # a zero entry is held at exponent 0, below a column whose least
+    # exponent is positive: it enters the packed matrix as 0, never shifted
+    # by a negative number of places
+    p = FracPoly.make
+    mat = [[p(2, [1]), ZERO], [ZERO, p(3, [1])]]
+    assert _det(mat) == p(5, [1]) == frac_det(mat)
+    # a zero that carries its row's denominator, as the symbol's do
+    det = laurent_det([[LaurentPoly(2, (3,), 7), LaurentPoly(0, (), 7)],
+                       [LaurentPoly(0, (), 5), LaurentPoly(3, (2, 1), 5)]])
+    assert to_frac(det) == p(5, [Fraction(6, 35), Fraction(3, 35)])
+    # 3 x 3: least exponents 2, 1 and 4, a zero in every column, and rows
+    # whose entries have unlike denominators
+    mat = [
+        [p(2, [Fraction(1, 3), 2]), ZERO, p(4, [Fraction(-5, 6)])],
+        [ZERO, p(1, [Fraction(7, 4), 0, 1]), p(5, [3, Fraction(1, 2)])],
+        [p(3, [Fraction(-2, 5)]), p(2, [Fraction(1, 9)]), ZERO],
+    ]
+    want = frac_det(mat)
+    assert not want.is_zero
+    assert _det(mat) == want
+
+
 def _poly_from_roots(roots, scale=Fraction(1)) -> LaurentPoly:
     p = ONE.scale(scale)
     for r in roots:
@@ -446,3 +469,42 @@ def test_integer_gcd_step_falls_through():
     assert all(sum(c * z**k for k, c in enumerate(p.coeffs)) for z in (1, -1))
     assert _vanishes_on_circle(p)
     assert _reference_verdict(p) == "vanishing"
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_integer_gcd_step_is_sound_on_random_polynomials():
+    # seeded products of palindromes z^2 + c z + 1 (zeros on or off the
+    # circle), zeros at +-1, factors with coefficients above 2^60 and small
+    # random ones: a True must mean that q and its reverse are coprime
+    rng = np.random.default_rng(43)
+    seen = {True: 0, False: 0}
+    big_true = 0
+    for _ in range(400):
+        q = [int(rng.choice([-1, 1])) * int(rng.integers(1, 10))]
+        for _ in range(int(rng.integers(1, 5))):
+            kind = int(rng.integers(4))
+            if kind == 0:
+                f = [1, int(rng.integers(-4, 5)), 1]
+            elif kind == 1:
+                f = [int(rng.choice([-1, 1])), 1]
+            elif kind == 2:
+                f = [int(rng.choice([-1, 1])) * ((1 << 61) + int(rng.integers(0, 1 << 40)))
+                     for _ in range(int(rng.integers(2, 4)))]
+            else:
+                f = [int(rng.integers(1, 9)) * int(rng.choice([-1, 1]))
+                     for _ in range(int(rng.integers(2, 4)))]
+            q = _poly_mul(q, f)
+        got = _coprime_to_reverse(q)
+        if got:
+            assert len(_gcd(q, q[::-1])) == 1, q
+            big_true += max(map(abs, q)) > 1 << 60
+        seen[got] += 1
+    assert min(seen.values()) >= 50, seen
+    assert big_true >= 20
