@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _check_range, bspline_series, fourier_q_derivs
+from .bspline import _check_range, _int_power, bspline_series, fourier_q_derivs
 from .laurent import circle_values
 from .symbol import Kappa, NotCISError, check_cis
 
@@ -167,6 +167,7 @@ def reproducing_order(table: KernelTable) -> ReproducingReport:
     residuals[n] is relative: max_t |sum - delta_{n0}| over max_t of the same
     sum of |terms|.  The terms grow with the kernel radius and with n, and
     so does their roundoff, which an absolute tol would read as failure.
+    The powers (a + rho l - t)^e are repeated products (_int_power).
     """
     kappa = table.kappa
     rho, a = kappa.rho, float(kappa.a)
@@ -175,7 +176,7 @@ def reproducing_order(table: KernelTable) -> ReproducingReport:
     ls = np.arange(l_lo, l_hi + 1)[:, None]
     theta = [theta_eval(table, i, ts - rho * ls) for i in range(rho)]  # (l, t) each
     dist = a + rho * ls - ts
-    powers = [dist ** e for e in range(_REPRODUCING_MAX + 1)]
+    powers = [_int_power(dist, e) for e in range(_REPRODUCING_MAX + 1)]
     residuals = []
     for n in range(_REPRODUCING_MAX + 1):
         terms = np.stack([

@@ -9,7 +9,10 @@ Three reference signals with progressively worse smoothness:
 plus constant/monomial probes.  Each signal knows its derivative channels
 and its special points, the known discontinuities: every derivative channel
 is undefined there, and the local-modulus search adds their two sides to its
-candidates.  read_signal_csv reads a signal's channels from a CSV table.
+candidates.  Integer powers of t are repeated products (bspline's
+_int_power), so f3, the t^3 term of f1''' and the monomials have the same
+bytes on every host.  read_signal_csv reads a signal's channels from a CSV
+table.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _check_range
+from .bspline import _check_range, _int_power
 
 __all__ = [
     "SignalSpec",
@@ -96,7 +99,7 @@ def _f1_evals():
         e = np.exp(-t * t / 4.0)
         s, c = np.sin(_TWO_PI * t), np.cos(_TWO_PI * t)
         return e * (
-            (-(t**3) / 8.0 + (0.75 + 6.0 * math.pi**2) * t) * s
+            (-_int_power(t, 3) / 8.0 + (0.75 + 6.0 * math.pi**2) * t) * s
             + (1.5 * math.pi * t * t - 3.0 * math.pi - 8.0 * math.pi**3) * c
         )
 
@@ -120,7 +123,7 @@ def _f3_evals():
     def inside(t):
         return (t > -1.5) & (t < 3.0)
 
-    evals = {0: lambda t: np.where(inside(t), -0.5 * t**3 + 2.0, 0.0)}
+    evals = {0: lambda t: np.where(inside(t), -0.5 * _int_power(t, 3) + 2.0, 0.0)}
     for i, g in ((1, lambda t: -1.5 * t**2), (2, lambda t: -3.0 * t),
                  (3, lambda t: -3.0 + 0.0 * t)):
         evals[i] = (lambda gg: lambda t: np.where(inside(t), gg(t), 0.0))(g)
@@ -142,7 +145,7 @@ def monomial_signal(n: int) -> SignalSpec:
         if i > n:
             return lambda t: np.zeros_like(t)
         coef = math.perm(n, i)
-        return lambda t: coef * t ** (n - i)
+        return lambda t: coef * _int_power(t, n - i)
 
     return SignalSpec(f"t^{n}", {i: make(i) for i in range(4)}, (-4.0, 4.0))
 

@@ -11,6 +11,7 @@ import pytest
 
 from derivsamp.bspline import (
     _BLOCK_POINTS,
+    _int_power,
     _pieces,
     _triangle,
     bspline_series,
@@ -142,6 +143,37 @@ def test_series_non_finite_points():
                 assert got[3::4].tobytes() == finite.tobytes()
             assert np.float64(bspline_series(m, deriv, c, 0, np.inf)).tobytes() == np.float64(0.0).tobytes()
             assert math.isnan(bspline_series(m, deriv, c, 0, math.nan))
+
+
+def test_int_power_against_fraction_powers():
+    rng = np.random.default_rng(34)
+    x = np.concatenate([rng.uniform(-4.0, 4.0, 200), rng.uniform(-1e6, 1e6, 50)])
+    for k in range(11):
+        got = _int_power(x, k)
+        for xv, gv in zip(x, got):
+            exact = Fraction(float(xv)) ** k
+            err = abs(Fraction(float(gv)) - exact)
+            assert err <= max(k - 1, 0) * Fraction(math.ulp(float(exact))), (xv, k)
+    # dyadic bases whose powers fit in 53 bits are exact, either sign
+    for num, den in ((1, 2), (3, 2), (11, 4), (7, 8), (13, 16), (3, 1)):
+        for sign in (1, -1):
+            base = sign * num / den
+            for k in range(11):
+                if num**k < 2**53:
+                    assert _int_power(np.array([base]), k)[0] == Fraction(sign * num, den) ** k
+
+
+def test_int_power_non_finite_and_signed_zero_like_pow():
+    x = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, 1.0])
+    for k in range(8):
+        got, want = _int_power(x, k), x**k
+        assert np.array_equal(got, want, equal_nan=True), k
+        assert np.array_equal(np.signbit(got), np.signbit(want)), k
+    assert _int_power(x, 0)[0] == 1.0  # NaN^0, as for **
+    assert _int_power(np.ones((2, 3)), 3).shape == (2, 3)
+    y = np.array([-2.0, 3.0])
+    _int_power(y, 1)[0] = 5.0  # a new array, also for k = 1
+    assert y.tolist() == [-2.0, 3.0]
 
 
 def test_pieces_match_truncated_power_expansion():

@@ -2,10 +2,14 @@
 the probe-signal constructors."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import derivsamp
 from derivsamp.bspline import riesz_lower_bound
 from derivsamp.signals import (
     catalog,
@@ -122,3 +126,36 @@ def test_random_spline_deterministic_and_riesz_bracketed():
             ss = float(np.sum(np.asarray(f.coeffs) ** 2))
             n2 = f.l2_norm() ** 2
             assert riesz_lower_bound(m) * ss - 1e-9 <= n2 <= ss + 1e-9, (m, seed)
+
+
+def test_integer_powers_independent_of_simd_dispatch():
+    # f3 and the monomials take their powers as products, whose bytes do not
+    # depend on the SIMD code numpy dispatches to; numpy's pow of a negative
+    # base does.  One run disables the AVX-512 targets this numpy lists (on a
+    # host without them both runs coincide).  f1 is left out: np.exp's bytes
+    # follow the dispatch.
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    avx512 = [n for n in umath.__cpu_dispatch__ if n.startswith("AVX512") or n == "X86_V4"]
+    code = (
+        "import hashlib, numpy as np\n"
+        "from derivsamp.signals import get_signal, monomial_signal\n"
+        "t = np.linspace(-2.0, 3.5, 4001)\n"
+        "h = hashlib.sha256(get_signal('f3').eval(0, t).tobytes())\n"
+        "for i in range(4):\n"
+        "    h.update(monomial_signal(5).eval(i, t).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(derivsamp.__file__)), env.get("PYTHONPATH")])
+    )
+    digests = []
+    for disabled in ((), avx512):
+        run_env = dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(disabled)) if disabled else env
+        proc = subprocess.run([sys.executable, "-c", code], env=run_env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1], avx512

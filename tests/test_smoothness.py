@@ -76,25 +76,27 @@ def test_local_modulus_window_ends_exact():
 
 def _grid_oracle(f, r, x, delta, search_n=64):
     """Brute-force (t, h) grid search: search_n t-offsets across the window
-    and search_n steps h in [0, delta], plus t just either side of each jump."""
+    and search_n steps h in [0, delta], plus t just either side of each jump.
+    Returns the largest |difference| and the sorted jump candidates."""
     half = r * delta / 2.0
-    ts = list(x + np.linspace(-half, half, search_n))
+    jumps = []
     for xi in getattr(f, "special_points", ()):
         for j in range(r + 1):
             for h in delta * 0.5 ** np.arange(8):
-                ts.extend((xi - j * h - 1e-9, xi - j * h + 1e-9))
-    t = np.array(ts)[:, None]
+                jumps.extend((xi - j * h - 1e-9, xi - j * h + 1e-9))
+    t = np.array([*(x + np.linspace(-half, half, search_n)), *jumps])[:, None]
     h = np.linspace(0.0, delta, search_n)[None, :]
     signs = [(-1.0) ** (r - j) * math.comb(r, j) for j in range(r + 1)]
     acc = np.abs(sum(c * f(t + j * h) for j, c in enumerate(signs)))
     bad = (t < x - half - 1e-15) | (t + r * h > x + half + 1e-15)
     acc[bad | ~np.isfinite(acc)] = 0.0
-    return float(acc.max())
+    return float(acc.max()), np.array(sorted(set(jumps)), dtype=float)
 
 
 def test_local_modulus_contains_grid_search():
     # every (t, h) pair of the grid search is a lattice pair, so the lattice
-    # estimate can only be larger, up to rounding
+    # estimate can only be larger, up to rounding; the jump candidates are
+    # the grid search's own, byte for byte
     rng = np.random.default_rng(2024)
     for sid, i in (("f1", 0), ("f2", 1), ("f3", 0), ("f3", 1)):
         ch = channel(get_signal(sid), i)
@@ -103,7 +105,8 @@ def test_local_modulus_contains_grid_search():
         for x in [*rng.uniform(lo - 0.5, hi + 0.5, 4), *near]:
             for r in (1, 2, 3):
                 for delta in (0.2, 0.05):
-                    want = _grid_oracle(ch, r, x, delta)
+                    want, jumps = _grid_oracle(ch, r, x, delta)
+                    assert smoothness._jump_points(ch, r, delta).tobytes() == jumps.tobytes()
                     got = local_modulus(ch, r, x, delta)
                     assert got >= want - 1e-12 * max(1.0, abs(want))
 
