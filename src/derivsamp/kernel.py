@@ -13,9 +13,11 @@ B-spline series with coefficient c^{ji}(v) at knot rho v + j.
 The kernels reproduce polynomials up to the configuration's order; both the
 time-domain and Fourier-domain (Strang-Fix) forms of that moment condition
 are provided.  The Fourier form holds for every degree: it reads derivatives
-of any order of Theta_i^ = Q_m^ S, S the exponential sum of the series
-coefficients, by Leibniz from `fourier_q_derivs`.  `reproducing_order`
-decides the order in the time domain.
+of any order of Theta_i^ = Q_m^ S_i, S_i the exponential sum of channel i's
+series coefficients, by Leibniz from the derivatives of Q_m^
+(`fourier_q_derivs`).  The channels share their knots, so one matrix
+product gives every S_i^(k); the few numbers after it are summed on Python
+scalars.  `reproducing_order` decides the order in the time domain.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _check_range, _int_power, bspline_series, fourier_q_derivs
+from .bspline import _check_range, _int_power, _q_hat_derivs, bspline_series
 from .laurent import circle_values
 from .symbol import Kappa, NotCISError, check_cis
 
@@ -134,13 +136,16 @@ def theta_eval(table: KernelTable, i: int, t, deriv: int = 0):
     """Evaluate Theta_i (or a derivative) at t."""
     kappa = table.kappa
     _check_range("channel i", i, 0, kappa.rho - 1, integer=True)
-    return bspline_series(kappa.m, deriv, *_theta_series(table, i), t)
+    c, k0 = _theta_series(table)
+    return bspline_series(kappa.m, deriv, c[i], k0, t)
 
 
-def _theta_series(table: KernelTable, i: int) -> tuple[np.ndarray, int]:
-    """(c, k0) with Theta_i(t) = sum_n c[n] Q_m(t - k0 - n): the coefficients
-    c^{ji}(v) interleaved, so that c[n] sits at knot rho v + j = k0 + n."""
-    return table.coeffs[:, i, :].T.ravel(), -table.kappa.rho * table.radius
+def _theta_series(table: KernelTable) -> tuple[np.ndarray, int]:
+    """(c, k0) with Theta_i(t) = sum_n c[i, n] Q_m(t - k0 - n): row i holds
+    the coefficients c^{ji}(v) interleaved, so that c[i, n] sits at knot
+    rho v + j = k0 + n."""
+    rho = table.kappa.rho
+    return table.coeffs.transpose(1, 2, 0).reshape(rho, -1), -rho * table.radius
 
 
 @dataclass(frozen=True)
@@ -195,45 +200,35 @@ def reproducing_order(table: KernelTable) -> ReproducingReport:
     return ReproducingReport(kappa, order, tuple(residuals), _REPRODUCING_TOL)
 
 
-def _theta_hat_derivs(c: np.ndarray, e: np.ndarray, vander: np.ndarray,
-                      q: np.ndarray) -> list[complex]:
-    """Theta_i^ and its first d derivatives at xi, given q = [Q_m^, ...,
-    Q_m^(d)] at xi: Leibniz on the expansion Theta_i^(xi) = Q_m^(xi) S(xi),
-    S(xi) = sum_n c[n] e^{-2 pi i w_n xi}, w_n = k0 + n, whose k-th
-    derivative weights each term by (-2 pi i w_n)^k.  e holds the
-    exponentials e^{-2 pi i w_n xi} and vander the powers (-2 pi i w_n)^k,
-    k <= d, one row per n."""
-    s = (c * e) @ vander  # S^(k)
-    return [
-        complex(sum(math.comb(k, j) * q[j] * s[k - j] for j in range(k + 1)))
-        for k in range(len(q))
-    ]
-
-
 def moment_check_fourier(table: KernelTable, n: int, l: int) -> complex:
     """Residual of the degree-n moment condition in Fourier form at frequency
     l/rho: sum_i C(n,i) i! sum_u C(n-i,u) a^u (2 pi i)^{u+i-n}
     Theta_i^[(n-i-u)](l/rho) - rho delta_{l0} delta_{n0}, for any degree
-    n >= 0; raises ArgumentError unless n >= 0 and l are integers."""
+    n >= 0; raises ArgumentError unless n >= 0 and l are integers.
+
+    Theta_i^(xi) = Q_m^(xi) S_i(xi), S_i(xi) = sum_n c[n] e^{-2 pi i w_n xi}
+    with w_n = k0 + n, and the k-th derivative of S_i weights each term by
+    (-2 pi i w_n)^k.  Every channel's series has the same knots w_n, so one
+    product (c * e) @ vander gives S_i^(k)(xi) for every channel i at once.
+    Leibniz and the sum above then take a few dozen numbers, on Python
+    complex numbers, where each operation costs less than a numpy call does.
+    """
     _check_range("moment degree n", n, 0, integer=True)
     _check_range("lattice frequency l", l, -math.inf, integer=True)
     kappa = table.kappa
     rho, a = kappa.rho, float(kappa.a)
     xi = l / rho
-    q = fourier_q_derivs(kappa.m, n, xi)
-    # every channel's series has the knots k0 + n, so z, e and the powers
-    # are shared; np.vander's column k does not depend on how many follow it
-    c, k0 = _theta_series(table, 0)
-    z = -_TWO_PI_I * (k0 + np.arange(len(c)))  # -2 pi i w_n
-    e = np.exp(z * xi)
-    vander = np.vander(z, n + 1, increasing=True)
+    i_max = min(n, rho - 1)
+    q = _q_hat_derivs(kappa.m, n, xi)
+    c, k0 = _theta_series(table)
+    z = -_TWO_PI_I * (k0 + np.arange(c.shape[1]))  # -2 pi i w_n
+    s = ((c[: i_max + 1] * np.exp(z * xi)) @ np.vander(z, n + 1, increasing=True)).tolist()
     acc = 0j
-    for i in range(min(n, rho - 1) + 1):
-        # a contiguous copy of the leading columns, as np.vander(z, d) would
-        # lay them out: matmul may sum a strided operand in another order
-        d = n - i + 1
-        c = _theta_series(table, i)[0]
-        theta = _theta_hat_derivs(c, e, np.ascontiguousarray(vander[:, :d]), q[:d])
+    for i in range(i_max + 1):
+        theta = [  # Theta_i^(k)(xi), k <= n - i
+            sum(math.comb(k, j) * q[j] * s[i][k - j] for j in range(k + 1))
+            for k in range(n - i + 1)
+        ]
         for u in range(n - i + 1):
             acc += (
                 math.comb(n, i)

@@ -17,8 +17,10 @@ reference that compares each grid with the one before it, against the
 library's alias band on one grid; the exact layer has the Fraction
 reference it replaced (`FracPoly`, with the ring arithmetic the library no
 longer carries, and `fraction_path`), against the library's integer
-numerators over one denominator per row.  Kernel tables are read back from
-CSV by `kernel_table_from_csv`.  Point evaluations of Laurent polynomials, the
+numerators over one denominator per row; the Fourier-domain moment
+residual has a knot-by-knot, channel-by-channel reference, against the
+library's one product over the interleaved rows of every channel.  Kernel
+tables are read back from CSV by `kernel_table_from_csv`.  Point evaluations of Laurent polynomials, the
 local modulus at one x, the time-domain moment residual, random spline
 elements, the Fourier transform of Q_m, single finite differences, the
 maximal-density determinant check, one-coefficient B-spline series, the
@@ -396,6 +398,36 @@ def moment_check_time(table, n: int, t: float) -> float:
         for l in ls:
             acc += w * (a + rho * l - t) ** (n - i) * theta_eval(table, i, t - rho * l)
     return acc - (1.0 if n == 0 else 0.0)
+
+
+def moment_check_fourier_reference(table, n: int, l: int) -> complex:
+    """Residual of the degree-n Fourier-domain moment condition at l/rho,
+    knot by knot and channel by channel on Python complex numbers: S_i^(k)
+    sums c^{ji}(v) (-2 pi i w)^k e^{-2 pi i w xi} over the knots w = rho v + j,
+    Theta_i^(k) follows by Leibniz with Q_m^ from `fourier_q_derivs`, then
+    sum_i C(n,i) i! sum_u C(n-i,u) a^u (2 pi i)^{u+i-n} Theta_i^[(n-i-u)]
+    - rho delta_{l0} delta_{n0}; independent of the library's interleaved
+    rows and its one product over every channel."""
+    kappa = table.kappa
+    rho, a, radius = kappa.rho, float(kappa.a), table.radius
+    xi = l / rho
+    q = fourier_q_derivs(kappa.m, n, xi).tolist()
+    acc = 0j
+    for i in range(min(n, rho - 1) + 1):
+        s = [0j] * (n + 1)
+        for j in range(rho):
+            for v in range(-radius, radius + 1):
+                z = -2j * math.pi * (rho * v + j)
+                term = float(table.coeffs[j, i, radius + v]) * cmath.exp(z * xi)
+                for k in range(n + 1):
+                    s[k] += term * z ** k
+        theta = [sum(math.comb(k, j) * q[j] * s[k - j] for j in range(k + 1)) for k in range(n + 1)]
+        for u in range(n - i + 1):
+            acc += (
+                math.comb(n, i) * math.factorial(i) * math.comb(n - i, u) * a ** u
+                * (2j * math.pi) ** (u + i - n) * theta[n - i - u]
+            )
+    return acc - (rho if n == 0 and l == 0 else 0)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import pytest
 
 from derivsamp.bspline import (
     _BLOCK_POINTS,
+    ArgumentError,
     _int_power,
     _pieces,
     _triangle,
@@ -399,6 +400,11 @@ def test_fourier_derivatives_reject_bad_order():
     for r in (-1, 1.5):
         with pytest.raises(ValueError):
             fourier_q_derivs(3, r, 0.0)
+    # a frequency that is not finite has no transform; the recurrence would
+    # return NaN for every order
+    for xi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ArgumentError):
+            fourier_q_derivs(3, 2, xi)
 
 
 def _kf_oracle(m: int) -> float:

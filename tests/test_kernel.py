@@ -25,6 +25,7 @@ from conftest import (
     eval_unit,
     inv_symbol_coeffs_reference,
     kernel_table_from_csv,
+    moment_check_fourier_reference,
     moment_check_time,
 )
 
@@ -248,7 +249,10 @@ def test_moment_residuals_time_domain(table_q3, table_q4):
 
 
 def test_moment_residuals_fourier_domain(table_q3, table_q4, table_q4h):
-    for table in (table_q3, table_q4, table_q4h):
+    # with one channel (cubic interpolation at rho = 1) and with four
+    table_q4r1 = inv_symbol_coeffs(Kappa(4, Fraction(0), 1), tol=1e-12)
+    table_q5r4 = inv_symbol_coeffs(Kappa(5, Fraction(0), 4), tol=1e-12)
+    for table in (table_q3, table_q4, table_q4h, table_q4r1, table_q5r4):
         order = reproducing_order(table).order
         rho = table.kappa.rho
         for n in range(order + 1):
@@ -273,6 +277,24 @@ def test_moment_fourier_beyond_degree_three():
         for l in range(2):
             assert abs(moment_check_fourier(table, n, l)) <= 1e-7, (n, l)
     assert max(abs(moment_check_fourier(table, 5, l)) for l in range(2)) > 1e-3
+
+
+def test_moment_fourier_residual_values(table_q3):
+    # one degree beyond each reproducing order the residuals read 0.129
+    # (Q3, l = 1), 0.052 ((5, 0, 2), l = 1) and 0.033 ((4, 0, 1)), and about
+    # 0 elsewhere; every value matches the knot-by-knot reference, so a
+    # channel or knot taken from the wrong place in the table would show
+    cases = (
+        (table_q3, 3),
+        (inv_symbol_coeffs(Kappa(5, Fraction(0), 2), tol=1e-12), 5),
+        (inv_symbol_coeffs(Kappa(4, Fraction(0), 1), tol=1e-12), 4),
+    )
+    for table, n in cases:
+        for l in range(table.kappa.rho):
+            got = moment_check_fourier(table, n, l)
+            want = moment_check_fourier_reference(table, n, l)
+            bound = 1e-9 * abs(want) if abs(want) > 1e-3 else 1e-9
+            assert abs(got - want) <= bound, (table.kappa, n, l, got, want)
 
 
 def test_moment_fourier_rejects_bad_degree(table_q3):
