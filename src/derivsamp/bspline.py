@@ -4,11 +4,10 @@ Q_m denotes the B-spline of order m with knots 0, 1, ..., m (support [0, m]).
 Every float evaluation goes through one primitive, `bspline_series`, which
 sums a finite series sum_n c_n Q_m^(d)(x - k0 - n).  On each knot interval
 [p, p+1) the function Q_m^(d) is a polynomial in the local variable
-u = x - floor(x).  Exact rational values on a shifted integer lattice,
-Q_m^(i)(u + p), come from one Cox-de Boor triangle on integer numerators
-over the common denominator (m-1)! q^(m-1) of u = s/q, and are returned as
-integer numerators over one denominator per derivative order
-(`exact_lattice_values`).  The same triangle at u = 0 gives the m pieces:
+u = x - floor(x).  The exact layer's core, `_triangle`, is one Cox-de Boor
+triangle on integer numerators: Q_m^(i)(u + p) on a shifted integer lattice,
+u = s/q, over one denominator (m-i-1)! q^(m-i-1) per derivative order, for
+`symbol.build_symbol` and `sampler._gram`.  At u = 0 it gives the m pieces:
 their Taylor coefficients at the knots, rounded once per (m, d).  A series
 is folded into its piecewise-polynomial (pp) form first, one polynomial of
 degree m-1-d per knot interval, so that each point costs one Horner pass
@@ -16,8 +15,8 @@ with a gather per step (de Boor, A Practical Guide to Splines, ch. X).  The
 pass runs over cache-sized blocks of points (Lam, Rothberg & Wolf, ASPLOS
 1991); it is pointwise, so the blocks change no value.
 Fourier transforms use the convention f^(w) = int f(t) exp(-2 pi i w t) dt,
-so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m; `fourier_q_derivs` gives
-its derivatives of every order.
+so Q_m^(xi) = ((1-e^{-2 pi i xi})/(2 pi i xi))^m; `_q_hat_derivs` gives
+its derivatives of every order to `kernel.moment_check_fourier`.
 `_check_range` is the package's one check of a caller-supplied number: every
 library function that takes a number with an admissible range calls it
 before any work, and it raises `ArgumentError`.  `_int_power` is its one
@@ -32,19 +31,17 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "ArgumentError",
     "bspline_series",
-    "exact_lattice_values",
-    "fourier_q_derivs",
     "riesz_lower_bound",
 ]
 
 _TWO_PI_I = 2j * math.pi
+_FLOAT_MAX = 1.7976931348623157e308  # sys.float_info.max
 
 
 class ArgumentError(ValueError):
@@ -53,23 +50,30 @@ class ArgumentError(ValueError):
 
 def _check_range(what: str, value, lo, hi=math.inf, *, integer=False, open_lo=False,
                  open_hi=False, got=None) -> None:
-    """Raise ArgumentError, "need {what} in {interval}, got {got}", unless
-    value lies in the interval from lo to hi.  An integer range takes only a
-    Python or numpy integer and is closed; a float range is closed at each
-    end unless flagged open or infinite, and NaN lies in none.  got
-    defaults to "name=value", name the last word of what."""
+    """Raise ArgumentError, "need {what} in {interval}, got {got}", unless value
+    lies in the interval from lo to hi.  An integer range takes only a Python or
+    numpy integer and is closed; a float range is closed at each end unless
+    flagged open or infinite.  NaN, and a number past the float range such as
+    10**400, lie in none.  got defaults to "name=value", name the last word of what."""
     open_lo = open_lo or lo == -math.inf
     open_hi = open_hi or hi == math.inf
-    if integer:
-        if isinstance(value, (int, np.integer)) and lo <= value <= hi:
-            return
-    elif (lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi):
+    if ((not integer or isinstance(value, (int, np.integer)))
+            and (lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi)
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX):
         return
     interval = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
     raise ArgumentError(
         f"need {'an integer ' if integer else ''}{what} in {interval}, "
-        f"got {got or f'{what.split()[-1]}={value!r}'}"
+        f"got {got or f'{what.split()[-1]}={_show(value)}'}"
     )
+
+
+def _show(value, form=repr) -> str:
+    """form(value), or the type of an int past the digits that str() converts."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 def _int_power(x, k: int) -> np.ndarray:
@@ -176,22 +180,8 @@ def _horner(pp: np.ndarray, lo: float, x: np.ndarray, out: np.ndarray) -> None:
         out += row.take(idx, mode="clip")
 
 
-def exact_lattice_values(m: int, u, d_max: int) -> tuple[list[list[int]], list[int]]:
-    """(nums, dens) with Q_m^(i)(u + p) = nums[i][p] / dens[i] exactly, for
-    0 <= p < m and i <= d_max; dens[i] = (m-i-1)! q^(m-i-1).
-
-    u = s/q is a rational in [0, 1).  The numerators are not reduced against
-    their denominator.
-    """
-    _check_order(m, d_max)
-    if not isinstance(u, Fraction):
-        u = Fraction(u)
-    _check_range("lattice offset u", u, 0, 1, open_hi=True)
-    return _triangle(m, u.numerator, u.denominator, d_max)
-
-
 def _triangle(m: int, s: int, q: int, d_max: int) -> tuple[list[list[int]], list[int]]:
-    """`exact_lattice_values` at u = s/q, unchecked; d_max may be m-1.
+    """Q_m^(i)(u + p) = nums[i][p] / dens[i], unreduced, at u = s/q in [0, 1); unchecked.
 
     One Cox-de Boor triangle on the integer numerators
     T_n(p) = (n-1)! q^(n-1) Q_n(u + p), n <= m: the recurrence
@@ -201,7 +191,7 @@ def _triangle(m: int, s: int, q: int, d_max: int) -> tuple[list[list[int]], list
     its support p < n alone.  Then Q_m^(i) = Delta^i Q_{m-i}, the i-th
     backward difference in p, taken on the integers, each difference one
     zero-padded place longer, up to p < m; for i = m-1 that is the
-    right-continuous step.
+    right-continuous step.  dens[i] = (m-i-1)! q^(m-i-1).
     """
     qx = [s + q * p for p in range(m)]  # q (u + p)
     row = [1]  # T_1 on p < 1
@@ -235,28 +225,11 @@ _SERIES_RADIUS = 2.0  # |c xi| below this -> series (|xi| < 1/pi)
 _SERIES_TERMS = 27  # terms decay factorially: 2^27/27! < 1e-20
 
 
-def fourier_q_derivs(m: int, r: int, xi: float) -> np.ndarray:
-    """[Q_m^(xi), Q_m^'(xi), ..., Q_m^(r)(xi)], any r >= 0.
-
-    The Taylor coefficients Phi^(k)(xi)/k! = c^k G^(k)(c xi)/k! are raised to
-    the m-th power by m - 1 truncated series products, with no division, so
-    the integer zeros of Phi stay zeros of every derivative below m.  Just
-    above |xi| = 1/pi the recurrence amplifies roundoff by up to r!/2^r:
-    about 1e-12 relative for r <= 11, 1e-8 at r = 14.  The series hold r + 1
-    numbers, so they are summed on Python complex numbers, where each
-    operation costs less than a numpy call does (`_q_hat_derivs`).
-
-    Raises ArgumentError unless m >= 1 and r >= 0 are integers and xi is
-    finite.
-    """
-    _check_order(m)
-    _check_range("derivative order r", r, 0, integer=True)
-    _check_range("frequency xi", xi, -math.inf)
-    return np.array(_q_hat_derivs(m, r, float(xi)))
-
-
 def _q_hat_derivs(m: int, r: int, xi: float) -> list[complex]:
-    """`fourier_q_derivs` as a list, for arguments the caller has checked."""
+    """[Q_m^(xi), ..., Q_m^(r)(xi)], unchecked: Phi's Taylor coefficients to the
+    m-th power by m - 1 series products, on Python complex numbers.  Just above
+    |xi| = 1/pi the recurrence amplifies roundoff by up to r!/2^r: about 1e-12
+    relative for r <= 11, 1e-8 at r = 14."""
     x = _C * xi
     if abs(x) < _SERIES_RADIUS:
         terms = list(itertools.accumulate([x / j for j in range(1, _SERIES_TERMS)],

@@ -15,7 +15,7 @@ time-domain and Fourier-domain (Strang-Fix) forms of that moment condition
 are provided.  The Fourier form holds for every degree: it reads derivatives
 of any order of Theta_i^ = Q_m^ S_i, S_i the exponential sum of channel i's
 series coefficients, by Leibniz from the derivatives of Q_m^
-(`fourier_q_derivs`).  The channels share their knots, so one matrix
+(`bspline._q_hat_derivs`).  The channels share their knots, so one matrix
 product gives every S_i^(k); the few numbers after it are summed on Python
 scalars.  `reproducing_order` decides the order in the time domain.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _check_range, _int_power, _q_hat_derivs, bspline_series
+from .bspline import _check_range, _int_power, _q_hat_derivs, _show, bspline_series
 from .laurent import circle_values
 from .symbol import Kappa, NotCISError, check_cis
 
@@ -122,7 +122,7 @@ def _l_range(table: KernelTable, W: float, t_lo: float, t_hi: float) -> tuple[in
     reach every t in [t_lo, t_hi]; raises ArgumentError unless 0 < W < inf
     and the window has finite ends t_lo <= t_hi whose reach W t is finite."""
     _check_range("dilation W", W, 0, open_lo=True)
-    got = f"t_lo={t_lo!r}, t_hi={t_hi!r} (W={W!r})"
+    got = f"t_lo={_show(t_lo)}, t_hi={_show(t_hi)} (W={W!r})"
     _check_range("finite ends with a width t_hi - t_lo", t_hi - t_lo, 0, got=got)
     lo, hi = theta_support(table)
     rho = table.kappa.rho

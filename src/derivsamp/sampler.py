@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _check_range, bspline_series, exact_lattice_values, riesz_lower_bound
+from .bspline import _check_range, _show, _triangle, bspline_series, riesz_lower_bound
 from .kernel import KernelTable, _l_range
 from .laurent import circle_values
 from .symbol import Kappa, build_symbol
@@ -70,16 +70,11 @@ class SplineElement:
     def eval(self, i: int, t):
         return bspline_series(self.m, i, self.coeffs, self.k0, t)
 
-    def l2_norm(self) -> float:
-        """L2 norm sqrt(c^T G c) on the B-spline Gram matrix G."""
-        c = self.coeffs
-        return math.sqrt(float(c @ _gram(self.m, len(c)) @ c))
-
 
 def _gram(m: int, n: int) -> np.ndarray:
     """G[j, k] = <Q_m(. - j), Q_m(. - k)> = Q_2m(m + j - k) for 0 <= j, k < n,
     the B-spline autocorrelation, each value rounded once from exact."""
-    nums, dens = exact_lattice_values(2 * m, 0, 0)
+    nums, dens = _triangle(2 * m, 0, 1, 0)
     q2m = [t / dens[0] for t in nums[0]] + [0.0]
     lag = m + np.subtract.outer(np.arange(n), np.arange(n))
     # Q_2m(p) for 0 <= p < 2m; clipping sends every lag outside onto a zero
@@ -108,7 +103,8 @@ class SampleGrid:
         _check_range("dilation W", self.W, 0, open_lo=True)
         # an integer count >= 1 needs integer ends l_lo <= l_hi
         _check_range("sample count l_hi - l_lo + 1", self.l_hi - self.l_lo + 1, 1, _MAX_POINTS,
-                     integer=True, got=f"W={self.W!r}, l_lo={self.l_lo!r}, l_hi={self.l_hi!r}")
+                     integer=True,
+                     got=f"W={self.W!r}, l_lo={_show(self.l_lo)}, l_hi={_show(self.l_hi)}")
 
     def nodes(self) -> np.ndarray:
         k = self.kappa

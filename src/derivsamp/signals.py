@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _check_range, _int_power
+from .bspline import _check_range, _int_power, _show
 
 __all__ = [
     "SignalSpec",
@@ -57,7 +57,7 @@ class SignalSpec:
 
     def eval(self, i, t):
         _check_range("channel i", i, 0, self.max_deriv, integer=True,
-                     got=f"i={i!r} (signal {self.id!r})")
+                     got=f"i={_show(i)} (signal {self.id!r})")
         x = np.asarray(t, dtype=float)
         scalar = x.ndim == 0
         out = np.asarray(self._evals[i](np.atleast_1d(x)), dtype=float).copy()

@@ -60,7 +60,7 @@ def _jump_points(f, r: int, delta: float) -> np.ndarray:
     # Geometric h-subset keeps the candidate count small; a difference
     # straddling a jump at any admissible h already attains the jump size.
     hsub = delta * 0.5 ** np.arange(8)
-    xi = np.asarray(getattr(f, "special_points", ()), dtype=float)
+    xi = np.asarray(f.special_points, dtype=float)
     starts = xi[:, None, None] - np.arange(r + 1)[:, None] * hsub  # (xi, j, h)
     # not np.unique: it imports numpy.ma on its first call, and np.sort maps
     # its SIMD sort code; each adds to peak memory (0.7 and 0.1 MB)
@@ -192,7 +192,7 @@ def tau_modulus(
     _check_search(r, delta, search_n)
     _check_range("p", p, 1)
     if domain is None:
-        lo, hi = getattr(f, "spec", f).support_hint
+        lo, hi = f.spec.support_hint
         domain = (lo - r * delta, hi + r * delta)
     lo, hi = float(domain[0]), float(domain[1])
     _check_range("finite domain width hi - lo", hi - lo, 0, open_lo=True, got=f"domain={domain!r}")

@@ -8,7 +8,7 @@ Laurent polynomials
 built here with exact rational coefficients.  Every node a + rho k - j
 has the fractional part u = a - floor(a), so every coefficient is one of the
 m values Q_m^{(i)}(u + p), 0 <= p < m, read off one exact Cox-de Boor
-triangle (that of `exact_lattice_values`) as an integer numerator over one
+triangle (`bspline._triangle`) as an integer numerator over one
 denominator per derivative order i: row i of the symbol is integer Laurent
 polynomials over that denominator.  Invertibility of Psi on the unit circle
 is equivalent to stable reconstruction from samples of f, f', ...,
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bspline import _check_range, _triangle
+from .bspline import _check_range, _show, _triangle
 from .laurent import (
     CircleCertificate,
     LaurentPoly,
@@ -66,11 +66,11 @@ class Kappa:
     def __post_init__(self):
         _check_range("density rho", self.rho, 1, integer=True)
         _check_range("spline order m", self.m, self.rho + 1, integer=True,
-                     got=f"m={self.m!r}, rho={self.rho!r}")
+                     got=f"m={_show(self.m)}, rho={self.rho!r}")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "rho", int(self.rho))
         object.__setattr__(self, "a", Fraction(self.a))
-        _check_range("shift a", self.a, 0, self.rho, open_hi=True, got=f"a={self.a}")
+        _check_range("shift a", self.a, 0, self.rho, open_hi=True, got=f"a={_show(self.a, str)}")
 
     def __str__(self) -> str:
         return f"(Q_{self.m}, a={self.a}, rho={self.rho})"

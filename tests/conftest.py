@@ -37,13 +37,7 @@ import numpy as np
 import pytest
 
 from derivsamp import kernel, sampler
-from derivsamp.bspline import (
-    _pieces,
-    _zigzag,
-    bspline_series,
-    exact_lattice_values,
-    fourier_q_derivs,
-)
+from derivsamp.bspline import _pieces, _q_hat_derivs, _triangle, _zigzag, bspline_series
 from derivsamp.kernel import KernelTable, inv_symbol_coeffs, theta_eval, theta_support
 from derivsamp.laurent import (
     CircleCertificate,
@@ -141,7 +135,7 @@ def det_symbol(kappa: Kappa) -> LaurentPoly:
 
 def fourier_q(m: int, xi: float) -> complex:
     """Fourier transform of Q_m at xi, the derivative of order 0."""
-    return fourier_q_derivs(m, 0, xi)[0]
+    return _q_hat_derivs(m, 0, xi)[0]
 
 
 def uniform_sum_moments(m: int, k_max: int) -> list[Fraction]:
@@ -175,7 +169,7 @@ def pascal_det_check(m: int) -> bool:
     have determinant 1."""
     if m < 2:
         raise ValueError("need m >= 2")
-    nums, dens = exact_lattice_values(m, 0, m - 2)
+    nums, dens = _triangle(m, 0, 1, m - 2)
     mat = [[LaurentPoly.make(0, [row[m - 1 - j]], den) for j in range(m - 1)]
            for row, den in zip(nums, dens)]
     return laurent_det(mat) == LaurentPoly(0, (1,))
@@ -203,7 +197,7 @@ def binom_convolution_sum(n: int, l: int, k: int) -> int:
 def spline_pascal_sum(m: int, i: int, l: int) -> Fraction:
     """sum_j C(j,l) sum_r (-1)^r C(i,r) Q_{m-i}(m-1-j-r) over j = 0..m-2,
     the inner sum being Q_m^{(i)}(m-1-j); equals 0 for l < i and 1 for l = i."""
-    nums, dens = exact_lattice_values(m, 0, i)
+    nums, dens = _triangle(m, 0, 1, i)
     return Fraction(sum(_binom(j, l) * nums[i][m - 1 - j] for j in range(m - 1)), dens[i])
 
 
@@ -236,6 +230,12 @@ def check_identity_lemmas(n_max: int = 12, m_max: int = 10, seed: int = 7) -> bo
                 if l == i and v != 1:
                     return False
     return True
+
+
+def l2_norm_gram(f: SplineElement) -> float:
+    """L2 norm sqrt(c^T G c) on the library's B-spline Gram matrix G."""
+    c = f.coeffs
+    return math.sqrt(float(c @ sampler._gram(f.m, len(c)) @ c))
 
 
 def l2_norm_quadrature(f: SplineElement) -> float:
@@ -404,14 +404,14 @@ def moment_check_fourier_reference(table, n: int, l: int) -> complex:
     """Residual of the degree-n Fourier-domain moment condition at l/rho,
     knot by knot and channel by channel on Python complex numbers: S_i^(k)
     sums c^{ji}(v) (-2 pi i w)^k e^{-2 pi i w xi} over the knots w = rho v + j,
-    Theta_i^(k) follows by Leibniz with Q_m^ from `fourier_q_derivs`, then
+    Theta_i^(k) follows by Leibniz with Q_m^ from `_q_hat_derivs`, then
     sum_i C(n,i) i! sum_u C(n-i,u) a^u (2 pi i)^{u+i-n} Theta_i^[(n-i-u)]
     - rho delta_{l0} delta_{n0}; independent of the library's interleaved
     rows and its one product over every channel."""
     kappa = table.kappa
     rho, a, radius = kappa.rho, float(kappa.a), table.radius
     xi = l / rho
-    q = fourier_q_derivs(kappa.m, n, xi).tolist()
+    q = _q_hat_derivs(kappa.m, n, xi)
     acc = 0j
     for i in range(min(n, rho - 1) + 1):
         s = [0j] * (n + 1)
@@ -456,7 +456,7 @@ def tau_scaling_check(
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if domain is None:
-        lo, hi = getattr(f, "spec", f).support_hint
+        lo, hi = f.spec.support_hint
         domain = (lo - r * delta * max(1.0, lam), hi + r * delta * max(1.0, lam))
     big = tau_modulus(f, r, lam * delta, p, domain=domain).value
     small = tau_modulus(f, r, delta, p, domain=domain).value

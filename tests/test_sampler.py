@@ -10,7 +10,7 @@ import pytest
 
 from derivsamp import sampler
 from derivsamp.bspline import ArgumentError, bspline_series
-from derivsamp.kernel import theta_eval
+from derivsamp.kernel import moment_check_fourier, theta_eval
 from derivsamp.laurent import circle_values
 from derivsamp.sampler import (
     _TRIAL_LEN,
@@ -27,7 +27,8 @@ from derivsamp.sampler import (
     take_samples,
     verify_sampling_inequality,
 )
-from derivsamp.signals import get_signal, monomial_signal
+from derivsamp.signals import channel, get_signal, monomial_signal
+from derivsamp.smoothness import tau_modulus
 from derivsamp.symbol import Kappa, build_symbol, check_cis
 
 from conftest import (
@@ -37,6 +38,7 @@ from conftest import (
     discrete_norm,
     eval_q_deriv,
     frame_extremes_reference,
+    l2_norm_gram,
     l2_norm_quadrature,
     random_spline,
 )
@@ -71,8 +73,8 @@ def test_spline_element_support_and_outside():
 
 def test_l2_norm_single_bumps():
     # ||Q_3||^2 = 11/20, ||Q_4||^2 = 151/315
-    assert SplineElement(3, 0, [1.0]).l2_norm() ** 2 == pytest.approx(11.0 / 20.0, abs=1e-12)
-    assert SplineElement(4, 0, [1.0]).l2_norm() ** 2 == pytest.approx(151.0 / 315.0, abs=1e-12)
+    assert l2_norm_gram(SplineElement(3, 0, [1.0])) ** 2 == pytest.approx(11.0 / 20.0, abs=1e-12)
+    assert l2_norm_gram(SplineElement(4, 0, [1.0])) ** 2 == pytest.approx(151.0 / 315.0, abs=1e-12)
 
 
 def test_l2_norm_matches_riemann():
@@ -80,7 +82,7 @@ def test_l2_norm_matches_riemann():
     lo, hi = f.support_hint
     ts = np.linspace(lo, hi, 400_001)
     riemann = math.sqrt(np.trapezoid(f.eval(0, ts) ** 2, ts))
-    assert f.l2_norm() == pytest.approx(riemann, rel=1e-8)
+    assert l2_norm_gram(f) == pytest.approx(riemann, rel=1e-8)
 
 
 def test_gram_matches_quadrature():
@@ -91,7 +93,7 @@ def test_gram_matches_quadrature():
         for _ in range(5):
             n = int(rng.integers(1, 40))
             f = SplineElement(m, int(rng.integers(-5, 5)), rng.uniform(-1.0, 1.0, n))
-            assert f.l2_norm() == pytest.approx(l2_norm_quadrature(f), rel=1e-13), m
+            assert l2_norm_gram(f) == pytest.approx(l2_norm_quadrature(f), rel=1e-13), m
 
 
 def test_sample_matrix_matches_direct_sums():
@@ -613,3 +615,26 @@ def test_boundedness_probe_stays_flat(table_q3):
     assert all(v > 0 and np.isfinite(v) for v in vals)
     assert max(vals) / min(vals) <= 10.0
     assert probe.max_ratio == max(vals)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: moment_check_fourier(t, 1, 10**400),
+        lambda t: tau_modulus(channel(get_signal("f3"), 0), 2, 10**400, 2.0),
+        lambda t: tau_modulus(channel(get_signal("f3"), 0), 2, 0.1, 10**400),
+        lambda t: approx_error(t, get_signal("f1"), 10**400),
+        lambda t: grid_for_window(t.kappa, 10**400, 0.0, 1.0, t),
+        lambda t: grid_for_window(t.kappa, 10**5000, 0.0, 1.0, t),
+        lambda t: SampleGrid(t.kappa, 1.0, -(10**5000), 0),
+        lambda t: Kappa(10**5000, 0, 2),
+    ],
+    ids=["moment-l", "tau-delta", "tau-p", "approx-w", "grid-W", "grid-W-5001-digits",
+         "grid-l_lo-5001-digits", "kappa-m-5001-digits"],
+)
+def test_integers_past_the_float_range_are_argument_errors(table_q3, call):
+    # an int compares with every float bound, but float() of 10**400
+    # overflows, so it lies in no range; past 4300 digits repr() raises
+    # (Python 3.11+), and the message still builds
+    with pytest.raises(ArgumentError, match="^need "):
+        call(table_q3)

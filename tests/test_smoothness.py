@@ -53,6 +53,7 @@ def test_difference_annihilates_low_degree():
 
 def test_local_modulus_trivials():
     lin = lambda t: np.asarray(t, dtype=float)
+    lin.special_points = ()  # the search reads a signal's known jumps
     # best first difference of the identity over h <= delta is exactly delta
     assert local_modulus(lin, 1, 2.0, 0.3) == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(ValueError):
@@ -80,7 +81,7 @@ def _grid_oracle(f, r, x, delta, search_n=64):
     Returns the largest |difference| and the sorted jump candidates."""
     half = r * delta / 2.0
     jumps = []
-    for xi in getattr(f, "special_points", ()):
+    for xi in f.special_points:
         for j in range(r + 1):
             for h in delta * 0.5 ** np.arange(8):
                 jumps.extend((xi - j * h - 1e-9, xi - j * h + 1e-9))
@@ -160,9 +161,15 @@ def _holed(t):
     return out
 
 
+_holed.special_points = ()
+
+
 def _signed_zeros(t):
     """+0.0 right of 0, -0.0 elsewhere: every difference is a signed zero."""
     return np.where(np.asarray(t, dtype=float) > 0.0, 0.0, -0.0)
+
+
+_signed_zeros.special_points = ()
 
 
 def _search_cases(r):
@@ -306,6 +313,32 @@ def test_tau_modulus_counts_evaluations():
     assert est.grid_meta["f_evals"] == 20 * 64 + 36 * 64 * 2 == sum(sizes)
     est = tau_modulus(f, 2, 0.1, 2.0, domain=(2.875, 3.125))
     assert est.grid_meta["lattice_n"] == 127
+
+
+class _CountingChannel:
+    """The shape of the channels the benchmark passes: spec, special_points
+    and __call__, with no support_hint of its own; counts the points it is
+    evaluated at."""
+
+    def __init__(self, ch):
+        self._ch = ch
+        self.spec = ch.spec
+        self.special_points = ch.special_points
+        self.points = 0
+
+    def __call__(self, t):
+        self.points += int(np.size(t))
+        return self._ch(t)
+
+
+def test_tau_modulus_takes_a_wrapped_channel():
+    # the default domain comes from f.spec and the jump candidates from
+    # f.special_points; f itself is only called
+    ch = channel(get_signal("f3"), 0)
+    wrapped = _CountingChannel(ch)
+    est = tau_modulus(wrapped, 2, 0.1, 2.0)
+    assert est.value == tau_modulus(ch, 2, 0.1, 2.0).value
+    assert wrapped.points == est.grid_meta["f_evals"]
 
 
 def test_tau_scaling_inequality():
