@@ -36,8 +36,8 @@ __all__ = ["main"]
 
 
 class _UsageError(Exception):
-    """Bad user input.  Not a ValueError: argparse would reword one raised by
-    a type= converter, and main() would read it as a numerical failure."""
+    """Bad user input that the CLI itself rejects.  Not a ValueError, which
+    main() reads as a numerical failure."""
 
 
 def _cell(x) -> str:
@@ -45,20 +45,9 @@ def _cell(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-class _ListFlag(list):
-    """Parsed values of a comma-list flag; str() gives the flag text as typed,
-    which is what the CSV header records."""
-
-    def __init__(self, text: str, values: list[float]):
-        super().__init__(values)
-        self.text = text
-
-    def __str__(self) -> str:
-        return self.text
-
-
-def _numbers(text: str, flag: str, token=float) -> _ListFlag:
-    """Comma list of numbers; empty items are skipped."""
+def _numbers(text: str, flag: str, token=float) -> list[float]:
+    """Comma list of numbers; empty items are skipped.  The list flags stay
+    text in args, so the CSV header records them as typed."""
     out = []
     for tok in filter(None, (t.strip() for t in text.split(","))):
         try:
@@ -67,7 +56,7 @@ def _numbers(text: str, flag: str, token=float) -> _ListFlag:
             raise _UsageError(f"bad {flag} item {tok!r}") from None
     if not out:
         raise _UsageError(f"{flag} list is empty")
-    return _ListFlag(text, out)
+    return out
 
 
 def _w_token(tok: str) -> float:
@@ -100,10 +89,7 @@ def _emit(args, columns: str, rows, footer=()) -> None:
     lines = [_header(args), columns]
     lines.extend(",".join(_cell(x) for x in row) for row in rows)
     lines.extend(footer)
-    _write(args, "\n".join(lines) + "\n")
-
-
-def _write(args, text: str) -> None:
+    text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -146,9 +132,13 @@ def cmd_tables(args) -> None:
     for table_id, a in ((1, Fraction(0)), (2, Fraction(1, 2))):
         for m in range(3, 10):
             poly = table_polynomial(Kappa(m, a, 2))
-            coeffs = [int(c) for c in poly.coeffs]
-            rows.append((table_id, m, len(coeffs) - 1, *coeffs))
+            rows.append((table_id, m, poly.high, *poly.coeffs))
     _emit(args, "table_id,m,degree,coefficients", rows)
+
+
+def _bounds_rows(kappa: Kappa, grid_n: int) -> list[tuple]:
+    b = frame_bounds(kappa, grid_n)
+    return [("A", b.lower), ("B", b.upper), ("upper_frame", b.upper_frame)]
 
 
 def cmd_check(args) -> None:
@@ -167,8 +157,7 @@ def cmd_check(args) -> None:
         ("is_cis", report.is_cis),
     ]
     if report.is_cis:
-        b = frame_bounds(kappa, args.grid_n)
-        rows += [("A", b.lower), ("B", b.upper), ("upper_frame", b.upper_frame)]
+        rows += _bounds_rows(kappa, args.grid_n)
     _emit(args, "key,value", rows)
     if not report.is_cis:
         raise NotCISError(kappa)
@@ -185,11 +174,12 @@ def cmd_kernel_dump(args) -> None:
 
 
 def cmd_approx(args) -> None:
+    ws = parse_w_list(args.W)
     kappa = _parse_kappa(args)
     f = _load_signal(args, kappa.rho)
     table = inv_symbol_coeffs(kappa, tol=args.tol)
     rows = []
-    for w in args.W:
+    for w in ws:
         err = approx_error(table, f, w, p=args.p, grid_n=args.grid_n)
         rows.append((w, err, math.log10(w), math.log10(err) if err > 0 else -math.inf))
     footer = _fit_footer([(w, e) for w, e, _, _ in rows], negate=True)
@@ -197,9 +187,10 @@ def cmd_approx(args) -> None:
 
 
 def cmd_tau(args) -> None:
+    deltas = _numbers(args.delta, "--delta")
     ch = channel(_load_signal(args, args.deriv + 1), args.deriv)
     rows = []
-    for d in args.delta:
+    for d in deltas:
         est = tau_modulus(ch, args.r, d, args.p, search_n=args.grid_n)
         rows.append((d, est.value, math.log10(d),
                      math.log10(est.value) if est.value > 0 else -math.inf))
@@ -219,16 +210,8 @@ def cmd_bounds(args) -> None:
     kappa = _parse_kappa(args)
     if not check_cis(kappa).is_cis:
         raise NotCISError(kappa)
-    b = frame_bounds(kappa, args.grid_n)
-    rows = [
-        ("m", kappa.m),
-        ("a", kappa.a),
-        ("rho", kappa.rho),
-        ("A", b.lower),
-        ("B", b.upper),
-        ("upper_frame", b.upper_frame),
-    ]
-    _emit(args, "key,value", rows)
+    rows = [("m", kappa.m), ("a", kappa.a), ("rho", kappa.rho)]
+    _emit(args, "key,value", rows + _bounds_rows(kappa, args.grid_n))
 
 
 def _add_kappa_flags(p) -> None:
@@ -249,56 +232,53 @@ def build_parser() -> argparse.ArgumentParser:
         "reconstruction experiments, smoothness moduli.",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
 
-    p = sub.add_parser("tables", help="coefficient tables of the determinant factor polynomials")
-    p.add_argument("--out")
+    p = sub.add_parser("tables", parents=[out],
+                       help="coefficient tables of the determinant factor polynomials")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("check", help="certify a configuration (det, circle certificate, bounds)")
+    p = sub.add_parser("check", parents=[out],
+                       help="certify a configuration (det, circle certificate, bounds)")
     _add_kappa_flags(p)
     p.add_argument("--grid-n", type=int, default=1024)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("kernel-dump", help="reconstruction kernel coefficient table as CSV")
+    p = sub.add_parser("kernel-dump", parents=[out],
+                       help="reconstruction kernel coefficient table as CSV")
     _add_kappa_flags(p)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_kernel_dump)
 
-    p = sub.add_parser("approx", help="reconstruction error sweep over dilations W")
+    p = sub.add_parser("approx", parents=[out], help="reconstruction error sweep over dilations W")
     _add_kappa_flags(p)
-    p.add_argument("--W", type=parse_w_list, required=True,
-                   help="comma list; token N*sqrt(7) allowed")
+    p.add_argument("--W", required=True, help="comma list; token N*sqrt(7) allowed")
     p.add_argument("--p", type=float, default=2.0)
     _add_signal_flags(p)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--grid-n", type=int, default=2000)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("tau", help="averaged smoothness modulus over a delta ladder")
+    p = sub.add_parser("tau", parents=[out], help="averaged smoothness modulus over a delta ladder")
     _add_signal_flags(p)
     p.add_argument("--deriv", type=int, default=0, help="derivative channel of the signal")
     p.add_argument("--r", type=int, default=2, help="difference order")
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--delta", type=lambda text: _numbers(text, "--delta"),
-                   default="0.2,0.1,0.05,0.025", help="comma list")
+    p.add_argument("--delta", default="0.2,0.1,0.05,0.025", help="comma list")
     p.add_argument("--grid-n", type=int, default=64,
                    help="lattice steps per delta in each window (>= 64)")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_tau)
 
-    p = sub.add_parser("scan", help="shift-placement conjecture audit over (m, rho, a)")
+    p = sub.add_parser("scan", parents=[out],
+                       help="shift-placement conjecture audit over (m, rho, a)")
     p.add_argument("--m-max", type=int, default=9)
     p.add_argument("--rho-max", type=int, default=4)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("bounds", help="frame constants of the sampling inequality")
+    p = sub.add_parser("bounds", parents=[out], help="frame constants of the sampling inequality")
     _add_kappa_flags(p)
     p.add_argument("--grid-n", type=int, default=1024)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
     return ap

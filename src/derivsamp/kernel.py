@@ -13,21 +13,23 @@ B-spline series with coefficient c^{ji}(v) at knot rho v + j.
 The kernels reproduce polynomials up to the configuration's order; both the
 time-domain and Fourier-domain (Strang-Fix) forms of that moment condition
 are provided.  The Fourier form holds for every degree: it reads derivatives
-of any order of Theta_i^ = Q_m^ S_i, S_i the exponential sum of channel i's
-series coefficients, by Leibniz from the derivatives of Q_m^
-(`bspline._q_hat_derivs`).  The channels share their knots, so one matrix
-product gives every S_i^(k); the few numbers after it are summed on Python
-scalars.  `reproducing_order` decides the order in the time domain.
+of any order of e^{2 pi i a xi} Theta_i^ = Q_m^ S_i, S_i the exponential sum
+of channel i's series coefficients on knots measured from the shift a, by
+Leibniz from the derivatives of Q_m^ (`bspline._q_hat_derivs`), and undoes
+the shift with one unit phase.  The channels share their knots, so one
+matrix product gives every S_i^(k); the few numbers after it are summed on
+Python scalars.  `reproducing_order` decides the order in the time domain.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _check_range, _int_power, _q_hat_derivs, _show, bspline_series
+from .bspline import _TWO_PI_I, _check_range, _int_power, _q_hat_derivs, _show, bspline_series
 from .laurent import circle_values
 from .symbol import Kappa, NotCISError, check_cis
 
@@ -40,8 +42,6 @@ __all__ = [
     "reproducing_order",
     "moment_check_fourier",
 ]
-
-_TWO_PI_I = 2j * math.pi
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,8 @@ def _l_range(table: KernelTable, W: float, t_lo: float, t_hi: float) -> tuple[in
     and the window has finite ends t_lo <= t_hi whose reach W t is finite."""
     _check_range("dilation W", W, 0, open_lo=True)
     got = f"t_lo={_show(t_lo)}, t_hi={_show(t_hi)} (W={W!r})"
+    for end in (t_lo, t_hi):  # before t_hi - t_lo: 1.0 - 10**400 raises OverflowError
+        _check_range("finite ends", end, -math.inf, got=got)
     _check_range("finite ends with a width t_hi - t_lo", t_hi - t_lo, 0, got=got)
     lo, hi = theta_support(table)
     rho = table.kappa.rho
@@ -202,12 +204,13 @@ def reproducing_order(table: KernelTable) -> ReproducingReport:
 
 def moment_check_fourier(table: KernelTable, n: int, l: int) -> complex:
     """Residual of the degree-n moment condition in Fourier form at frequency
-    l/rho: sum_i C(n,i) i! sum_u C(n-i,u) a^u (2 pi i)^{u+i-n}
-    Theta_i^[(n-i-u)](l/rho) - rho delta_{l0} delta_{n0}, for any degree
-    n >= 0; raises ArgumentError unless n >= 0 and l are integers.
+    xi = l/rho: e^{-2 pi i a xi} sum_i C(n,i) i! (2 pi i)^{i-n}
+    D^{n-i}[e^{2 pi i a xi} Theta_i^](xi) - rho delta_{l0} delta_{n0}, for any
+    degree n >= 0; raises ArgumentError unless n >= 0 and l are integers.
 
-    Theta_i^(xi) = Q_m^(xi) S_i(xi), S_i(xi) = sum_n c[n] e^{-2 pi i w_n xi}
-    with w_n = k0 + n, and the k-th derivative of S_i weights each term by
+    e^{2 pi i a xi} Theta_i^(xi) = Q_m^(xi) S_i(xi), S_i(xi) = sum_n c[n]
+    e^{-2 pi i w_n xi} with the knots measured from the sample shift,
+    w_n = k0 + n - a, and the k-th derivative of S_i weights each term by
     (-2 pi i w_n)^k.  Every channel's series has the same knots w_n, so one
     product (c * e) @ vander gives S_i^(k)(xi) for every channel i at once.
     Leibniz and the sum above then take a few dozen numbers, on Python
@@ -221,23 +224,11 @@ def moment_check_fourier(table: KernelTable, n: int, l: int) -> complex:
     i_max = min(n, rho - 1)
     q = _q_hat_derivs(kappa.m, n, xi)
     c, k0 = _theta_series(table)
-    z = -_TWO_PI_I * (k0 + np.arange(c.shape[1]))  # -2 pi i w_n
+    z = -_TWO_PI_I * (k0 + np.arange(c.shape[1]) - a)  # -2 pi i w_n
     s = ((c[: i_max + 1] * np.exp(z * xi)) @ np.vander(z, n + 1, increasing=True)).tolist()
     acc = 0j
     for i in range(i_max + 1):
-        theta = [  # Theta_i^(k)(xi), k <= n - i
-            sum(math.comb(k, j) * q[j] * s[i][k - j] for j in range(k + 1))
-            for k in range(n - i + 1)
-        ]
-        for u in range(n - i + 1):
-            acc += (
-                math.comb(n, i)
-                * math.factorial(i)
-                * math.comb(n - i, u)
-                * a ** u
-                * _TWO_PI_I ** (u + i - n)
-                * theta[n - i - u]
-            )
-    if n == 0 and l == 0:
-        acc -= rho
-    return acc
+        k = n - i
+        leibniz = sum(math.comb(k, j) * q[j] * s[i][k - j] for j in range(k + 1))
+        acc += math.comb(n, i) * math.factorial(i) * _TWO_PI_I ** -k * leibniz
+    return acc * cmath.exp(-_TWO_PI_I * a * xi) - (rho if n == 0 and l == 0 else 0)

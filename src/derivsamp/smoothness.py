@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _check_range
+from .bspline import _check_range, _show
 
 __all__ = [
     "TauEstimate",
@@ -194,8 +194,11 @@ def tau_modulus(
     if domain is None:
         lo, hi = f.spec.support_hint
         domain = (lo - r * delta, hi + r * delta)
+    got = f"domain={_show(domain)}"
+    for end in domain:  # before float(): float(10**400) raises OverflowError
+        _check_range("finite domain ends", end, -math.inf, got=got)
     lo, hi = float(domain[0]), float(domain[1])
-    _check_range("finite domain width hi - lo", hi - lo, 0, open_lo=True, got=f"domain={domain!r}")
+    _check_range("finite domain width hi - lo", hi - lo, 0, open_lo=True, got=got)
     cells = (hi - lo) / (delta / 8.0) if delta / 8.0 > 0 else math.inf
     _check_range(f"a count of delta/8 cells on {(lo, hi)!r}", cells, 0, _MAX_CELLS,
                  got=f"delta={delta!r}")

@@ -88,6 +88,11 @@ def test_approx_internal_failure_is_numerical_exit(monkeypatch, capsys):
     assert "insufficient" in err and "irrational" not in err
 
 
+def test_kernel_build_that_does_not_converge_is_numerical_exit(capsys):
+    assert main(["kernel-dump", "--m", "25", "--rho", "2"]) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_memory_error_is_numerical_exit(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate")

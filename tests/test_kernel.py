@@ -35,6 +35,13 @@ def test_rejects_unstable_configuration():
         inv_symbol_coeffs(Kappa(4, Fraction(0), 2))
 
 
+def test_kernel_build_that_does_not_converge_raises():
+    # Q25's coefficients decay so slowly that the alias band still reads
+    # about 1.9e-11 at the last grid, n = 8192
+    with pytest.raises(ArithmeticError, match="did not converge .* at n=8192"):
+        inv_symbol_coeffs(Kappa(25, Fraction(0), 2))
+
+
 def test_kernel_decision_is_check_cis():
     # det Psi vanishes on |z| = 1 exactly when 2a + m - rho is an even integer
     for rho in (2, 3):
@@ -279,15 +286,19 @@ def test_moment_fourier_beyond_degree_three():
     assert max(abs(moment_check_fourier(table, 5, l)) for l in range(2)) > 1e-3
 
 
-def test_moment_fourier_residual_values(table_q3):
+def test_moment_fourier_residual_values(table_q3, table_q4h):
     # one degree beyond each reproducing order the residuals read 0.129
     # (Q3, l = 1), 0.052 ((5, 0, 2), l = 1) and 0.033 ((4, 0, 1)), and about
     # 0 elsewhere; every value matches the knot-by-knot reference, so a
-    # channel or knot taken from the wrong place in the table would show
+    # channel or knot taken from the wrong place in the table would show.
+    # The shifted configurations (4, 1/2, 2) and (5, 1/2, 3) also catch a
+    # wrong or missing phase e^{-2 pi i a xi}, or knots not measured from a.
     cases = (
         (table_q3, 3),
         (inv_symbol_coeffs(Kappa(5, Fraction(0), 2), tol=1e-12), 5),
         (inv_symbol_coeffs(Kappa(4, Fraction(0), 1), tol=1e-12), 4),
+        (table_q4h, 4),
+        (inv_symbol_coeffs(Kappa(5, Fraction(1, 2), 3), tol=1e-12), 5),
     )
     for table, n in cases:
         for l in range(table.kappa.rho):

@@ -623,14 +623,18 @@ def test_boundedness_probe_stays_flat(table_q3):
         lambda t: moment_check_fourier(t, 1, 10**400),
         lambda t: tau_modulus(channel(get_signal("f3"), 0), 2, 10**400, 2.0),
         lambda t: tau_modulus(channel(get_signal("f3"), 0), 2, 0.1, 10**400),
+        lambda t: tau_modulus(channel(get_signal("f3"), 0), 2, 0.1, 2.0, domain=(0, 10**400)),
         lambda t: approx_error(t, get_signal("f1"), 10**400),
         lambda t: grid_for_window(t.kappa, 10**400, 0.0, 1.0, t),
         lambda t: grid_for_window(t.kappa, 10**5000, 0.0, 1.0, t),
+        lambda t: grid_for_window(t.kappa, 1.0, -(10**400), 1.0, t),
+        lambda t: grid_for_window(t.kappa, 1.0, 0.0, 10**400, t),
         lambda t: SampleGrid(t.kappa, 1.0, -(10**5000), 0),
         lambda t: Kappa(10**5000, 0, 2),
     ],
-    ids=["moment-l", "tau-delta", "tau-p", "approx-w", "grid-W", "grid-W-5001-digits",
-         "grid-l_lo-5001-digits", "kappa-m-5001-digits"],
+    ids=["moment-l", "tau-delta", "tau-p", "tau-domain-hi", "approx-w", "grid-W",
+         "grid-W-5001-digits", "grid-t_lo", "grid-t_hi", "grid-l_lo-5001-digits",
+         "kappa-m-5001-digits"],
 )
 def test_integers_past_the_float_range_are_argument_errors(table_q3, call):
     # an int compares with every float bound, but float() of 10**400
