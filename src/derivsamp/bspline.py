@@ -231,7 +231,11 @@ def _q_hat_derivs(m: int, r: int, xi: float) -> list[complex]:
     |xi| = 1/pi the recurrence amplifies roundoff by up to r!/2^r: about 1e-12
     relative for r <= 11, 1e-8 at r = 14."""
     x = _C * xi
-    if abs(x) < _SERIES_RADIUS:
+    if x == 0:
+        # G^(k)(0) = 1/(k + 1): past the first, the series' terms are signed
+        # zeros, and adding them leaves the sum this value, imaginary part +0
+        g = [complex(1.0 / (k + 1)) for k in range(r + 1)]
+    elif abs(x) < _SERIES_RADIUS:
         terms = list(itertools.accumulate([x / j for j in range(1, _SERIES_TERMS)],
                                           operator.mul, initial=1.0))  # x^j / j!
         recip = [1.0 / (j + 1) for j in range(_SERIES_TERMS + r)]

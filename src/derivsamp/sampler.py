@@ -234,8 +234,9 @@ def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
     Eigenvalues of G = Psi* Psi, formed by np.matmul, are solved on every
     _FRAME_COARSE_STEP-th of those points and the last one, giving lo >= A
     and hi <= B.  An LDL^H test that G - (lo + s) I and (hi - s) I - G are
-    positive definite, s = 1e-12 hi, on a Gram summed row by row, rules out
-    most other points, and only the rest are formed by np.matmul and solved.
+    positive definite, s = 1e-12 hi, on the lower triangle of a Gram formed
+    one row at a time, rules out most other points, and only the rest are
+    formed by np.matmul and solved.
     A ruled-out point cannot hold an extreme, so A and B are the same floats
     as from every point's eigenvalues.  A symbol of monomial columns is
     solved at z = 1 alone, its A and B those of C^T C whatever grid_n (see
@@ -248,17 +249,22 @@ def frame_bounds(kappa: Kappa, grid_n: int = _FRAME_GRID_N) -> BoundsReport:
 
 
 def _positive_definite(h: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the stack h (..., r, r) is positive definite:
-    LDL^H elimination without pivoting, all r pivots > 0 (Sylvester).  Reads
-    the lower triangle and real diagonal, as eigvalsh does; overwrites h."""
-    ok = np.ones(h.shape[:-2], dtype=bool)
-    for k in range(h.shape[-1]):
-        pivot = h[..., k, k].real
-        ok &= pivot > 0
-        col = h[..., k + 1 :, k]
-        # a failed matrix is decided: scale it by 1, never by 1 / pivot <= 0
-        row = col.conj() * (1.0 / np.where(ok, pivot, 1.0))[..., None]
-        h[..., k + 1 :, k + 1 :] -= col[..., :, None] * row[..., None, :]
+    """Whether each matrix of the stack h (r, r, ...), the stack on the axes
+    after the first two, is positive definite: LDL^H elimination without
+    pivoting, all r pivots > 0 (Sylvester).  Reads and overwrites only the
+    entries j <= i of each row i, the lower triangle that eigvalsh reads,
+    with a real diagonal."""
+    r = h.shape[0]
+    ok = h[0, 0].real > 0
+    for k in range(r - 1):
+        # the pivot column conjugated and scaled once; a failed matrix is
+        # decided: scale it by 1, never by 1 / pivot <= 0
+        col = h[k + 1 :, k].conj()
+        col *= 1.0 / np.where(ok, h[k, k].real, 1.0)
+        for i in range(k + 1, r):
+            # entries k < j <= i of row i: contiguous, as is each (2, n) term
+            h[i, k + 1 : i + 1] -= h[i, k] * col[: i - k]
+        ok &= h[k + 1, k + 1].real > 0
     return ok
 
 
@@ -272,11 +278,11 @@ def _gram_eigvalsh(psi: np.ndarray) -> np.ndarray:
 def _screened_eigvalsh(psi: np.ndarray) -> np.ndarray:
     """Eigenvalues of Psi* Psi at the points of psi (r, r, points) that can
     hold an extreme (see frame_bounds): np.matmul and eigvalsh on the
-    coarse points and the points the screen keeps, one LDL^H screen over
-    every point on a row-summed Gram."""
+    coarse points and the points the screen keeps.  The screen forms the
+    lower triangle of Psi* Psi one row at a time, points last, and runs one
+    LDL^H test over both shifted copies of every point."""
     r, n = psi.shape[1:]
-    coarse = np.zeros(n, dtype=bool)
-    coarse[::_FRAME_COARSE_STEP] = coarse[-1] = True
+    coarse = [*range(0, n - 1, _FRAME_COARSE_STEP), n - 1]
     lam = _gram_eigvalsh(psi[..., coarse])
     lo, hi = lam[:, 0].min(), lam[:, -1].max()
     # np.matmul and eigvalsh handle each matrix of a stack on its own, so a
@@ -289,22 +295,21 @@ def _screened_eigvalsh(psi: np.ndarray) -> np.ndarray:
     # hi - s + O(r^2 u hi) < hi, also as eigvalsh rounds them, so it can
     # hold neither extreme and A, B equal the full stack's.
     s = 1e-12 * hi
-    # G - (lo + s) I and (hi - s) I - G in the two halves of one buffer,
-    # points on the last axis, as in psi, so that every step runs along
-    # contiguous memory.  The halves do not interleave, so numpy copies
-    # neither when one is read into the other; the second holds each row's
-    # product until G is done.
-    shifted = np.empty((2, r, r, n), dtype=psi.dtype)
-    gram, term = shifted
-    np.multiply(psi[0].conj()[:, None], psi[0], out=gram)
-    for k in range(1, r):
-        gram += np.multiply(psi[k].conj()[:, None], psi[k], out=term)
-    np.negative(gram, out=term)
-    diag = shifted.reshape(2, r * r, n)[:, :: r + 1]
-    diag[0] -= lo + s
-    diag[1] += hi - s
-    ok = _positive_definite(shifted.transpose(0, 3, 1, 2))
-    rest = ~((ok[0] & ok[1]) | coarse)
+    # G - (lo + s) I and (hi - s) I - G side by side in entry (i, j <= i) of
+    # one (r, r, 2, n) buffer, so that a row's entries, and both copies of
+    # each, lie in one contiguous block
+    shifted = np.empty((r, r, 2, n), dtype=psi.dtype)
+    conj = psi.conj()
+    for i in range(r):
+        row = shifted[i, : i + 1, 0]
+        np.einsum("kn,kjn->jn", conj[:, i], psi[:, : i + 1], out=row)
+        np.negative(row, out=shifted[i, : i + 1, 1])
+    diag = shifted.reshape(r * r, 2, n)[:: r + 1]
+    diag[:, 0] -= lo + s
+    diag[:, 1] += hi - s
+    ok = _positive_definite(shifted)
+    rest = ~(ok[0] & ok[1])
+    rest[coarse] = False
     if rest.any():
         lam = np.concatenate([lam, _gram_eigvalsh(psi[..., rest])])
     return lam

@@ -2,7 +2,9 @@
 constants, checked against independent oracles."""
 
 import functools
+import itertools
 import math
+import operator
 import warnings
 from fractions import Fraction
 
@@ -11,6 +13,8 @@ import pytest
 
 from derivsamp.bspline import (
     _BLOCK_POINTS,
+    _C,
+    _SERIES_TERMS,
     _int_power,
     _pieces,
     _q_hat_derivs,
@@ -348,6 +352,32 @@ def test_fourier_derivatives_at_zero_are_moments():
         for k, mom in enumerate(uniform_sum_moments(m, 8)):
             want = (-2j * math.pi) ** k * float(mom)
             assert abs(got[k] - want) <= 1e-12 * abs(want), (m, k)
+
+
+def _q_hat_derivs_full_sum(m: int, r: int, xi: float) -> list[complex]:
+    """_q_hat_derivs by its Taylor branch with every one of the _SERIES_TERMS
+    terms summed, on the same Python complex operations."""
+    x = _C * xi
+    terms = list(itertools.accumulate([x / j for j in range(1, _SERIES_TERMS)],
+                                      operator.mul, initial=1.0))
+    recip = [1.0 / (j + 1) for j in range(_SERIES_TERMS + r)]
+    g = [sum(map(operator.mul, terms, recip[k:])) for k in range(r + 1)]
+    fact = [float(math.factorial(k)) for k in range(r + 1)]
+    phi = [_C ** k * g[k] / fact[k] for k in range(r + 1)]
+    series = phi
+    for _ in range(m - 1):
+        series = [sum(map(operator.mul, series, phi[k::-1])) for k in range(r + 1)]
+    return [sk * fk for sk, fk in zip(series, fact)]
+
+
+def test_fourier_derivatives_at_zero_skip_zero_terms_bit_for_bit():
+    # at xi = 0 every Taylor term past the first is a signed zero; skipping
+    # them gives the full sum's values, signs of zero parts included
+    for m in range(1, 13):
+        for r in range(12):
+            for xi in (0.0, -0.0):
+                got = _q_hat_derivs(m, r, xi)
+                assert list(map(repr, got)) == list(map(repr, _q_hat_derivs_full_sum(m, r, xi))), (m, r, xi)
 
 
 def test_fourier_derivatives_against_quadrature():

@@ -384,6 +384,16 @@ def test_frame_bounds_screen_keeps_full_stack_extremes():
         for n in (64, 65, 1000, 1024, 1025, 4096):
             b = frame_bounds(kappa, grid_n=n)
             assert (b.lower, b.upper) == _full_stack_extremes(sym, n), (kappa, n)
+    # and, at the default grid_n, every screened configuration of the grid
+    # with rho >= 4: 795 of its 1354, those with the largest matrices
+    screened = 0
+    for kappa in (Kappa(*k) for k in CERTIFY_GRID if k[2] >= 4):
+        sym = build_symbol(kappa)
+        if not sampler._monomial_columns(sym):
+            b = frame_bounds(kappa, grid_n=1024)
+            assert (b.lower, b.upper) == _full_stack_extremes(sym, 1024), kappa
+            screened += 1
+    assert screened == 795
 
 
 def test_frame_bounds_solves_few_points(monkeypatch):
@@ -446,7 +456,8 @@ def test_frame_bounds_skips_screen_on_monomial_columns(monkeypatch):
         verify_sampling_inequality(kappa, n_trials=10)
     assert calls == []
     frame_bounds(KAPPA_Q4H)
-    assert len(calls) == 1
+    # one screen: rho x rho entries, two shifted copies, 513 points last
+    assert calls == [(2, 2, 2, 513)]
 
 
 def test_positive_definite_matches_eigvalsh():
@@ -458,15 +469,17 @@ def test_positive_definite_matches_eigvalsh():
         h -= rng.uniform(0.0, 2.0, (200, 1, 1)) * np.linalg.eigvalsh(h)[:, :1, None] * np.eye(r)
         expected = np.linalg.eigvalsh(h)[:, 0] > 0
         assert 0 < expected.sum() < len(h)
-        assert (_positive_definite(h.copy()) == expected).all(), r
-        # leading axes are a stack too, as the frame constants' two screens
-        assert (_positive_definite(h.reshape(2, 100, r, r).copy()) == expected.reshape(2, 100)).all()
+        # the matrices on the first two axes, the stack on the rest
+        assert (_positive_definite(np.moveaxis(h, 0, -1).copy()) == expected).all(), r
+        # the stack may have two axes, as the frame constants' two screens
+        halves = np.moveaxis(h.reshape(2, 100, r, r), (0, 1), (2, 3)).copy()
+        assert (_positive_definite(halves) == expected.reshape(2, 100)).all()
     special = np.array([
         [[1, 1j, 0], [-1j, 1, 0], [0, 0, 1]],  # singular: the second pivot is 0
         [[2, 1j, 0], [-1j, 2, 1], [0, 1, -1]],  # pivots 2, 3/2, -5/3
         [[2, 1j, 0], [-1j, 2, 1], [0, 1, 1]],  # pivots 2, 3/2, 1/3
     ])
-    assert _positive_definite(special).tolist() == [False, False, True]
+    assert _positive_definite(np.moveaxis(special, 0, -1).copy()).tolist() == [False, False, True]
 
 
 def test_frame_bounds_exact_at_rho_1():
