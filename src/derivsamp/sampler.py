@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import _check_range, _show, _triangle, bspline_series, riesz_lower_bound
-from .kernel import KernelTable, _l_range
+from .kernel import KernelTable, _l_range, _theta_series
 from .laurent import circle_values
 from .symbol import Kappa, build_symbol
 
@@ -156,8 +156,7 @@ def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
         raise ValueError(
             f"kernel table for {table.kappa} does not match the sample grid's {kappa}"
         )
-    rho, v = kappa.rho, table.radius
-    n_samples = samples.shape[0]
+    rho, n_samples = kappa.rho, samples.shape[0]
     if samples.shape != (n_samples, rho):
         raise ValueError(f"samples must have shape (L, {rho})")
     x = np.asarray(t, dtype=float)
@@ -169,12 +168,13 @@ def apply_sw(samples: np.ndarray, grid: SampleGrid, table: KernelTable, t):
             f"sample range l in [{grid.l_lo}, {grid.l_hi}] insufficient for the "
             f"requested window: need l in [{need_lo}, {need_hi}]"
         )
-    # S_W f(t) = sum_n e[n] Q_m(W t - rho (l_lo - V) - n)
-    e = np.zeros(rho * (n_samples + 2 * v))
+    # S_W f(t) = sum_n e[n] Q_m(W t - rho l_lo - k0 - n)
+    c, k0 = _theta_series(table)
+    e = np.zeros(rho * (n_samples - 1) + c[0].size)
     for j in range(rho):
         for i in range(rho):
-            e[j::rho] += grid.W ** (-i) * np.convolve(samples[:, i], table.coeffs[j, i, :])
-    return bspline_series(kappa.m, 0, e, rho * (grid.l_lo - v), grid.W * x)
+            e[j::rho] += grid.W ** (-i) * np.convolve(samples[:, i], c[i, :, j])
+    return bspline_series(kappa.m, 0, e, rho * grid.l_lo + k0, grid.W * x)
 
 
 # approx_error measures over the signal's support window widened by this
@@ -193,8 +193,7 @@ def approx_error(table: KernelTable, f, w: float, p: float = 2.0, grid_n: int = 
     finite."""
     _check_range("p", p, 1)
     _check_range("grid_n", grid_n, 1, _MAX_POINTS, integer=True)
-    lo, hi = f.support_hint
-    lo, hi = lo - _PAD, hi + _PAD
+    lo, hi = f.support_hint[0] - _PAD, f.support_hint[1] + _PAD
     grid = grid_for_window(table.kappa, w, lo, hi, table)
     samples = take_samples(f, grid)
     step = (hi - lo) / grid_n

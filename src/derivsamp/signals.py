@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import _check_range, _int_power, _show
+from .bspline import _check_range, _int_power
 
 __all__ = [
     "SignalSpec",
@@ -48,7 +48,13 @@ class SignalSpec:
     def __init__(self, id, evals, support_hint, special_points=()):
         self.id = id
         self._evals = dict(evals)
+        # eval reads channel i as self._evals[i]: the keys are 0..k, no gap
+        extra = [key for key in self._evals if key not in range(len(self._evals))]
+        if extra:
+            raise ValueError(f"signal {id!r} needs channel keys 0..k without a gap; "
+                             f"{extra} fall outside 0..{len(self._evals) - 1}")
         self.max_deriv = max(self._evals)
+        self._channel = f"signal {id!r} channel i"  # eval's range check, formatted once
         self.support_hint = (float(support_hint[0]), float(support_hint[1]))
         self.special_points = tuple(sorted(special_points))
 
@@ -56,8 +62,7 @@ class SignalSpec:
         return f"SignalSpec({self.id!r}, max_deriv={self.max_deriv})"
 
     def eval(self, i, t):
-        _check_range("channel i", i, 0, self.max_deriv, integer=True,
-                     got=f"i={_show(i)} (signal {self.id!r})")
+        _check_range(self._channel, i, 0, self.max_deriv, integer=True)
         x = np.asarray(t, dtype=float)
         scalar = x.ndim == 0
         out = np.asarray(self._evals[i](np.atleast_1d(x)), dtype=float).copy()

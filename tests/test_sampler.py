@@ -10,7 +10,7 @@ import pytest
 
 from derivsamp import sampler
 from derivsamp.bspline import ArgumentError, bspline_series
-from derivsamp.kernel import moment_check_fourier, theta_eval
+from derivsamp.kernel import inv_symbol_coeffs, moment_check_fourier, theta_eval
 from derivsamp.laurent import circle_values
 from derivsamp.sampler import (
     _TRIAL_LEN,
@@ -302,6 +302,37 @@ def test_sw_coeffs_shape_and_base(table_q3):
         np.testing.assert_allclose(apply_sw(samples, grid, table_q3, ts), want, rtol=0, atol=1e-13)
     with pytest.raises(ValueError, match=r"samples must have shape \(L, 2\)"):
         apply_sw(np.zeros((n, 3)), grid, table_q3, ts)
+
+
+@pytest.mark.parametrize("kappa", [Kappa(4, Fraction(1, 2), 2), Kappa(7, Fraction(1, 3), 3),
+                                   Kappa(5, Fraction(0), 4)], ids=str)
+def test_kernel_layout_byte_for_byte(kappa):
+    # the layout kernel-dump prints: coeffs[j, i, v] = c^{ji}(v - V) sits at
+    # knot rho (v - V) + j.  Theta_i and S_W rebuilt from it with the same
+    # primitives are the same floats as theta_eval and apply_sw.
+    table = inv_symbol_coeffs(kappa)
+    m, rho, big_v = kappa.m, kappa.rho, table.radius
+    ts = np.linspace(-rho * (big_v + 1), rho * (big_v + 1) + m, 401)
+    for i in range(rho):
+        series = np.zeros(rho * (2 * big_v + 1))
+        for v in range(2 * big_v + 1):
+            for j in range(rho):
+                series[rho * v + j] = table.coeffs[j, i, v]
+        for d in range(rho):
+            want = bspline_series(m, d, series, -rho * big_v, ts)
+            assert np.array_equal(theta_eval(table, i, ts, d), want)
+    w, x = 2.5, np.linspace(-1.0, 2.0, 301)
+    grid = grid_for_window(kappa, w, -1.0, 2.0, table)
+    samples = np.random.default_rng(7).standard_normal((grid.l_hi - grid.l_lo + 1, rho))
+    # sample (l, i) times coeffs[j, i, v] lands on knot rho l + rho (v - V) + j,
+    # index rho (l - l_lo + v) + j from the first knot rho (l_lo - V); the
+    # sums over l + v run in np.convolve's order
+    e = np.zeros(rho * (len(samples) + 2 * big_v))
+    for j in range(rho):
+        for i in range(rho):
+            e[j::rho] += w ** (-i) * np.convolve(samples[:, i], table.coeffs[j, i, :])
+    want = bspline_series(m, 0, e, rho * (grid.l_lo - big_v), w * x)
+    assert np.array_equal(apply_sw(samples, grid, table, x), want)
 
 
 def test_discrete_norm():

@@ -12,6 +12,7 @@ import pytest
 import derivsamp
 from derivsamp.bspline import riesz_lower_bound
 from derivsamp.signals import (
+    SignalSpec,
     catalog,
     channel,
     constant_signal,
@@ -82,6 +83,17 @@ def test_undefined_points_metadata():
 def test_missing_channel_raises():
     with pytest.raises(ValueError):
         get_signal("f2").eval(3, 0.0)
+
+
+def test_channel_keys_without_a_gap():
+    # eval reads channel i as the key i: a missing order is refused up front,
+    # where eval(1, t) would pass the range check and find no channel
+    with pytest.raises(ValueError, match=r"signal 'gap' .*\[2\] fall outside 0\.\.1"):
+        SignalSpec("gap", {0: np.sin, 2: np.cos}, (0.0, 1.0))
+    with pytest.raises(ValueError, match=r"\['d1'\]"):
+        SignalSpec("named", {0: np.sin, "d1": np.cos}, (0.0, 1.0))
+    spec = SignalSpec("ok", {1: np.cos, 0: np.sin}, (0.0, 1.0))
+    assert spec.max_deriv == 1 and spec.eval(1, 0.0) == 1.0
 
 
 def test_catalog_and_lookup():
